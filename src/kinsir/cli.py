@@ -11,6 +11,7 @@ exit with one code per failure class and a single line on stderr.
 import argparse
 import os
 import sys
+from itertools import chain
 
 from . import __version__
 from .config import load_config
@@ -60,13 +61,25 @@ def _header(subcommand, config):
     return ["# " + line for line in lines]
 
 
-def _write_csv(path, header, columns, rows):
+def _write_csv(path, header, lines):
+    """Write the header comment lines, then the table lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in header:
+        for line in chain(header, lines):
             handle.write(line + "\n")
-        handle.write(columns + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _numbers(columns, rows):
+    """Table lines: the column names, then one line per row of numbers."""
+    yield columns
+    for row in rows:
+        yield ",".join(map(_fmt, row))
+
+
+def _named(columns, pairs):
+    """Table lines: the column names, then one `name,value` line per pair."""
+    yield columns
+    for name, value in pairs:
+        yield f"{name},{_fmt(value)}"
 
 
 def _write_snapshots(path, header, snapshots, grid):
@@ -75,7 +88,7 @@ def _write_snapshots(path, header, snapshots, grid):
         for snap in snapshots
         for x, c, s, u in zip(grid.centers, snap.c, snap.s, snap.u)
     )
-    _write_csv(path, header, "time,x,c,s,u", rows)
+    _write_csv(path, header, _numbers("time,x,c,s,u", rows))
 
 
 def _cmd_ode(config, out_dir):
@@ -88,7 +101,8 @@ def _cmd_ode(config, out_dir):
         (t, row[0], row[1], row[2])
         for t, row in zip(trajectory.times, trajectory.states)
     )
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), header, "t,c,s,u", rows)
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), header,
+               _numbers("t,c,s,u", rows))
 
     report = equilibria(config.params)
     quantities = [("r0", report.r0)]
@@ -97,13 +111,8 @@ def _cmd_ode(config, out_dir):
     if report.qstar is not None:
         quantities += [(f"qstar_{f}", v) for f, v in
                        zip("csu", (report.qstar.u, report.qstar.v, report.qstar.w))]
-    path = os.path.join(out_dir, "equilibrium.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in header:
-            handle.write(line + "\n")
-        handle.write("quantity,value\n")
-        for name, value in quantities:
-            handle.write(f"{name},{_fmt(value)}\n")
+    _write_csv(os.path.join(out_dir, "equilibrium.csv"), header,
+               _named("quantity,value", quantities))
     return ["trajectory.csv", "equilibrium.csv"]
 
 
@@ -147,10 +156,8 @@ def _cmd_converge(config, out_dir):
         length=config.length, n_cells=config.n_cells, n_nodes=config.n_nodes,
         ref_refine=config.ref_refine, cfl=config.cfl,
     )
-    path = os.path.join(out_dir, "convergence.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in header + report.to_lines():
-            handle.write(line + "\n")
+    _write_csv(os.path.join(out_dir, "convergence.csv"), header,
+               report.to_lines())
     orders = " ".join(f"{f}={report.orders[f]:.3f}" for f in ("c", "s", "u"))
     print(f"converge: regime={report.regime} orders {orders} "
           f"estimated={report.estimated_order:.3f}")
@@ -163,13 +170,8 @@ def _cmd_coeffs(config, out_dir):
     coeff = build_macro_coefficients(config.params, vgrid)
     rows = [("Dc", coeff.Dc), ("Ds", coeff.Ds), ("Du", coeff.Du),
             ("chi", coeff.chi)]
-    path = os.path.join(out_dir, "coefficients.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in header:
-            handle.write(line + "\n")
-        handle.write("name,value\n")
-        for name, value in rows:
-            handle.write(f"{name},{_fmt(value)}\n")
+    _write_csv(os.path.join(out_dir, "coefficients.csv"), header,
+               _named("name,value", rows))
     return ["coefficients.csv"]
 
 
@@ -186,16 +188,6 @@ def dispatch(subcommand, config, out_dir):
     """Run one subcommand; returns the list of files written."""
     os.makedirs(out_dir, exist_ok=True)
     return _COMMANDS[subcommand](config, out_dir)
-
-
-def _apply_thread_cap():
-    threads = os.environ.get("KINSIR_THREADS")
-    if threads is None:
-        return
-    if not threads.isdigit() or int(threads) < 1:
-        raise ValidationError("KINSIR_THREADS must be a positive integer")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = threads
 
 
 def _build_parser():
@@ -223,7 +215,6 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        _apply_thread_cap()
         config = load_config(args.config)
         written = dispatch(args.subcommand, config, args.out)
     except KinsirError as exc:

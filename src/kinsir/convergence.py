@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kinetic
 from .errors import DegenerateFitError, ParseError, RegimeError, ValidationError
-from .grids import SpatialGrid
+from .grids import SpatialGrid, snapshot_schedule
 from .macro import build_macro_coefficients, run_macro
 from .sir import SirState, integrate_sir
 from .velocity import build_velocity_grid, species_equilibria
@@ -237,9 +237,7 @@ def run_convergence_study(params, profile, epsilons, t_final,
         raise ValidationError("ref_refine must be >= 2")
     regime, exponents = _detect_regime(params)
     epsilons = tuple(sorted(epsilons, reverse=True))
-    times = sorted(set(snapshot_times if snapshot_times is not None else [t_final]))
-    if not times or times[-1] < t_final:
-        times.append(t_final)
+    times = snapshot_schedule(snapshot_times, 0.0, t_final)
 
     grid = SpatialGrid(length, n_cells)
     vgrid = build_velocity_grid(params.vmax, n_nodes)

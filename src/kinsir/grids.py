@@ -1,5 +1,7 @@
-"""Periodic spatial grids, macroscopic fields and initial profiles."""
+"""Periodic spatial grids, macroscopic fields, initial profiles, and the
+time-marching loop that the macro and kinetic solvers share."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +68,10 @@ class MacroState:
                 )
             setattr(self, name, field)
 
-    def species(self, name):
-        return {"c": self.c, "s": self.s, "u": self.u}[name]
-
     def total_mass(self):
         """Cell-integrated totals (per species), conserved by pure transport."""
         dx = self.grid.dx
-        return np.array([self.c.sum() * dx, self.s.sum() * dx, self.u.sum() * dx])
+        return np.array([f.sum() * dx for f in (self.c, self.s, self.u)])
 
 
 @dataclass(frozen=True)
@@ -120,6 +119,41 @@ class InitialProfile:
         if min(f.min() for f in fields) < 0:
             raise ValidationError("initial densities must be >= 0")
         return state
+
+
+def snapshot_schedule(snapshot_times, start, t_final):
+    """Sorted distinct snapshot times in [start, t_final], ending at t_final.
+
+    None asks for the final time only.
+    """
+    if t_final < 0:
+        raise ValidationError("t_final must be >= 0")
+    times = sorted(set(snapshot_times if snapshot_times is not None else [t_final]))
+    if times and (times[0] < start or times[-1] > t_final):
+        raise ValidationError("snapshot times must lie in [initial time, t_final]")
+    if not times or times[-1] < t_final:
+        times.append(t_final)
+    return times
+
+
+def march(state, step, bound, times, snapshot):
+    """Advance state through the scheduled times; returns (snapshots, state).
+
+    Each segment up to the next time is split into the fewest equal steps
+    no longer than bound(state), so every time is hit exactly; step(state,
+    dt) returns the next state and snapshot(state) what to record there.
+    """
+    snapshots = []
+    for target in times:
+        segment = target - state.time
+        if segment > 0:
+            n = max(1, math.ceil(segment / bound(state) - 1e-12))
+            dt = segment / n
+            for _ in range(n):
+                state = step(state, dt)
+            state.time = target  # cancel accumulated rounding in the sum
+        snapshots.append(snapshot(state))
+    return snapshots, state
 
 
 def _read_profile_file(path, n_cells):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CflViolationError, ValidationError
-from .grids import MacroState, clamp_nonnegative
+from .grids import MacroState, clamp_nonnegative, march, snapshot_schedule
 from .velocity import interaction_terms, perturbation_apply
 
 
@@ -102,16 +102,16 @@ def kinetic_step(state, params, eqs, dt):
             f"dt = {dt:.3e} exceeds the transport bound {max_step(state):.3e}"
         )
     eps, grid, vgrid = state.epsilon, state.grid, state.vgrid
+    fields = (state.f1, state.f2, state.f3)
+    sigmas = (params.sigma1, params.sigma2, params.sigma3)
+    qs = (params.q1, params.q2, params.q3)
 
-    # (a) transport
-    f1 = transport_substep(state.f1, vgrid, grid, eps, dt)
-    f2 = transport_substep(state.f2, vgrid, grid, eps, dt)
-    f3 = transport_substep(state.f3, vgrid, grid, eps, dt)
-
-    # (b) stiff relaxation, exact per species
-    f1 = relaxation_substep(f1, eqs[0], params.sigma1, eps, params.q1, dt, vgrid)
-    f2 = relaxation_substep(f2, eqs[1], params.sigma2, eps, params.q2, dt, vgrid)
-    f3 = relaxation_substep(f3, eqs[2], params.sigma3, eps, params.q3, dt, vgrid)
+    # (a) transport, then (b) stiff relaxation, exact per species
+    f1, f2, f3 = (
+        relaxation_substep(transport_substep(f, vgrid, grid, eps, dt),
+                           eq, sigma, eps, q, dt, vgrid)
+        for f, eq, sigma, q in zip(fields, eqs, sigmas, qs)
+    )
 
     # (c) infected-gradient bias on the healthy population
     if params.chi0 != 0.0:
@@ -120,14 +120,12 @@ def kinetic_step(state, params, eqs, dt):
         f1 = f1 + dt * scale * perturbation_apply(f1, grad_s, params.chi0, vgrid)
 
     # (d) interactions
-    g1, g2, g3 = interaction_terms(f1, f2, f3, eqs, params, vgrid)
-    f1 = f1 + dt * g1
-    f2 = f2 + dt * g2
-    f3 = f3 + dt * g3
-
-    for name, f in (("f1", f1), ("f2", f2), ("f3", f3)):
-        clamp_nonnegative(f, f"kinetic distribution {name}")
-    return KineticState(f1, f2, f3, eps, state.time + dt, grid, vgrid)
+    fields = (f1, f2, f3)
+    gains = interaction_terms(*fields, eqs, params, vgrid)
+    new = [f + dt * g for f, g in zip(fields, gains)]
+    for i, f in enumerate(new, start=1):
+        clamp_nonnegative(f, f"kinetic distribution f{i}")
+    return KineticState(*new, eps, state.time + dt, grid, vgrid)
 
 
 def run_kinetic(initial, params, eqs, t_final, snapshot_times=None, cfl=0.8):
@@ -137,26 +135,10 @@ def run_kinetic(initial, params, eqs, t_final, snapshot_times=None, cfl=0.8):
     is hit exactly; the final time is always snapshotted. Returns the list
     of snapshots and the final kinetic state.
     """
-    if t_final < 0:
-        raise ValidationError("t_final must be >= 0")
     if not 0 < cfl <= 0.9:
         raise ValidationError("cfl must be in (0, 0.9]")
-    times = sorted(set(snapshot_times if snapshot_times is not None else [t_final]))
-    if times and (times[0] < initial.time or times[-1] > t_final):
-        raise ValidationError("snapshot times must lie in [initial time, t_final]")
-    if not times or times[-1] < t_final:
-        times.append(t_final)
-
-    dt_bound = max_step(initial, cfl)
-    state = initial
-    snapshots = []
-    for target in times:
-        segment = target - state.time
-        if segment > 0:
-            n = max(1, math.ceil(segment / dt_bound - 1e-12))
-            dt = segment / n
-            for _ in range(n):
-                state = kinetic_step(state, params, eqs, dt)
-            state.time = target  # cancel accumulated rounding in the sum
-        snapshots.append(moments(state))
-    return snapshots, state
+    times = snapshot_schedule(snapshot_times, initial.time, t_final)
+    return march(
+        initial, lambda state, dt: kinetic_step(state, params, eqs, dt),
+        lambda state: max_step(state, cfl), times, moments,
+    )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .grids import MacroState, clamp_nonnegative
+from .grids import MacroState, clamp_nonnegative, march, snapshot_schedule
 from .velocity import transport_coefficients
 
 DIFFUSION_NUMBER = 0.45  # dt <= DIFFUSION_NUMBER * dx^2 / max(D)
@@ -79,8 +79,8 @@ def build_macro_coefficients(params, vgrid, r_field=None):
 
 
 def _face_gradient(field, dx):
-    """Gradient at face k+1/2 between cells k and k+1 (periodic)."""
-    return (np.roll(field, -1) - field) / dx
+    """Gradient at face k+1/2 between cells k and k+1 (periodic, last axis)."""
+    return (np.roll(field, -1, axis=-1) - field) / dx
 
 
 def drift_field(state, coeff):
@@ -99,7 +99,9 @@ def macro_step(state, coeff, dt):
     grid = state.grid
     dx = grid.dx
 
-    w = drift_field(state, coeff)
+    rho = np.array((state.c, state.s, state.u))  # stacked (c, s, u) rows
+    grad = _face_gradient(rho, dx)
+    w = coeff.chi * grad[1]  # same as drift_field(state, coeff)
     max_drift = np.max(np.abs(w))
     if coeff.max_diffusivity > 0 and dt > DIFFUSION_NUMBER * dx * dx / coeff.max_diffusivity:
         raise StepSizeError(
@@ -111,25 +113,23 @@ def macro_step(state, coeff, dt):
             f"dt = {dt:.3e} exceeds the drift bound {DRIFT_CFL * dx / max_drift:.3e}"
         )
 
-    c, s, u = state.c, state.s, state.u
-
     # fluxes at face k+1/2; upwind the advected cell value by the drift sign
-    c_face = np.where(w > 0, c, np.roll(c, -1))
-    flux_c = w * c_face - coeff.Dc * _face_gradient(c, dx)
-    flux_s = -coeff.Ds * _face_gradient(s, dx)
-    flux_u = -coeff.Du * _face_gradient(u, dx)
+    c = rho[0]
+    flux = -np.array([[coeff.Dc], [coeff.Ds], [coeff.Du]]) * grad
+    flux[0] += w * np.where(w > 0, c, np.roll(c, -1))
 
-    infection = coeff.params.beta * c * u
     p = coeff.params
-    new_c = c - dt / dx * (flux_c - np.roll(flux_c, 1)) + dt * (
-        -p.d1 * c - infection + coeff.production(grid)
-    )
-    new_s = s - dt / dx * (flux_s - np.roll(flux_s, 1)) + dt * (-p.d2 * s + infection)
-    new_u = u - dt / dx * (flux_u - np.roll(flux_u, 1)) + dt * (-p.d3 * u + p.k * s)
+    infection = p.beta * c * rho[2]
+    reaction = -np.array([[p.d1], [p.d2], [p.d3]]) * rho
+    reaction[0] -= infection
+    reaction[0] += coeff.production(grid)
+    reaction[1] += infection
+    reaction[2] += p.k * rho[1]
+    new = rho - dt / dx * (flux - np.roll(flux, 1, axis=-1)) + dt * reaction
 
-    for name, field in (("c", new_c), ("s", new_s), ("u", new_u)):
+    for name, field in zip("csu", new):
         clamp_nonnegative(field, f"macro field {name}")
-    return MacroState(new_c, new_s, new_u, state.time + dt, grid)
+    return MacroState(*new, state.time + dt, grid)
 
 
 def stable_dt(state, coeff):
@@ -157,26 +157,15 @@ def run_macro(initial, coeff, t_final, snapshot_times=None, dt_max=None):
     0.8 margin for drift growth) or capped at dt_max, then rounded down so
     each segment is hit exactly. The final time is always snapshotted.
     """
-    if t_final < 0:
-        raise ValidationError("t_final must be >= 0")
-    times = sorted(set(snapshot_times if snapshot_times is not None else [t_final]))
-    if times and (times[0] < initial.time or times[-1] > t_final):
-        raise ValidationError("snapshot times must lie in [initial time, t_final]")
-    if not times or times[-1] < t_final:
-        times.append(t_final)
+    times = snapshot_schedule(snapshot_times, initial.time, t_final)
 
-    state = initial
-    snapshots = []
-    for target in times:
-        segment = target - state.time
-        if segment > 0:
-            bound = 0.8 * stable_dt(state, coeff)
-            if dt_max is not None:
-                bound = min(bound / 0.8, dt_max)
-            n = max(1, math.ceil(segment / bound - 1e-12))
-            dt = segment / n
-            for _ in range(n):
-                state = macro_step(state, coeff, dt)
-            state.time = target  # cancel accumulated rounding in the sum
-        snapshots.append(MacroState(state.c.copy(), state.s.copy(), state.u.copy(), state.time, state.grid))
+    def bound(state):
+        dt = 0.8 * stable_dt(state, coeff)
+        return dt if dt_max is None else min(dt / 0.8, dt_max)
+
+    snapshots, _ = march(
+        initial, lambda state, dt: macro_step(state, coeff, dt), bound, times,
+        lambda state: MacroState(state.c.copy(), state.s.copy(), state.u.copy(),
+                                 state.time, state.grid),
+    )
     return snapshots

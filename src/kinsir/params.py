@@ -57,14 +57,6 @@ class ModelParams:
                     f"{name} must be an integer >= 1 (q_i >= 1, p >= 1)"
                 )
 
-    def sigma(self, species):
-        """Relaxation rate of species i in {1, 2, 3}."""
-        return (self.sigma1, self.sigma2, self.sigma3)[species - 1]
-
-    def q(self, species):
-        """Relaxation scaling exponent of species i in {1, 2, 3}."""
-        return (self.q1, self.q2, self.q3)[species - 1]
-
     def replace(self, **changes):
         """Copy with some fields changed, revalidating the result."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -212,6 +212,33 @@ def test_unexpected_exceptions_exit_one(tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("route", ["diffusion_tensor_from_theta",
+                                   "perturbation_apply"])
+def test_disagreeing_dual_routes_exit_seven(tmp_path, monkeypatch, capsys, route):
+    # Perturb one route by one part in 1e9; the production path must notice.
+    import kinsir.velocity as velocity
+
+    original = getattr(velocity, route)
+    monkeypatch.setattr(velocity, route,
+                        lambda *args: original(*args) * (1.0 + 1e-9))
+    code, _ = run_cli(tmp_path, "coeffs", "chi0 = 1.0\n")
+    assert code == 7
+    assert capsys.readouterr().err.startswith("error: ConsistencyError:")
+
+
+@pytest.mark.parametrize("cfg", [
+    "vmax = 1000\nsigma1 = 1e-4\nsigma2 = 1e-4\nsigma3 = 1e-4\n",
+    "vmax = 37\nsigma1 = 1e-4\nn_nodes = 4\n",
+])
+def test_small_relaxation_rates_pass_the_theta_checks(tmp_path, cfg):
+    # theta grows like 1/sigma; these configs once failed an absolute check
+    code, out = run_cli(tmp_path, "coeffs", cfg)
+    assert code == 0
+    _, columns, rows = read_table(out / "coefficients.csv")
+    assert columns == "name,value"
+    assert [row[0] for row in rows] == ["Dc", "Ds", "Du", "chi"]
+
+
 def test_errors_are_single_stderr_lines(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "ode", "betaa = 2\n")
     assert code == 2
@@ -233,16 +260,6 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"kinsir {__version__}"
-
-
-def test_thread_cap_is_validated_and_applied(tmp_path, monkeypatch):
-    monkeypatch.setenv("KINSIR_THREADS", "3")
-    code, _ = run_cli(tmp_path, "coeffs", "chi0 = 1.0\n")
-    assert code == 0
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    monkeypatch.setenv("KINSIR_THREADS", "zero")
-    code, _ = run_cli(tmp_path, "coeffs", "chi0 = 1.0\n", out="bad")
-    assert code == 3
 
 
 def test_file_profile_runs_through_the_macro_solver(tmp_path):

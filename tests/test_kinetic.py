@@ -223,3 +223,22 @@ def test_run_validation():
         kin.run_kinetic(state, params, EQS, 0.1, cfl=0.0)
     with pytest.raises(ValidationError):
         kin.run_kinetic(state, params, EQS, 0.1, snapshot_times=[0.2])
+
+
+def test_run_kinetic_looks_up_the_step_at_call_time(monkeypatch):
+    # a wrapper on the module attribute (as a tracer installs) sees each step
+    calls = []
+    original = kin.kinetic_step
+
+    def counting(state, params, eqs, dt):
+        calls.append(dt)
+        return original(state, params, eqs, dt)
+
+    monkeypatch.setattr(kin, "kinetic_step", counting)
+    params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5)
+    state = bump_state(0.2)
+    snaps, final = kin.run_kinetic(state, params, EQS, 0.02, snapshot_times=[0.01])
+    bound = kin.max_step(state, 0.8)
+    assert [s.time for s in snaps] == [0.01, 0.02]
+    assert len(calls) == 2 * math.ceil(0.01 / bound - 1e-12)
+    assert max(calls) <= bound

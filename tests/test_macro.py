@@ -12,7 +12,7 @@ import pytest
 
 from kinsir import ModelParams, SirState, equilibria, integrate_sir
 from kinsir.errors import NegativityError, StepSizeError, ValidationError
-from kinsir.grids import InitialProfile, MacroState, SpatialGrid
+from kinsir.grids import InitialProfile, MacroState, SpatialGrid, snapshot_schedule
 from kinsir.macro import (
     MacroCoefficients,
     build_macro_coefficients,
@@ -63,6 +63,46 @@ def test_production_field_must_match_grid():
                               r_field=np.ones(8))
     with pytest.raises(ValidationError):
         coeff.production(SpatialGrid(1.0, 16))
+
+
+def per_species_step(state, coeff, dt):
+    """macro_step written out one species at a time: the reference that the
+    stacked step must match bit for bit."""
+    dx = state.grid.dx
+    c, s, u = state.c, state.s, state.u
+    p = coeff.params
+
+    def grad(f):
+        return (np.roll(f, -1) - f) / dx
+
+    w = coeff.chi * grad(s)
+    flux_c = w * np.where(w > 0, c, np.roll(c, -1)) - coeff.Dc * grad(c)
+    flux_s = -coeff.Ds * grad(s)
+    flux_u = -coeff.Du * grad(u)
+    infection = p.beta * c * u
+    new_c = c - dt / dx * (flux_c - np.roll(flux_c, 1)) + dt * (
+        -p.d1 * c - infection + coeff.production(state.grid)
+    )
+    new_s = s - dt / dx * (flux_s - np.roll(flux_s, 1)) + dt * (-p.d2 * s + infection)
+    new_u = u - dt / dx * (flux_u - np.roll(flux_u, 1)) + dt * (-p.d3 * u + p.k * s)
+    return new_c, new_s, new_u
+
+
+@pytest.mark.parametrize("chi0, r_field", [(0.0, False), (2.0, False), (2.0, True)])
+def test_stacked_step_matches_the_per_species_reference(chi0, r_field):
+    rng = np.random.default_rng(21)
+    grid = SpatialGrid(1.0, 48)
+    params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0,
+                         sigma2=2.0, sigma3=3.0, chi0=chi0)
+    field = rng.uniform(0.5, 2.0, grid.n_cells) if r_field else None
+    coeff = build_macro_coefficients(params, VGRID, r_field=field)
+    state = MacroState(*rng.uniform(0.2, 1.5, (3, grid.n_cells)), 0.0, grid)
+    dt = 0.5 * stable_dt(state, coeff)
+    for _ in range(5):
+        expected = per_species_step(state, coeff, dt)
+        state = macro_step(state, coeff, dt)
+        for got, want in zip((state.c, state.s, state.u), expected):
+            np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +326,36 @@ def test_stable_dt_is_infinite_when_nothing_moves():
     # run_macro still lands on the final time with a single step
     snaps = run_macro(state, coeff, 1.0)
     assert snaps[-1].time == 1.0
+
+
+def test_snapshot_schedule_sorts_deduplicates_and_ends_at_t_final():
+    assert snapshot_schedule([0.3, 0.1, 0.3, 0.0], 0.0, 0.5) == [0.0, 0.1, 0.3, 0.5]
+    assert snapshot_schedule([0.1, 0.5], 0.0, 0.5) == [0.1, 0.5]
+    assert snapshot_schedule(None, 0.0, 0.5) == [0.5]
+    assert snapshot_schedule([], 0.0, 0.5) == [0.5]
+    with pytest.raises(ValidationError):
+        snapshot_schedule([0.6], 0.0, 0.5)
+    with pytest.raises(ValidationError):
+        snapshot_schedule(None, 0.0, -1.0)
+
+
+def test_run_macro_looks_up_the_step_at_call_time(monkeypatch):
+    # wrappers installed on the module attribute (as a tracer does) must
+    # see every step that run_macro takes
+    import kinsir.macro as macro
+
+    calls = []
+    original = macro.macro_step
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(macro, "macro_step", counting)
+    params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5)
+    coeff = build_macro_coefficients(params, VGRID)
+    initial = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5).build(SpatialGrid(1.0, 16))
+    snaps = run_macro(initial, coeff, 0.01, snapshot_times=[0.005, 0.005],
+                      dt_max=1e-3)
+    assert [s.time for s in snaps] == [0.005, 0.01]
+    assert len(calls) == 10 and max(calls) <= 1e-3

@@ -165,6 +165,13 @@ class TestTheta:
         assert np.max(np.abs(residual)) <= 1e-12
         assert abs(g.moment0(theta)) <= 1e-12
 
+    @pytest.mark.parametrize("vmax, sigma, n", [(1000.0, 1e-4, 16), (37.0, 1e-4, 4),
+                                                (1e-3, 1e4, 8), (1e5, 1e-4, 64)])
+    def test_checks_scale_with_theta(self, vmax, sigma, n):
+        g = build_velocity_grid(vmax, n)
+        theta = solve_theta(uniform_equilibrium(g, 1), sigma, g)
+        assert np.max(np.abs(theta)) == pytest.approx(0.5 / sigma * g.nodes[-1] / vmax)
+
     def test_odd_symmetry(self):
         g = build_velocity_grid(1.0, 16)
         theta = solve_theta(uniform_equilibrium(g, 1), 1.0, g)
@@ -313,6 +320,28 @@ class TestTransportCoefficients:
         assert tc.Ds[0, 0] == pytest.approx(1.0 / 6.0, abs=1e-13)
         assert tc.Du[0, 0] == pytest.approx(1.0 / 12.0, abs=1e-13)
         assert tc.chi[0, 0] == pytest.approx(1.0, abs=1e-13)
-        np.testing.assert_allclose(tc.theta2, -g.nodes * 0.5 / 2.0, atol=1e-14)
+        theta2 = solve_theta(species_equilibria(g)[1], p.sigma2, g)
+        np.testing.assert_allclose(theta2, -g.nodes * 0.5 / 2.0, atol=1e-14)
         for D in (tc.Dc, tc.Ds, tc.Du):
             assert D[0, 0] > 0
+
+    def test_routes_agree_over_the_valid_range(self):
+        # the dual-route checks must not fire on any valid configuration
+        for vmax in (1e-3, 1.0, 1e5):
+            for sigma in (1e-4, 1.0, 1e4):
+                for n in (4, 16, 64):
+                    g = build_velocity_grid(vmax, n)
+                    p = params_with(sigma1=sigma, sigma2=sigma, sigma3=sigma,
+                                    chi0=2.0, vmax=vmax)
+                    tc = transport_coefficients(p, g)
+                    expected = vmax**2 / (3 * sigma)
+                    assert tc.Dc[0, 0] == pytest.approx(expected, rel=1e-10)
+
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        import kinsir.velocity as velocity
+
+        original = velocity.diffusion_tensor
+        monkeypatch.setattr(velocity, "diffusion_tensor",
+                            lambda M, sigma, grid: original(M, sigma, grid) * 1.001)
+        with pytest.raises(ConsistencyError):
+            transport_coefficients(params_with(), build_velocity_grid(1.0, 8))
