@@ -20,7 +20,6 @@ from .errors import (
     CflViolationError,
     ConsistencyError,
     DegenerateFitError,
-    KinsirError,
     NegativeStateError,
     NegativityError,
     OddNodeCountError,
@@ -86,7 +85,7 @@ def _write_snapshots(path, header, snapshots, grid):
     rows = (
         (snap.time, x, c, s, u)
         for snap in snapshots
-        for x, c, s, u in zip(grid.centers, snap.c, snap.s, snap.u)
+        for x, c, s, u in zip(grid.centers, *snap.rho)
     )
     _write_csv(path, header, _numbers("time,x,c,s,u", rows))
 
@@ -217,12 +216,9 @@ def main(argv=None):
     try:
         config = load_config(args.config)
         written = dispatch(args.subcommand, config, args.out)
-    except KinsirError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(type(exc), 1)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_CODES.get(type(exc), 1)
     for name in written:
         print(f"wrote {os.path.join(args.out, name)}")
     return 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinetic
-from .errors import DegenerateFitError, ParseError, RegimeError, ValidationError
+from .errors import DegenerateFitError, RegimeError, ValidationError
 from .grids import SpatialGrid, snapshot_schedule
 from .macro import build_macro_coefficients, run_macro
 from .sir import SirState, integrate_sir
@@ -62,10 +62,7 @@ class ConvergenceReport:
             raise ValidationError("estimated_order must be finite")
 
     def max_errors(self):
-        return tuple(
-            max(self.errors[f][i] for f in _FIELDS)
-            for i in range(len(self.epsilons))
-        )
+        return _species_max(self.errors)
 
     def to_lines(self):
         """Serialized form: '#' metadata lines, a header row, data rows."""
@@ -83,58 +80,10 @@ class ConvergenceReport:
             lines.append(",".join(row))
         return lines
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(self.to_lines()) + "\n")
 
-    @classmethod
-    def from_csv(cls, path):
-        meta, rows, header_seen = {}, [], False
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line.lstrip("#").strip()
-                    if "=" in body:
-                        key, _, value = body.partition("=")
-                        meta.setdefault(key.strip(), value.strip())
-                    continue
-                if not header_seen:
-                    header_seen = True
-                    continue
-                parts = line.split(",")
-                if len(parts) != 1 + len(_FIELDS):
-                    raise ParseError(
-                        f"{path}:{lineno}: expected {1 + len(_FIELDS)} columns"
-                    )
-                try:
-                    rows.append(tuple(float(p) for p in parts))
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        required = (
-            {"regime", "exponents", "reference", "estimated_order"}
-            | {f"order_{f}" for f in _FIELDS}
-        )
-        missing = required - meta.keys()
-        if missing or not rows:
-            raise ParseError(
-                f"{path}: missing {sorted(missing) if missing else 'data rows'}"
-            )
-        try:
-            exponents = tuple(int(e) for e in meta["exponents"].split())
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad exponents line: {exc}") from exc
-        return cls(
-            regime=meta["regime"],
-            exponents=exponents,
-            reference_descriptor=meta["reference"],
-            epsilons=tuple(r[0] for r in rows),
-            errors={f: tuple(r[1 + i] for r in rows) for i, f in enumerate(_FIELDS)},
-            orders={f: float(meta[f"order_{f}"]) for f in _FIELDS},
-            estimated_order=float(meta["estimated_order"]),
-        )
+def _species_max(errors):
+    """Per-eps maximum error across species."""
+    return tuple(map(max, zip(*(errors[f] for f in _FIELDS))))
 
 
 def estimate_order(epsilons, errors):
@@ -170,43 +119,33 @@ def _detect_regime(params):
     )
 
 
-def _restrict(field, factor):
-    return field.reshape(-1, factor).mean(axis=1)
-
-
 def _error_norm(snaps, reference, dx):
-    """sqrt of the snapshot-averaged squared L2 distance, per species."""
-    out = {}
-    for field in _FIELDS:
-        acc = 0.0
-        for snap, ref in zip(snaps, reference):
-            delta = getattr(snap, field) - ref[field]
-            acc += dx * float(np.sum(delta * delta))
-        out[field] = math.sqrt(acc / len(snaps))
-    return out
+    """sqrt of the snapshot-averaged squared L2 distance, per species row."""
+    acc = np.zeros(len(_FIELDS))
+    for snap, ref in zip(snaps, reference):
+        delta = snap.rho - ref
+        acc += dx * np.sum(delta * delta, axis=1)
+    return np.sqrt(acc / len(snaps))
 
 
 def _parabolic_reference(profile, params, vgrid, grid, t_final, times, ref_refine):
     fine = SpatialGrid(grid.length, grid.n_cells * ref_refine)
     coeff = build_macro_coefficients(params, vgrid)
     ref_snaps = run_macro(profile.build(fine), coeff, t_final, snapshot_times=times)
-    reference = [
-        {f: _restrict(getattr(s, f), ref_refine) for f in _FIELDS}
-        for s in ref_snaps
-    ]
+    reference = [s.rho.reshape(3, -1, ref_refine).mean(axis=2) for s in ref_snaps]
     descriptor = f"run_macro on {fine.n_cells} cells, restricted {ref_refine}x"
     return reference, descriptor
 
 
 def _hyperbolic_reference(profile, params, grid, times):
-    macro0 = profile.build(grid)
-    for field in _FIELDS:
-        if np.ptp(getattr(macro0, field)) != 0.0:
+    rho0 = profile.build(grid).rho
+    for field, spread in zip(_FIELDS, np.ptp(rho0, axis=1)):
+        if spread != 0.0:
             raise RegimeError(
                 "the hyperbolic material regime needs spatially constant "
                 f"initial data; field {field} varies across cells"
             )
-    initial = SirState(macro0.c[0], macro0.s[0], macro0.u[0])
+    initial = SirState(*rho0[:, 0])
     ones = np.ones(grid.n_cells)
     reference = []
     for t in times:
@@ -214,8 +153,7 @@ def _hyperbolic_reference(profile, params, grid, times):
             final = initial
         else:
             final = integrate_sir(initial, params, t, dt=t / _REF_ODE_STEPS).final
-        values = {"c": final.u, "s": final.v, "u": final.w}
-        reference.append({f: values[f] * ones for f in _FIELDS})
+        reference.append(np.outer(final.as_array(), ones))
     descriptor = f"integrate_sir, {_REF_ODE_STEPS} steps per snapshot"
     return reference, descriptor
 
@@ -249,20 +187,16 @@ def run_convergence_study(params, profile, epsilons, t_final,
     else:
         reference, descriptor = _hyperbolic_reference(profile, params, grid, times)
 
-    errors = {f: [] for f in _FIELDS}
+    table = []
     for eps in epsilons:
         state = kinetic.init_local_equilibrium(profile.build(grid), eqs, vgrid, eps)
         snaps, _ = kinetic.run_kinetic(
             state, params, eqs, t_final, snapshot_times=times, cfl=cfl
         )
-        for field, value in _error_norm(snaps, reference, grid.dx).items():
-            errors[field].append(value)
+        table.append(_error_norm(snaps, reference, grid.dx))
 
-    errors = {f: tuple(v) for f, v in errors.items()}
+    errors = {f: tuple(col) for f, col in zip(_FIELDS, np.array(table).T.tolist())}
     orders = {f: _fit_or_flat(epsilons, errors[f]) for f in _FIELDS}
-    max_errors = tuple(
-        max(errors[f][i] for f in _FIELDS) for i in range(len(epsilons))
-    )
     return ConvergenceReport(
         regime=regime,
         exponents=exponents,
@@ -270,5 +204,5 @@ def run_convergence_study(params, profile, epsilons, t_final,
         epsilons=epsilons,
         errors=errors,
         orders=orders,
-        estimated_order=_fit_or_flat(epsilons, max_errors),
+        estimated_order=_fit_or_flat(epsilons, _species_max(errors)),
     )

@@ -11,17 +11,18 @@ from .errors import NegativityError, ParseError, ValidationError
 NEGATIVITY_TOL = 1e-12
 
 
-def clamp_nonnegative(field, what, tol=NEGATIVITY_TOL):
+def clamp_nonnegative(field, what):
     """Round tiny negative values (rounding noise) up to zero, in place.
 
-    A value below -tol is not noise; it means the step size was too large
-    for the positivity-preserving regime, so raise instead of papering over.
+    A value below -NEGATIVITY_TOL is not noise; it means the step size was
+    too large for the positivity-preserving regime, so raise instead of
+    papering over.
     """
     low = field.min()
     if low < 0.0:
-        if low < -tol:
+        if low < -NEGATIVITY_TOL:
             raise NegativityError(
-                f"{what} reached {low:.3e} < -{tol:.1e}; reduce dt"
+                f"{what} reached {low:.3e} < -{NEGATIVITY_TOL:.1e}; reduce dt"
             )
         np.maximum(field, 0.0, out=field)
     return field
@@ -51,27 +52,36 @@ class SpatialGrid:
 
 @dataclass
 class MacroState:
-    """Cell-averaged densities of the three populations at one time."""
+    """Cell-averaged densities of the three populations at one time.
 
-    c: np.ndarray
-    s: np.ndarray
-    u: np.ndarray
+    rho has shape (3, n_cells); its rows are the healthy cells c, the
+    infected cells s and the virus u.
+    """
+
+    rho: np.ndarray
     time: float
     grid: SpatialGrid
 
     def __post_init__(self):
-        for name in ("c", "s", "u"):
-            field = np.asarray(getattr(self, name), dtype=float)
-            if field.shape != (self.grid.n_cells,):
-                raise ValidationError(
-                    f"{name} must have shape ({self.grid.n_cells},)"
-                )
-            setattr(self, name, field)
+        self.rho = np.asarray(self.rho, dtype=float)
+        if self.rho.shape != (3, self.grid.n_cells):
+            raise ValidationError(f"rho must have shape (3, {self.grid.n_cells})")
+
+    @property
+    def c(self):
+        return self.rho[0]
+
+    @property
+    def s(self):
+        return self.rho[1]
+
+    @property
+    def u(self):
+        return self.rho[2]
 
     def total_mass(self):
         """Cell-integrated totals (per species), conserved by pure transport."""
-        dx = self.grid.dx
-        return np.array([f.sum() * dx for f in (self.c, self.s, self.u)])
+        return self.rho.sum(axis=1) * self.grid.dx
 
 
 @dataclass(frozen=True)
@@ -106,17 +116,17 @@ class InitialProfile:
 
     def build(self, grid):
         """Instantiate the profile on a grid as a time-0 MacroState."""
-        if self.kind == "constant":
-            fields = [np.full(grid.n_cells, v) for v in (self.c0, self.s0, self.u0)]
-        elif self.kind == "cosine":
-            ripple = 1.0 + self.amplitude * np.cos(
-                2.0 * np.pi * self.mode * grid.centers / grid.length
-            )
-            fields = [v * ripple for v in (self.c0, self.s0, self.u0)]
+        if self.kind == "file":
+            rho = _read_profile_file(self.path, grid.n_cells)
         else:
-            fields = _read_profile_file(self.path, grid.n_cells)
-        state = MacroState(fields[0], fields[1], fields[2], 0.0, grid)
-        if min(f.min() for f in fields) < 0:
+            ripple = np.ones(grid.n_cells)
+            if self.kind == "cosine":
+                ripple += self.amplitude * np.cos(
+                    2.0 * np.pi * self.mode * grid.centers / grid.length
+                )
+            rho = np.array([[self.c0], [self.s0], [self.u0]], dtype=float) * ripple
+        state = MacroState(rho, 0.0, grid)
+        if rho.min() < 0:
             raise ValidationError("initial densities must be >= 0")
         return state
 
@@ -157,7 +167,8 @@ def march(state, step, bound, times, snapshot):
 
 
 def _read_profile_file(path, n_cells):
-    """Read per-cell (c, s, u) rows; '#' lines are comments."""
+    """Read per-cell (c, s, u) lines into a (3, n_cells) array; '#' lines
+    are comments. Every value must be a finite number."""
     rows = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -168,12 +179,14 @@ def _read_profile_file(path, n_cells):
             if len(parts) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 'c,s,u', got {line!r}")
             try:
-                rows.append([float(p) for p in parts])
+                values = [float(p) for p in parts]
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric value in {line!r}")
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{path}:{lineno}: non-finite value in {line!r}")
+            rows.append(values)
     if len(rows) != n_cells:
         raise ValidationError(
             f"{path}: {len(rows)} rows but the grid has {n_cells} cells"
         )
-    data = np.array(rows)
-    return [data[:, 0].copy(), data[:, 1].copy(), data[:, 2].copy()]
+    return np.array(rows).T.copy()

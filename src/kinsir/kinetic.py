@@ -49,8 +49,7 @@ class KineticState:
 
 def init_local_equilibrium(macro, eqs, vgrid, epsilon):
     """Start at the local equilibrium f_i = M_i(v) * density_i(x)."""
-    fields = (macro.c, macro.s, macro.u)
-    f1, f2, f3 = (np.outer(rho, eq.values) for rho, eq in zip(fields, eqs))
+    f1, f2, f3 = (np.outer(rho, eq.values) for rho, eq in zip(macro.rho, eqs))
     return KineticState(f1, f2, f3, float(epsilon), macro.time, macro.grid, vgrid)
 
 
@@ -58,7 +57,7 @@ def moments(state):
     """Zeroth velocity moments as a macroscopic state."""
     w = state.vgrid.weights
     return MacroState(
-        state.f1 @ w, state.f2 @ w, state.f3 @ w, state.time, state.grid
+        np.stack([state.f1 @ w, state.f2 @ w, state.f3 @ w]), state.time, state.grid
     )
 
 

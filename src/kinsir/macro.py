@@ -27,18 +27,13 @@ DRIFT_CFL = 0.9          # dt <= DRIFT_CFL * dx / max|chi * ds/dx|
 
 @dataclass(frozen=True)
 class MacroCoefficients:
-    """Scalar transport coefficients (1D) plus the reaction parameters.
-
-    r_field optionally replaces the constant production rate r with a static
-    per-cell field.
-    """
+    """Scalar transport coefficients (1D) plus the reaction parameters."""
 
     Dc: float
     Ds: float
     Du: float
     chi: float
     params: object
-    r_field: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("Dc", "Ds", "Du"):
@@ -52,16 +47,8 @@ class MacroCoefficients:
     def max_diffusivity(self):
         return max(self.Dc, self.Ds, self.Du)
 
-    def production(self, grid):
-        """Per-cell healthy-cell production rate."""
-        if self.r_field is None:
-            return self.params.r
-        if self.r_field.shape != (grid.n_cells,):
-            raise ValidationError("r_field length must match the grid")
-        return self.r_field
 
-
-def build_macro_coefficients(params, vgrid, r_field=None):
+def build_macro_coefficients(params, vgrid):
     """Reduce the velocity-space tensors to the scalar 1D coefficients.
 
     Every number here comes out of the quadrature, not a closed form, so the
@@ -74,7 +61,6 @@ def build_macro_coefficients(params, vgrid, r_field=None):
         Du=float(tc.Du[0, 0]),
         chi=float(tc.chi[0, 0]),
         params=params,
-        r_field=None if r_field is None else np.asarray(r_field, dtype=float),
     )
 
 
@@ -99,7 +85,7 @@ def macro_step(state, coeff, dt):
     grid = state.grid
     dx = grid.dx
 
-    rho = np.array((state.c, state.s, state.u))  # stacked (c, s, u) rows
+    rho = state.rho
     grad = _face_gradient(rho, dx)
     w = coeff.chi * grad[1]  # same as drift_field(state, coeff)
     max_drift = np.max(np.abs(w))
@@ -122,14 +108,14 @@ def macro_step(state, coeff, dt):
     infection = p.beta * c * rho[2]
     reaction = -np.array([[p.d1], [p.d2], [p.d3]]) * rho
     reaction[0] -= infection
-    reaction[0] += coeff.production(grid)
+    reaction[0] += p.r
     reaction[1] += infection
     reaction[2] += p.k * rho[1]
     new = rho - dt / dx * (flux - np.roll(flux, 1, axis=-1)) + dt * reaction
 
     for name, field in zip("csu", new):
         clamp_nonnegative(field, f"macro field {name}")
-    return MacroState(*new, state.time + dt, grid)
+    return MacroState(new, state.time + dt, grid)
 
 
 def stable_dt(state, coeff):
@@ -165,7 +151,6 @@ def run_macro(initial, coeff, t_final, snapshot_times=None, dt_max=None):
 
     snapshots, _ = march(
         initial, lambda state, dt: macro_step(state, coeff, dt), bound, times,
-        lambda state: MacroState(state.c.copy(), state.s.copy(), state.u.copy(),
-                                 state.time, state.grid),
+        lambda state: MacroState(state.rho.copy(), state.time, state.grid),
     )
     return snapshots

@@ -1,6 +1,6 @@
 """Model parameters shared by all three tiers of the toolkit."""
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -56,9 +56,3 @@ class ModelParams:
                 raise ValidationError(
                     f"{name} must be an integer >= 1 (q_i >= 1, p >= 1)"
                 )
-
-    def replace(self, **changes):
-        """Copy with some fields changed, revalidating the result."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(changes)
-        return ModelParams(**values)

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import NegativeStateError, ValidationError
 
+NEGATIVE_STATE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SirState:
@@ -93,13 +95,14 @@ def equilibria(params):
     return EquilibriumReport(r0, q0, qstar)
 
 
-def integrate_sir(initial, params, t_final, dt, tolerance=1e-12):
+def integrate_sir(initial, params, t_final, dt):
     """Integrate with classical RK4 at a fixed step.
 
     The actual step is t_final/ceil(t_final/dt), the largest step <= dt that
     lands exactly on t_final; the trajectory has ceil(t_final/dt)+1 states.
-    Components in [-tolerance, 0) are rounded up to zero after each step; a
-    component below -tolerance raises NegativeStateError (dt too large).
+    Components in [-NEGATIVE_STATE_TOL, 0) are rounded up to zero after each
+    step; a component below -NEGATIVE_STATE_TOL raises NegativeStateError
+    (dt too large).
     """
     if dt <= 0:
         raise ValidationError("dt must be > 0")
@@ -147,9 +150,9 @@ def integrate_sir(initial, params, t_final, dt, tolerance=1e-12):
 
         low = min(u, v, w)
         if low < 0.0:
-            if low < -tolerance:
+            if low < -NEGATIVE_STATE_TOL:
                 raise NegativeStateError(
-                    f"state component {low:.3e} < -{tolerance:.1e} at "
+                    f"state component {low:.3e} < -{NEGATIVE_STATE_TOL:.1e} at "
                     f"t = {i * h:.6g}; reduce dt"
                 )
             u, v, w = max(u, 0.0), max(v, 0.0), max(w, 0.0)

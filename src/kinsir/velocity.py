@@ -28,6 +28,8 @@ from .errors import (
 
 # relative tolerance within which two routes to one coefficient must agree
 CONSISTENCY_RTOL = 1e-12
+# relative residual allowed when a relaxation equation is solved
+RESIDUAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -139,23 +141,23 @@ def turning_apply(kernel, g, grid):
     return gain - loss
 
 
-def invert_relaxation(f, M, sigma, grid, tol=1e-12):
+def invert_relaxation(f, M, sigma, grid):
     """Solve L(g) = f for the unique g with <g> = 0.
 
     Solvable only when <f> = 0 (the operator range); the solution is
     g = -f/sigma. The residual is verified before returning.
     """
     scale = max(1.0, float(np.max(np.abs(f))))
-    if abs(grid.moment0(f)) > tol * scale:
+    if abs(grid.moment0(f)) > RESIDUAL_RTOL * scale:
         raise ValidationError("relaxation inverse needs a zero-mean right side")
     g = -f / sigma
     residual = np.max(np.abs(relaxation_apply(g, M, sigma, grid) - f))
-    if residual > tol * scale:
+    if residual > RESIDUAL_RTOL * scale:
         raise ResidualError(f"relaxation inverse residual {residual:.3e}")
     return g
 
 
-def solve_theta(M, sigma, grid, tol=1e-12):
+def solve_theta(M, sigma, grid):
     """Solve L(theta) = v*M for the zero-mean theta = -v*M/sigma.
 
     theta carries the first-moment response of the relaxation operator; the
@@ -165,9 +167,9 @@ def solve_theta(M, sigma, grid, tol=1e-12):
     theta = -grid.nodes * M.values / sigma
     size = np.abs(theta).max()
     residual = np.abs(relaxation_apply(theta, M, sigma, grid) - grid.nodes * M.values).max()
-    if residual > tol * sigma * size:
+    if residual > RESIDUAL_RTOL * sigma * size:
         raise ResidualError(f"theta residual {residual:.3e}")
-    if abs(grid.moment0(theta)) > tol * grid.measure * size:
+    if abs(grid.moment0(theta)) > RESIDUAL_RTOL * grid.measure * size:
         raise ResidualError("theta is not mean-free")
     return theta
 
@@ -223,7 +225,7 @@ def chemotactic_sensitivity(grid, params):
     return np.array([[value]])
 
 
-def alpha_direct(s_gradient, u_value, grid, eqs, params, tol=CONSISTENCY_RTOL):
+def alpha_direct(s_gradient, u_value, grid, eqs, params):
     """Macroscopic drift velocity alpha(s, u) evaluated from the kinetic side:
 
         alpha = (1/sigma1) * sum_j w_j v_j (T1 M1)(v_j)
@@ -232,13 +234,14 @@ def alpha_direct(s_gradient, u_value, grid, eqs, params, tol=CONSISTENCY_RTOL):
     u_value is accepted because a gradient-sensing kernel may in general
     depend on the virus density; the implemented kernel does not, so alpha
     must agree with chi * s_gradient, and a ConsistencyError flags any
-    disagreement between the two routes beyond the relative tolerance tol.
+    disagreement between the two routes beyond the relative tolerance
+    CONSISTENCY_RTOL.
     """
     M1 = eqs[0]
     applied = perturbation_apply(M1.values, s_gradient, params.chi0, grid)
     alpha = np.atleast_1d(grid.moment1(applied) / params.sigma1)
     expected = chemotactic_sensitivity(grid, params) @ np.atleast_1d(s_gradient)
-    if _disagree(alpha[0], expected[0], tol):
+    if _disagree(alpha[0], expected[0], CONSISTENCY_RTOL):
         raise ConsistencyError(
             "drift velocity disagrees with chi * grad_s beyond tolerance"
         )

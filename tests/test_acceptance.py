@@ -263,8 +263,7 @@ def test_criterion_09_macro_structural_suite():
     params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=1.0)
     qstar = equilibria(params).qstar
     grid = SpatialGrid(1.0, 64)
-    state = MacroState(np.full(64, qstar.u), np.full(64, qstar.v),
-                       np.full(64, qstar.w), 0.0, grid)
+    state = MacroState(np.outer(qstar.as_array(), np.ones(64)), 0.0, grid)
     coeff = build_macro_coefficients(params, vgrid)
     dt = 0.8 * stable_dt(state, coeff)
     for _ in range(10_000):

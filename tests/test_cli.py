@@ -9,8 +9,9 @@ import os
 import pytest
 
 from kinsir import __version__
-from kinsir.cli import main
-from kinsir.convergence import ConvergenceReport
+from kinsir.cli import _header, main
+from kinsir.config import load_config
+from kinsir.convergence import run_convergence_study
 
 
 def run_cli(tmp_path, subcommand, config_text, out="out", name="run.cfg"):
@@ -126,7 +127,14 @@ def test_converge_writes_a_loadable_report_and_a_summary(tmp_path, capsys):
     assert code == 0
     summary = capsys.readouterr().out.splitlines()[0]
     assert summary.startswith("converge: regime=parabolic orders ")
-    report = ConvergenceReport.from_csv(out / "convergence.csv")
+    config = load_config(tmp_path / "run.cfg")
+    report = run_convergence_study(
+        config.params, config.profile, config.eps_list, config.t_final,
+        length=config.length, n_cells=config.n_cells, n_nodes=config.n_nodes,
+        ref_refine=config.ref_refine, cfl=config.cfl,
+    )
+    lines = _header("converge", config) + report.to_lines()
+    assert (out / "convergence.csv").read_text() == "\n".join(lines) + "\n"
     assert report.regime == "parabolic"
     assert report.epsilons == (0.4, 0.2, 0.1)
     assert all(e > 0 for e in report.max_errors())
@@ -271,3 +279,20 @@ def test_file_profile_runs_through_the_macro_solver(tmp_path):
     assert code == 0
     _, _, data = read_table(out / "macro_snapshots.csv")
     assert len(data) == 16
+
+
+@pytest.mark.parametrize("subcommand", ["macro", "kinetic"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_profile_values_exit_with_parse_code(tmp_path, capsys,
+                                                        subcommand, value):
+    rows = ["1.0,0.5,0.25"] * 8
+    rows[5] = f"{value},0.5,0.5"
+    (tmp_path / "cells.csv").write_text("# c,s,u per cell\n" + "\n".join(rows) + "\n")
+    cfg = ("profile = file\nprofile_file = cells.csv\nn_cells = 8\n"
+           "n_nodes = 8\nt_final = 0.01\n")
+    code, out = run_cli(tmp_path, subcommand, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError:")
+    assert "cells.csv:7: non-finite value" in err
+    assert not out.exists() or not os.listdir(out)

@@ -27,11 +27,57 @@ VGRID = build_velocity_grid(1.0, 16)
 
 
 def constant_state(values, grid):
-    c, s, u = values
-    return MacroState(
-        np.full(grid.n_cells, c), np.full(grid.n_cells, s),
-        np.full(grid.n_cells, u), 0.0, grid,
-    )
+    return MacroState(np.outer(values, np.ones(grid.n_cells)), 0.0, grid)
+
+
+# ---------------------------------------------------------------------------
+# state layout: one (3, n) array with rows c, s, u
+
+
+@pytest.mark.parametrize("shape", [(16,), (2, 16), (3, 17)])
+def test_macro_state_rejects_other_shapes(shape):
+    with pytest.raises(ValidationError, match="shape"):
+        MacroState(np.ones(shape), 0.0, SpatialGrid(1.0, 16))
+
+
+def test_species_are_views_of_the_rows():
+    rho = np.arange(48.0).reshape(3, 16)
+    state = MacroState(rho, 0.0, SpatialGrid(1.0, 16))
+    for i, row in enumerate((state.c, state.s, state.u)):
+        assert np.shares_memory(row, state.rho)
+        np.testing.assert_array_equal(row, rho[i])
+    state.rho[1, 3] = -7.0
+    assert state.s[3] == -7.0
+
+
+def test_total_mass_is_the_per_row_sum_times_dx():
+    grid = SpatialGrid(3.0, 1000)
+    rho = np.random.default_rng(5).uniform(0.0, 2.0, (3, grid.n_cells))
+    mass = MacroState(rho, 0.0, grid).total_mass()
+    assert mass.tolist() == [row.sum() * grid.dx for row in rho]
+
+
+def test_initial_profiles_match_the_per_species_formulas(tmp_path):
+    grid = SpatialGrid(2.0, 24)
+    base = (1.25, 0.5, 0.0)
+    constant = InitialProfile("constant", c0=1.25, s0=0.5, u0=0.0).build(grid)
+    for row, v in zip(constant.rho, base):
+        np.testing.assert_array_equal(row, np.full(grid.n_cells, v))
+
+    cosine = InitialProfile("cosine", c0=1.25, s0=0.5, u0=0.0, amplitude=0.3,
+                            mode=2).build(grid)
+    ripple = 1.0 + 0.3 * np.cos(2.0 * np.pi * 2 * grid.centers / grid.length)
+    for row, v in zip(cosine.rho, base):
+        np.testing.assert_array_equal(row, v * ripple)
+
+    columns = np.random.default_rng(8).uniform(0.0, 3.0, (grid.n_cells, 3))
+    path = tmp_path / "cells.csv"
+    path.write_text("".join(",".join(map(repr, r.tolist())) + "\n"
+                            for r in columns))
+    from_file = InitialProfile("file", path=str(path)).build(grid)
+    for i, row in enumerate(from_file.rho):
+        np.testing.assert_array_equal(row, columns[:, i])
+    assert from_file.rho.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +103,6 @@ def test_coefficients_reject_negative_or_nonfinite_values():
         MacroCoefficients(Dc=0.1, Ds=0.1, Du=0.1, chi=math.nan, params=params)
 
 
-def test_production_field_must_match_grid():
-    params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=1)
-    coeff = MacroCoefficients(Dc=0.0, Ds=0.0, Du=0.0, chi=0.0, params=params,
-                              r_field=np.ones(8))
-    with pytest.raises(ValidationError):
-        coeff.production(SpatialGrid(1.0, 16))
-
-
 def per_species_step(state, coeff, dt):
     """macro_step written out one species at a time: the reference that the
     stacked step must match bit for bit."""
@@ -81,22 +119,21 @@ def per_species_step(state, coeff, dt):
     flux_u = -coeff.Du * grad(u)
     infection = p.beta * c * u
     new_c = c - dt / dx * (flux_c - np.roll(flux_c, 1)) + dt * (
-        -p.d1 * c - infection + coeff.production(state.grid)
+        -p.d1 * c - infection + p.r
     )
     new_s = s - dt / dx * (flux_s - np.roll(flux_s, 1)) + dt * (-p.d2 * s + infection)
     new_u = u - dt / dx * (flux_u - np.roll(flux_u, 1)) + dt * (-p.d3 * u + p.k * s)
     return new_c, new_s, new_u
 
 
-@pytest.mark.parametrize("chi0, r_field", [(0.0, False), (2.0, False), (2.0, True)])
-def test_stacked_step_matches_the_per_species_reference(chi0, r_field):
+@pytest.mark.parametrize("chi0", [0.0, 2.0])
+def test_stacked_step_matches_the_per_species_reference(chi0):
     rng = np.random.default_rng(21)
     grid = SpatialGrid(1.0, 48)
     params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0,
                          sigma2=2.0, sigma3=3.0, chi0=chi0)
-    field = rng.uniform(0.5, 2.0, grid.n_cells) if r_field else None
-    coeff = build_macro_coefficients(params, VGRID, r_field=field)
-    state = MacroState(*rng.uniform(0.2, 1.5, (3, grid.n_cells)), 0.0, grid)
+    coeff = build_macro_coefficients(params, VGRID)
+    state = MacroState(rng.uniform(0.2, 1.5, (3, grid.n_cells)), 0.0, grid)
     dt = 0.5 * stable_dt(state, coeff)
     for _ in range(5):
         expected = per_species_step(state, coeff, dt)
@@ -225,19 +262,6 @@ def test_homogeneous_run_stays_flat_and_tracks_the_ode():
         abs(final.u[0] - reference.w),
     )
     assert err <= 1e-6
-
-
-def test_spatially_varying_production_enters_the_healthy_equation():
-    params = ModelParams(d1=1, d2=1, d3=1, beta=0, k=0, r=0)
-    grid = SpatialGrid(1.0, 32)
-    r_field = 1.0 + 0.5 * np.sin(2 * np.pi * grid.centers)
-    coeff = MacroCoefficients(Dc=0.0, Ds=0.0, Du=0.0, chi=0.0, params=params,
-                              r_field=r_field)
-    state = constant_state((1.0, 0.0, 0.0), grid)
-    stepped = macro_step(state, coeff, 0.01)
-    np.testing.assert_allclose(
-        stepped.c, 1.0 + 0.01 * (r_field - 1.0), rtol=0, atol=1e-15
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the space-homogeneous ODE tier."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -193,6 +194,6 @@ class TestParamValidation:
 
     def test_replace_revalidates(self):
         p = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=1)
-        assert p.replace(r=3.0).r == 3.0
+        assert dataclasses.replace(p, r=3.0).r == 3.0
         with pytest.raises(ValidationError):
-            p.replace(sigma1=-1.0)
+            dataclasses.replace(p, sigma1=-1.0)

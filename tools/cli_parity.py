@@ -1,0 +1,153 @@
+"""Compare the CLI outputs of the working tree with those of a git revision.
+
+    python3 tools/cli_parity.py REV
+
+Extracts src/ at REV with `git archive` into a temporary directory and runs
+a fixed list of configs through `python3 -m kinsir.cli` on that tree and on
+the working tree. Both trees read the same config files, so the resolved
+headers match. For each file written it prints `identical`, or the largest
+absolute and relative difference over the numeric cells. Exits 0 only if
+every run exits 0 and every file is identical.
+"""
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_COSINE = "chi0 = 0.5\nprofile = cosine\nc0 = 1\ns0 = 0.5\nu0 = 0.5\n"
+_ENDEMIC = "profile = constant\nc0 = 1\ns0 = 0.2\nu0 = 0.3\n"
+_HYPERBOLIC = "q1 = 2\nq2 = 2\nq3 = 2\np = 2\n"
+
+# (name, subcommand, config text); the first five are criterion 10's configs
+CONFIGS = [
+    ("ode", "ode", "r = 2\nc0 = 1.2\ns0 = 0.4\nu0 = 0.9\nt_final = 0.5\ndt = 0.01\n"),
+    ("macro", "macro", _COSINE + "n_cells = 32\nt_final = 0.02\n"
+                                 "snapshot_times = 0.01 0.02\n"),
+    ("kinetic", "kinetic", _COSINE + "n_cells = 32\nn_nodes = 8\nepsilon = 0.2\n"
+                                     "t_final = 0.02\n"),
+    ("converge", "converge", _COSINE + "n_cells = 32\nn_nodes = 8\nt_final = 0.05\n"
+                                       "eps_list = 0.4 0.2 0.1\n"),
+    ("coeffs", "coeffs", "chi0 = 1.0\n"),
+    ("macro_dt_max", "macro", _COSINE + "n_cells = 32\nt_final = 0.02\n"
+                                        "dt_max = 1e-4\n"
+                                        "snapshot_times = 0.01 0 0.005 0.01\n"),
+    ("macro_file", "macro", "chi0 = 0.5\nprofile = file\nprofile_file = cells.csv\n"
+                            "n_cells = 16\nt_final = 0.02\n"),
+    ("kinetic_q2", "kinetic", _COSINE + _HYPERBOLIC + "n_cells = 32\nn_nodes = 8\n"
+                                                      "epsilon = 0.2\nt_final = 0.02\n"
+                                                      "snapshot_times = 0.01\n"),
+    ("converge_hyperbolic", "converge", _ENDEMIC + _HYPERBOLIC
+     + "n_cells = 16\nn_nodes = 8\nt_final = 0.5\neps_list = 0.4 0.2 0.1\n"),
+]
+
+# per-cell (c, s, u) rows for the file profile: 16 distinct positive values
+PROFILE_ROWS = "".join(
+    f"{1.0 + 0.1 * i!r},{0.5 + 0.03 * (i % 5)!r},{0.25 + 0.02 * (i % 3)!r}\n"
+    for i in range(16)
+)
+
+
+def run_tree(src, config_dir, out_root):
+    """Run every config on the package under src; returns {name: exit code}."""
+    env = dict(os.environ, PYTHONPATH=src)
+    codes = {}
+    for name, subcommand, _ in CONFIGS:
+        done = subprocess.run(
+            [sys.executable, "-m", "kinsir.cli", subcommand,
+             "--config", os.path.join(config_dir, f"{name}.cfg"),
+             "--out", os.path.join(out_root, name)],
+            env=env, capture_output=True, text=True,
+        )
+        if done.returncode != 0:
+            sys.stderr.write(f"{name} under {src}: {done.stderr}")
+        codes[name] = done.returncode
+    return codes
+
+
+def compare(text_a, text_b):
+    """'identical', or the largest numeric differences between two files.
+
+    Cells are split at commas and at the '=' of '# key = value' lines.
+    """
+    if text_a == text_b:
+        return "identical"
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return f"differs: {len(lines_a)} lines against {len(lines_b)}"
+    max_abs = max_rel = 0.0
+    for line_a, line_b in zip(lines_a, lines_b):
+        cells_a, cells_b = re.split("[,=]", line_a), re.split("[,=]", line_b)
+        if len(cells_a) != len(cells_b):
+            return f"differs: {line_a!r} against {line_b!r}"
+        for a, b in zip(cells_a, cells_b):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                return f"differs: {line_a!r} against {line_b!r}"
+            diff = abs(x - y)
+            max_abs = max(max_abs, diff)
+            max_rel = max(max_rel, diff / max(abs(x), abs(y)))
+    return f"max abs diff {max_abs:.3e}, max rel diff {max_rel:.3e}"
+
+
+def main(argv):
+    if len(argv) != 1:
+        print("usage: python3 tools/cli_parity.py REV", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="cli-parity-") as tmp:
+        archive = subprocess.run(
+            ["git", "-C", ROOT, "archive", "--format=tar", argv[0], "src"],
+            capture_output=True,
+        )
+        if archive.returncode != 0:
+            sys.stderr.write(archive.stderr.decode())
+            return 2
+        old_tree = os.path.join(tmp, "rev")
+        os.makedirs(old_tree)
+        subprocess.run(["tar", "-x", "-C", old_tree], input=archive.stdout,
+                       check=True)
+
+        config_dir = os.path.join(tmp, "configs")
+        os.makedirs(config_dir)
+        with open(os.path.join(config_dir, "cells.csv"), "w") as handle:
+            handle.write(PROFILE_ROWS)
+        for name, _, text in CONFIGS:
+            with open(os.path.join(config_dir, f"{name}.cfg"), "w") as handle:
+                handle.write(text)
+
+        outs = {tag: os.path.join(tmp, "out", tag) for tag in ("rev", "work")}
+        codes_rev = run_tree(os.path.join(old_tree, "src"), config_dir, outs["rev"])
+        codes_work = run_tree(os.path.join(ROOT, "src"), config_dir, outs["work"])
+
+        all_identical = True
+        for name, _, _ in CONFIGS:
+            if codes_rev[name] != 0 or codes_work[name] != 0:
+                print(f"{name}: exit {codes_rev[name]} at {argv[0]}, "
+                      f"{codes_work[name]} in the working tree")
+                all_identical = False
+                continue
+            dirs = [os.path.join(outs[tag], name) for tag in ("rev", "work")]
+            files = sorted(set(os.listdir(dirs[0])) | set(os.listdir(dirs[1])))
+            for filename in files:
+                paths = [os.path.join(d, filename) for d in dirs]
+                if not all(map(os.path.exists, paths)):
+                    verdict = "written by one tree only"
+                else:
+                    texts = []
+                    for path in paths:
+                        with open(path, encoding="utf-8") as handle:
+                            texts.append(handle.read())
+                    verdict = compare(*texts)
+                print(f"{name}/{filename}: {verdict}")
+                all_identical &= verdict == "identical"
+    return 0 if all_identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
