@@ -43,7 +43,6 @@ from .sir import (
 )
 from .velocity import (
     EquilibriumDistribution,
-    TransportCoefficients,
     VelocityGrid,
     build_velocity_grid,
     species_equilibria,
@@ -73,7 +72,6 @@ __all__ = [
     "SirTrajectory",
     "SpatialGrid",
     "StepSizeError",
-    "TransportCoefficients",
     "ValidationError",
     "VelocityGrid",
     "basic_reproduction_number",

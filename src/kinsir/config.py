@@ -62,18 +62,21 @@ _PARAM_KEYS = ("d1", "d2", "d3", "beta", "k", "r", "sigma1", "sigma2",
                "sigma3", "chi0", "q1", "q2", "q3", "p", "vmax")
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _parse_value(kind, text, where):
     try:
         if kind == _FLOAT:
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError("must be finite")
-            return value
+            return _finite(text)
         if kind == _INT:
             return int(text)
         if kind == _FLOAT_LIST:
-            parts = text.replace(",", " ").split()
-            return tuple(float(p) for p in parts)
+            return tuple(map(_finite, text.replace(",", " ").split()))
         return text
     except ValueError as exc:
         raise ParseError(f"{where}: expected {kind}, got {text!r}") from exc

@@ -167,8 +167,8 @@ def run_convergence_study(params, profile, epsilons, t_final,
     Orders are fit per species, and estimated_order on the per-eps maximum
     across species; identically zero errors report a flat order of 0.0.
     """
-    if len(set(epsilons)) != len(epsilons) or any(e <= 0 for e in epsilons):
-        raise ValidationError("epsilons must be positive and distinct")
+    if len(set(epsilons)) != len(epsilons) or not all(0 < e <= 1 for e in epsilons):
+        raise ValidationError("epsilons must be distinct and in (0, 1]")
     if len(epsilons) < 3:
         raise DegenerateFitError("a convergence study needs at least three epsilons")
     if ref_refine < 2:

@@ -134,11 +134,13 @@ class InitialProfile:
 def snapshot_schedule(snapshot_times, start, t_final):
     """Sorted distinct snapshot times in [start, t_final], ending at t_final.
 
-    None asks for the final time only.
+    None asks for the final time only; every time must be finite.
     """
     if t_final < 0:
         raise ValidationError("t_final must be >= 0")
     times = sorted(set(snapshot_times if snapshot_times is not None else [t_final]))
+    if not all(map(math.isfinite, times)):
+        raise ValidationError("snapshot times must be finite")
     if times and (times[0] < start or times[-1] > t_final):
         raise ValidationError("snapshot times must lie in [initial time, t_final]")
     if not times or times[-1] < t_final:

@@ -13,55 +13,22 @@ periodic domain, so mass changes only through reactions.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
 from .grids import MacroState, clamp_nonnegative, march, snapshot_schedule
-from .velocity import transport_coefficients
+from .velocity import MacroCoefficients, transport_coefficients  # noqa: F401
 
 DIFFUSION_NUMBER = 0.45  # dt <= DIFFUSION_NUMBER * dx^2 / max(D)
 DRIFT_CFL = 0.9          # dt <= DRIFT_CFL * dx / max|chi * ds/dx|
 
 
-@dataclass(frozen=True)
-class MacroCoefficients:
-    """Scalar transport coefficients (1D) plus the reaction parameters."""
-
-    Dc: float
-    Ds: float
-    Du: float
-    chi: float
-    params: object
-
-    def __post_init__(self):
-        for name in ("Dc", "Ds", "Du"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be finite and >= 0")
-        if not math.isfinite(self.chi):
-            raise ValidationError("chi must be finite")
-
-    @property
-    def max_diffusivity(self):
-        return max(self.Dc, self.Ds, self.Du)
-
-
 def build_macro_coefficients(params, vgrid):
-    """Reduce the velocity-space tensors to the scalar 1D coefficients.
-
-    Every number here comes out of the quadrature, not a closed form, so the
-    macro tier stays consistent with whatever the kinetic tier integrates.
-    """
-    tc = transport_coefficients(params, vgrid)
-    return MacroCoefficients(
-        Dc=float(tc.Dc[0, 0]),
-        Ds=float(tc.Ds[0, 0]),
-        Du=float(tc.Du[0, 0]),
-        chi=float(tc.chi[0, 0]),
-        params=params,
-    )
+    """The macro tier's coefficients, from velocity quadrature rather than
+    closed forms, so the macro tier stays consistent with whatever the
+    kinetic tier integrates."""
+    return transport_coefficients(params, vgrid)
 
 
 def _face_gradient(field, dx):
@@ -104,13 +71,7 @@ def macro_step(state, coeff, dt):
     flux = -np.array([[coeff.Dc], [coeff.Ds], [coeff.Du]]) * grad
     flux[0] += w * np.where(w > 0, c, np.roll(c, -1))
 
-    p = coeff.params
-    infection = p.beta * c * rho[2]
-    reaction = -np.array([[p.d1], [p.d2], [p.d3]]) * rho
-    reaction[0] -= infection
-    reaction[0] += p.r
-    reaction[1] += infection
-    reaction[2] += p.k * rho[1]
+    reaction = np.array(coeff.params.reactions(*rho))
     new = rho - dt / dx * (flux - np.roll(flux, 1, axis=-1)) + dt * reaction
 
     for name, field in zip("csu", new):

@@ -56,3 +56,18 @@ class ModelParams:
                 raise ValidationError(
                     f"{name} must be an integer >= 1 (q_i >= 1, p >= 1)"
                 )
+
+    def reactions(self, c, s, u):
+        """Reaction terms of the virus dynamics at densities (c, s, u):
+
+            (-d1*c - beta*c*u + r,  -d2*s + beta*c*u,  -d3*u + k*s).
+
+        The ODE right-hand side and the macro step's reactions; works on
+        floats and on arrays alike.
+        """
+        infection = self.beta * c * u
+        return (
+            -self.d1 * c - infection + self.r,
+            -self.d2 * s + infection,
+            -self.d3 * u + self.k * s,
+        )

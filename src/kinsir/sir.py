@@ -56,13 +56,7 @@ class SirTrajectory:
 
 def sir_rhs(state, params):
     """Right-hand side of the ODE system at a state, as a length-3 array."""
-    u, v, w = state.u, state.v, state.w
-    infection = params.beta * u * w
-    return np.array([
-        -params.d1 * u - infection + params.r,
-        -params.d2 * v + infection,
-        -params.d3 * w + params.k * v,
-    ])
+    return np.array(params.reactions(state.u, state.v, state.w))
 
 
 def basic_reproduction_number(params):
@@ -123,8 +117,8 @@ def integrate_sir(initial, params, t_final, dt):
     u, v, w = float(initial.u), float(initial.v), float(initial.w)
 
     for i in range(1, n_steps + 1):
-        # RK4 stages, unrolled on scalars: the loop dominates runtime for the
-        # long threshold integrations.
+        # RK4 stages of ModelParams.reactions, unrolled on scalars: the loop
+        # dominates runtime for the long threshold integrations.
         au = -d1 * u - beta * u * w + r
         av = -d2 * v + beta * u * w
         aw = -d3 * w + k * v

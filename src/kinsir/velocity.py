@@ -5,8 +5,8 @@ V = [-vmax, vmax]. Velocity relaxation drives a distribution toward its own
 zeroth moment times a fixed equilibrium profile M (uniform here), and every
 macroscopic transport coefficient is a velocity moment:
 
-    D   = (1/sigma) * int v (x) v M(v) dv          diffusion tensor
-    chi = (1/sigma1) * int v (x) psi(v) dv          chemotactic sensitivity
+    D   = (1/sigma) * int v^2 M(v) dv        diffusivity
+    chi = (1/sigma1) * int v psi(v) dv        chemotactic sensitivity
 
 with psi the net velocity bias produced by the gradient-sensing kernel
 K(v, v*) = chi0 * v. All integrals are evaluated with the grid's quadrature
@@ -14,6 +14,7 @@ rule, never hard-coded, so the macro tier inherits exactly what the kinetic
 tier integrates.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,45 +146,33 @@ def invert_relaxation(f, M, sigma, grid):
     """Solve L(g) = f for the unique g with <g> = 0.
 
     Solvable only when <f> = 0 (the operator range); the solution is
-    g = -f/sigma. The residual is verified before returning.
+    g = -f/sigma. Both checks are relative to max|f|: the mean against
+    RESIDUAL_RTOL*|V|*max|f|, the residual against RESIDUAL_RTOL*max|f|.
     """
-    scale = max(1.0, float(np.max(np.abs(f))))
-    if abs(grid.moment0(f)) > RESIDUAL_RTOL * scale:
+    size = np.abs(f).max()
+    if abs(grid.moment0(f)) > RESIDUAL_RTOL * grid.measure * size:
         raise ValidationError("relaxation inverse needs a zero-mean right side")
     g = -f / sigma
-    residual = np.max(np.abs(relaxation_apply(g, M, sigma, grid) - f))
-    if residual > RESIDUAL_RTOL * scale:
+    residual = np.abs(relaxation_apply(g, M, sigma, grid) - f).max()
+    if residual > RESIDUAL_RTOL * size:
         raise ResidualError(f"relaxation inverse residual {residual:.3e}")
     return g
 
 
 def solve_theta(M, sigma, grid):
-    """Solve L(theta) = v*M for the zero-mean theta = -v*M/sigma.
-
-    theta carries the first-moment response of the relaxation operator; the
-    diffusion tensor is -sum_j w_j v_j theta_j. Both checks are relative to
-    the size of theta, which grows like 1/sigma.
-    """
-    theta = -grid.nodes * M.values / sigma
-    size = np.abs(theta).max()
-    residual = np.abs(relaxation_apply(theta, M, sigma, grid) - grid.nodes * M.values).max()
-    if residual > RESIDUAL_RTOL * sigma * size:
-        raise ResidualError(f"theta residual {residual:.3e}")
-    if abs(grid.moment0(theta)) > RESIDUAL_RTOL * grid.measure * size:
-        raise ResidualError("theta is not mean-free")
-    return theta
+    """theta = L^-1(v*M) = -v*M/sigma, the first-moment response of the
+    relaxation operator; the diffusivity is -sum_j w_j v_j theta_j."""
+    return invert_relaxation(grid.nodes * M.values, M, sigma, grid)
 
 
 def diffusion_tensor(M, sigma, grid):
-    """D = (1/sigma) * sum_j w_j v_j (x) v_j M_j, as a 1 x 1 matrix."""
-    value = grid.moment0(grid.nodes**2 * M.values) / sigma
-    return np.array([[value]])
+    """D = (1/sigma) * sum_j w_j v_j^2 M_j, a float in one dimension."""
+    return float(grid.moment0(grid.nodes**2 * M.values) / sigma)
 
 
 def diffusion_tensor_from_theta(theta, grid):
-    """Same tensor via the theta route, D = -sum_j w_j v_j (x) theta_j."""
-    value = -grid.moment1(theta)
-    return np.array([[value]])
+    """The same D via the theta route, D = -sum_j w_j v_j theta_j."""
+    return float(-grid.moment1(theta))
 
 
 def perturbation_apply(f1, grad_s, chi0, grid):
@@ -216,32 +205,29 @@ def psi_profile(M2, chi0, grid):
 
 
 def chemotactic_sensitivity(grid, params):
-    """chi = (1/sigma1) * sum_j w_j v_j (x) psi(v_j), as a 1 x 1 matrix.
+    """chi = (1/sigma1) * sum_j w_j v_j psi(v_j), a float in one dimension.
 
     For the linear kernel this reduces to 2*chi0*vmax^3/(3*sigma1).
     """
     psi = psi_profile(uniform_equilibrium(grid, 2), params.chi0, grid)
-    value = grid.moment1(psi) / params.sigma1
-    return np.array([[value]])
+    return float(grid.moment1(psi) / params.sigma1)
 
 
-def alpha_direct(s_gradient, u_value, grid, eqs, params):
-    """Macroscopic drift velocity alpha(s, u) evaluated from the kinetic side:
+def alpha_direct(s_gradient, grid, eqs, params):
+    """Macroscopic drift velocity alpha evaluated from the kinetic side:
 
         alpha = (1/sigma1) * sum_j w_j v_j (T1 M1)(v_j)
 
     with the perturbation operator applied to the healthy-cell equilibrium.
-    u_value is accepted because a gradient-sensing kernel may in general
-    depend on the virus density; the implemented kernel does not, so alpha
-    must agree with chi * s_gradient, and a ConsistencyError flags any
+    alpha must agree with chi * s_gradient; a ConsistencyError flags any
     disagreement between the two routes beyond the relative tolerance
     CONSISTENCY_RTOL.
     """
     M1 = eqs[0]
     applied = perturbation_apply(M1.values, s_gradient, params.chi0, grid)
-    alpha = np.atleast_1d(grid.moment1(applied) / params.sigma1)
-    expected = chemotactic_sensitivity(grid, params) @ np.atleast_1d(s_gradient)
-    if _disagree(alpha[0], expected[0], CONSISTENCY_RTOL):
+    alpha = float(grid.moment1(applied) / params.sigma1)
+    if _disagree(alpha, chemotactic_sensitivity(grid, params) * s_gradient,
+                 CONSISTENCY_RTOL):
         raise ConsistencyError(
             "drift velocity disagrees with chi * grad_s beyond tolerance"
         )
@@ -262,6 +248,8 @@ def interaction_terms(f1, f2, f3, eqs, params, grid):
         G2 = (-d2*rho2 + beta*rho1*rho3) / |V|
         G3 = (-d3*rho3 + k*rho2) / |V|
 
+    These are ModelParams.reactions(rho1, rho2, rho3) / |V|, written out:
+    calling the shared law here costs the 512x16 step minor page faults.
     Integrating over V at a local equilibrium f_i = M_i*(c, s, u) reproduces
     the ODE right-hand side at (c, s, u) exactly.
     """
@@ -276,34 +264,48 @@ def interaction_terms(f1, f2, f3, eqs, params, grid):
 
 
 @dataclass(frozen=True)
-class TransportCoefficients:
-    """Everything the macro tier needs, produced by velocity quadrature."""
+class MacroCoefficients:
+    """Scalar transport coefficients (1D) plus the reaction parameters."""
 
-    Dc: np.ndarray
-    Ds: np.ndarray
-    Du: np.ndarray
-    chi: np.ndarray
+    Dc: float
+    Ds: float
+    Du: float
+    chi: float
+    params: object
+
+    def __post_init__(self):
+        for name in ("Dc", "Ds", "Du"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0")
+        if not math.isfinite(self.chi):
+            raise ValidationError("chi must be finite")
+
+    @property
+    def max_diffusivity(self):
+        return max(self.Dc, self.Ds, self.Du)
 
 
 def transport_coefficients(params, grid):
-    """Assemble the diffusion tensors and the chemotactic sensitivity.
+    """The diffusivities and the chemotactic sensitivity, as MacroCoefficients.
 
-    Each diffusion tensor is computed directly and again via theta, and chi
-    is checked against the drift velocity alpha of a unit gradient; a
+    Each diffusivity is computed directly and again via theta, and chi is
+    checked against the drift velocity alpha of a unit gradient; a
     ConsistencyError flags two routes that differ beyond the relative
     tolerance CONSISTENCY_RTOL.
     """
     eqs = species_equilibria(grid)
     sigmas = (params.sigma1, params.sigma2, params.sigma3)
-    tensors = []
+    diffusivities = []
     for eq, sigma in zip(eqs, sigmas):
         direct = diffusion_tensor(eq, sigma, grid)
         via_theta = diffusion_tensor_from_theta(solve_theta(eq, sigma, grid), grid)
-        if _disagree(direct[0, 0], via_theta[0, 0], CONSISTENCY_RTOL):
+        if _disagree(direct, via_theta, CONSISTENCY_RTOL):
             raise ConsistencyError(
-                f"diffusion tensor of species {eq.species}: direct "
-                f"{direct[0, 0]:.17g} but via theta {via_theta[0, 0]:.17g}"
+                f"diffusivity of species {eq.species}: direct "
+                f"{direct:.17g} but via theta {via_theta:.17g}"
             )
-        tensors.append(direct)
-    alpha_direct(1.0, 0.0, grid, eqs, params)
-    return TransportCoefficients(*tensors, chemotactic_sensitivity(grid, params))
+        diffusivities.append(direct)
+    alpha_direct(1.0, grid, eqs, params)
+    return MacroCoefficients(*diffusivities, chemotactic_sensitivity(grid, params),
+                             params)

@@ -119,11 +119,11 @@ def test_criterion_03_coefficient_oracles():
         coeff = transport_coefficients(params, grid)
         for D, sigma in zip((coeff.Dc, coeff.Ds, coeff.Du), sigmas):
             worst_formula = max(
-                worst_formula, abs(D[0, 0] - vmax**2 / (3.0 * sigma))
+                worst_formula, abs(D - vmax**2 / (3.0 * sigma))
             )
         worst_formula = max(
             worst_formula,
-            abs(coeff.chi[0, 0] - 2.0 * chi0 * vmax**3 / (3.0 * sigmas[0])),
+            abs(coeff.chi - 2.0 * chi0 * vmax**3 / (3.0 * sigmas[0])),
         )
         assert worst_formula <= 1e-10
         for species, sigma in zip((1, 2, 3), sigmas):
@@ -133,12 +133,12 @@ def test_criterion_03_coefficient_oracles():
                 solve_theta(M, sigma, grid), grid
             )
             worst_routes = max(worst_routes,
-                               abs(direct[0, 0] - via_theta[0, 0]))
+                               abs(direct - via_theta))
         assert worst_routes <= 1e-12
         grad = rng.uniform(-1.0, 1.0)
-        alpha = alpha_direct(grad, 1.0, grid, eqs, params)
+        alpha = alpha_direct(grad, grid, eqs, params)
         worst_alpha = max(
-            worst_alpha, abs(alpha[0] - coeff.chi[0, 0] * grad)
+            worst_alpha, abs(alpha - coeff.chi * grad)
         )
         assert worst_alpha <= 1e-12
     report(f"criterion 3: coefficients vs closed forms <= 1e-10 "

@@ -296,3 +296,15 @@ def test_non_finite_profile_values_exit_with_parse_code(tmp_path, capsys,
     assert err.startswith("error: ParseError:")
     assert "cells.csv:7: non-finite value" in err
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("subcommand, cfg", [
+    ("macro", "n_cells = 8\nt_final = 0.01\nsnapshot_times = nan\n"),
+    ("converge", "n_cells = 8\nn_nodes = 4\nt_final = 0.01\neps_list = 0.4 0.2 nan\n"),
+])
+def test_non_finite_list_values_exit_with_parse_code(tmp_path, capsys,
+                                                     subcommand, cfg):
+    code, out = run_cli(tmp_path, subcommand, cfg)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ParseError:")
+    assert not out.exists() or not os.listdir(out)

@@ -61,6 +61,13 @@ def test_float_lists_accept_commas_and_whitespace():
     assert config.snapshot_times == (0.1, 0.2)
 
 
+@pytest.mark.parametrize("key", ["snapshot_times", "eps_list"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_float_lists_must_be_finite(key, value):
+    with pytest.raises(ParseError, match=rf"<config>:1: expected float list.*{value}"):
+        parse_config(f"{key} = 0.2 {value}\n")
+
+
 def test_run_value_bounds():
     for text in ("cfl = 0.95\n", "epsilon = 0\n", "epsilon = 1.5\n",
                  "ref_refine = 1\n", "dt_max = -1\n", "dt = 0\n",

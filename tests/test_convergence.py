@@ -85,8 +85,16 @@ def test_epsilon_list_must_be_positive_distinct_and_long_enough():
         run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2), 0.1)
 
 
-# ---------------------------------------------------------------------------
-# studies
+@pytest.mark.parametrize("bad", [2.0, float("nan")])
+def test_epsilons_are_checked_before_the_reference_is_built(monkeypatch, bad):
+    import kinsir.convergence as convergence
+
+    def reference_built(*args, **kwargs):
+        raise RuntimeError("the reference was built")
+
+    monkeypatch.setattr(convergence, "run_macro", reference_built)
+    with pytest.raises(ValidationError, match=r"\(0, 1\]"):
+        run_convergence_study(PARABOLIC, RIPPLE, (bad, 0.4, 0.2), 0.1)
 
 
 def test_parabolic_study_converges_to_the_macro_limit():

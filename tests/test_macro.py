@@ -21,7 +21,7 @@ from kinsir.macro import (
     stable_dt,
 )
 from kinsir.sir import sir_rhs
-from kinsir.velocity import build_velocity_grid
+from kinsir.velocity import build_velocity_grid, transport_coefficients
 
 VGRID = build_velocity_grid(1.0, 16)
 
@@ -93,6 +93,15 @@ def test_coefficients_match_kinetic_transport_closed_forms():
     assert coeff.Ds == pytest.approx(1.0 / 6.0, abs=1e-14)
     assert coeff.Du == pytest.approx(1.0 / 12.0, abs=1e-14)
     assert coeff.chi == pytest.approx(1.0, abs=1e-14)
+
+
+def test_coefficients_are_the_transport_coefficients():
+    params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5, sigma2=2.0)
+    coeff = build_macro_coefficients(params, VGRID)
+    assert coeff == transport_coefficients(params, VGRID)
+    assert coeff.params is params
+    assert all(type(getattr(coeff, name)) is float
+               for name in ("Dc", "Ds", "Du", "chi"))
 
 
 def test_coefficients_reject_negative_or_nonfinite_values():
@@ -361,6 +370,18 @@ def test_snapshot_schedule_sorts_deduplicates_and_ends_at_t_final():
         snapshot_schedule([0.6], 0.0, 0.5)
     with pytest.raises(ValidationError):
         snapshot_schedule(None, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_snapshot_times_must_be_finite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        snapshot_schedule([0.1, bad], 0.0, 0.5)
+    grid = SpatialGrid(1.0, 8)
+    coeff = build_macro_coefficients(ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2),
+                                     VGRID)
+    with pytest.raises(ValidationError, match="finite"):
+        run_macro(constant_state([1.0, 0.5, 0.5], grid), coeff, 0.01,
+                  snapshot_times=[bad])
 
 
 def test_run_macro_looks_up_the_step_at_call_time(monkeypatch):

@@ -89,7 +89,34 @@ class TestRhs:
         assert rhs[2] == pytest.approx(-p.d3 * s.w + p.k * s.v)
 
 
+    def test_is_the_shared_reaction_law(self):
+        p = ModelParams(d1=0.3, d2=0.7, d3=1.1, beta=1.9, k=0.5, r=0.8)
+        assert sir_rhs(SirState(1.2, 0.4, 2.0), p).tolist() == list(
+            p.reactions(1.2, 0.4, 2.0)
+        )
+
+
 class TestIntegrator:
+    def test_unrolled_step_is_rk4_of_the_shared_reaction_law(self):
+        # integrate_sir writes ModelParams.reactions out on scalars; each of
+        # its steps must equal RK4 written with reactions on an array state
+        rng = np.random.default_rng(23)
+        h = 0.01
+        for _ in range(200):
+            p = random_params(rng)
+            y = rng.uniform(0.1, 2.0, 3)
+
+            def f(state):
+                return np.array(p.reactions(*state))
+
+            a = f(y)
+            b = f(y + 0.5 * h * a)
+            c = f(y + 0.5 * h * b)
+            d = f(y + h * c)
+            expected = y + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
+            got = integrate_sir(SirState(*y), p, h, h).states[-1]
+            assert np.array_equal(got, expected)
+
     def test_trajectory_shape_and_times(self):
         p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
         tr = integrate_sir(SirState(1.0, 0.1, 0.1), p, 1.0, 0.3)

@@ -150,6 +150,17 @@ class TestRelaxation:
             invert_relaxation(f + 0.1 * M.values, M, 2.0, g)
 
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_checks_are_relative_to_the_right_side(self, scale):
+        g = build_velocity_grid(1.0, 16)
+        M = uniform_equilibrium(g, 1)
+        f = scale * np.random.default_rng(19).uniform(-1.0, 1.0, g.n_nodes)
+        f -= M.values * g.moment0(f)
+        np.testing.assert_array_equal(invert_relaxation(f, M, 2.0, g), -f / 2.0)
+        with pytest.raises(ValidationError):
+            invert_relaxation(f + 1e-6 * scale * M.values, M, 2.0, g)
+
+
 class TestTheta:
     def test_closed_form(self):
         g = build_velocity_grid(1.0, 16)
@@ -182,10 +193,10 @@ class TestDiffusion:
     def test_unit_values(self):
         g = build_velocity_grid(1.0, 8)
         M = uniform_equilibrium(g, 1)
-        assert diffusion_tensor(M, 1.0, g)[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
+        assert diffusion_tensor(M, 1.0, g) == pytest.approx(1.0 / 3.0, abs=1e-13)
         g = build_velocity_grid(2.0, 8)
         M = uniform_equilibrium(g, 1)
-        assert diffusion_tensor(M, 4.0, g)[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
+        assert diffusion_tensor(M, 4.0, g) == pytest.approx(1.0 / 3.0, abs=1e-13)
 
     def test_matches_analytic_formula_randomized(self):
         rng = np.random.default_rng(14)
@@ -194,7 +205,7 @@ class TestDiffusion:
             sigma = rng.uniform(0.2, 5.0)
             g = build_velocity_grid(vmax, 16)
             M = uniform_equilibrium(g, 1)
-            D = diffusion_tensor(M, sigma, g)[0, 0]
+            D = diffusion_tensor(M, sigma, g)
             assert abs(D - vmax**2 / (3 * sigma)) <= 1e-10 * max(1.0, vmax**2 / sigma)
 
     def test_two_routes_agree(self):
@@ -203,12 +214,12 @@ class TestDiffusion:
         theta = solve_theta(M, 0.9, g)
         direct = diffusion_tensor(M, 0.9, g)
         via_theta = diffusion_tensor_from_theta(theta, g)
-        assert abs(direct[0, 0] - via_theta[0, 0]) <= 1e-12
+        assert abs(direct - via_theta) <= 1e-12
 
     def test_positive_definite(self):
         g = build_velocity_grid(0.5, 8)
         D = diffusion_tensor(uniform_equilibrium(g, 1), 3.0, g)
-        assert D.shape == (1, 1) and D[0, 0] > 0
+        assert isinstance(D, float) and D > 0
 
 
 class TestGradientBias:
@@ -225,9 +236,9 @@ class TestGradientBias:
     def test_sensitivity_known_values(self):
         g = build_velocity_grid(1.0, 16)
         chi = chemotactic_sensitivity(g, params_with(chi0=1.0, sigma1=1.0))
-        assert chi[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-13)
+        assert chi == pytest.approx(2.0 / 3.0, abs=1e-13)
         chi = chemotactic_sensitivity(g, params_with(chi0=3.0, sigma1=2.0))
-        assert chi[0, 0] == pytest.approx(1.0, abs=1e-13)
+        assert chi == pytest.approx(1.0, abs=1e-13)
 
     def test_sensitivity_formula_randomized(self):
         rng = np.random.default_rng(15)
@@ -237,7 +248,7 @@ class TestGradientBias:
             sigma1 = rng.uniform(0.2, 4.0)
             g = build_velocity_grid(vmax, 16)
             p = params_with(chi0=chi0, sigma1=sigma1)
-            chi = chemotactic_sensitivity(g, p)[0, 0]
+            chi = chemotactic_sensitivity(g, p)
             expected = 2 * chi0 * vmax**3 / (3 * sigma1)
             assert abs(chi - expected) <= 1e-10 * max(1.0, abs(expected))
 
@@ -259,16 +270,8 @@ class TestGradientBias:
         g = build_velocity_grid(1.0, 16)
         eqs = species_equilibria(g)
         p = params_with(chi0=1.0, sigma1=1.0)
-        alpha = alpha_direct(0.7, 1.9, g, eqs, p)
-        assert alpha[0] == pytest.approx(0.7 * 2.0 / 3.0, abs=1e-13)
-
-    def test_alpha_ignores_virus_density(self):
-        g = build_velocity_grid(1.0, 16)
-        eqs = species_equilibria(g)
-        p = params_with(chi0=0.8, sigma1=1.3)
-        a1 = alpha_direct(-0.4, 0.0, g, eqs, p)
-        a2 = alpha_direct(-0.4, 57.0, g, eqs, p)
-        np.testing.assert_array_equal(a1, a2)
+        alpha = alpha_direct(0.7, g, eqs, p)
+        assert alpha == pytest.approx(0.7 * 2.0 / 3.0, abs=1e-13)
 
     def test_alpha_consistency_guard_fires_on_corrupt_sensitivity(self):
         g = build_velocity_grid(1.0, 16)
@@ -278,7 +281,7 @@ class TestGradientBias:
 
         bad = (EquilibriumDistribution(1, 1.2 * eqs[0].values), eqs[1], eqs[2])
         with pytest.raises(ConsistencyError):
-            alpha_direct(1.0, 0.0, g, bad, params_with(chi0=1.0))
+            alpha_direct(1.0, g, bad, params_with(chi0=1.0))
 
 
 class TestInteractions:
@@ -302,6 +305,17 @@ class TestInteractions:
             expected = sir_rhs(SirState(c, s, u), p)
             assert np.max(np.abs(moments - expected)) <= 1e-12
 
+    def test_terms_are_the_shared_reaction_law_over_the_measure(self):
+        # interaction_terms writes ModelParams.reactions out; pin the copy
+        g = build_velocity_grid(1.3, 16)
+        eqs = species_equilibria(g)
+        rng = np.random.default_rng(18)
+        p = params_with(d1=0.3, d2=0.7, d3=1.1, beta=1.9, k=0.5, r=0.8)
+        fs = [rng.uniform(0.0, 2.0, (8, g.n_nodes)) for _ in eqs]
+        law = p.reactions(*(f / eq.values for f, eq in zip(fs, eqs)))
+        for term, expected in zip(interaction_terms(*fs, eqs, p, g), law):
+            assert np.array_equal(term, expected / g.measure)
+
     def test_terms_are_isotropic_at_local_equilibrium(self):
         g = build_velocity_grid(1.0, 16)
         eqs = species_equilibria(g)
@@ -316,14 +330,14 @@ class TestTransportCoefficients:
         g = build_velocity_grid(1.0, 16)
         p = params_with(sigma1=1.0, sigma2=2.0, sigma3=4.0, chi0=1.5)
         tc = transport_coefficients(p, g)
-        assert tc.Dc[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-13)
-        assert tc.Ds[0, 0] == pytest.approx(1.0 / 6.0, abs=1e-13)
-        assert tc.Du[0, 0] == pytest.approx(1.0 / 12.0, abs=1e-13)
-        assert tc.chi[0, 0] == pytest.approx(1.0, abs=1e-13)
+        assert tc.Dc == pytest.approx(1.0 / 3.0, abs=1e-13)
+        assert tc.Ds == pytest.approx(1.0 / 6.0, abs=1e-13)
+        assert tc.Du == pytest.approx(1.0 / 12.0, abs=1e-13)
+        assert tc.chi == pytest.approx(1.0, abs=1e-13)
         theta2 = solve_theta(species_equilibria(g)[1], p.sigma2, g)
         np.testing.assert_allclose(theta2, -g.nodes * 0.5 / 2.0, atol=1e-14)
         for D in (tc.Dc, tc.Ds, tc.Du):
-            assert D[0, 0] > 0
+            assert D > 0
 
     def test_routes_agree_over_the_valid_range(self):
         # the dual-route checks must not fire on any valid configuration
@@ -335,7 +349,7 @@ class TestTransportCoefficients:
                                     chi0=2.0, vmax=vmax)
                     tc = transport_coefficients(p, g)
                     expected = vmax**2 / (3 * sigma)
-                    assert tc.Dc[0, 0] == pytest.approx(expected, rel=1e-10)
+                    assert tc.Dc == pytest.approx(expected, rel=1e-10)
 
     def test_disagreeing_routes_raise(self, monkeypatch):
         import kinsir.velocity as velocity

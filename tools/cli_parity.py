@@ -42,6 +42,10 @@ CONFIGS = [
                                                       "snapshot_times = 0.01\n"),
     ("converge_hyperbolic", "converge", _ENDEMIC + _HYPERBOLIC
      + "n_cells = 16\nn_nodes = 8\nt_final = 0.5\neps_list = 0.4 0.2 0.1\n"),
+    # small relaxation rates: large theta through the relaxation inverse
+    ("coeffs_vmax1000", "coeffs", "vmax = 1000\nsigma1 = 1e-4\nsigma2 = 1e-4\n"
+                                  "sigma3 = 1e-4\n"),
+    ("coeffs_vmax37", "coeffs", "vmax = 37\nsigma1 = 1e-4\nn_nodes = 4\n"),
 ]
 
 # per-cell (c, s, u) rows for the file profile: 16 distinct positive values
