@@ -42,7 +42,6 @@ from .sir import (
     sir_rhs,
 )
 from .velocity import (
-    EquilibriumDistribution,
     VelocityGrid,
     build_velocity_grid,
     species_equilibria,
@@ -54,7 +53,6 @@ __all__ = [
     "ConsistencyError",
     "ConvergenceReport",
     "DegenerateFitError",
-    "EquilibriumDistribution",
     "EquilibriumReport",
     "InitialProfile",
     "KineticState",

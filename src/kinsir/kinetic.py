@@ -49,7 +49,7 @@ class KineticState:
 
 def init_local_equilibrium(macro, eqs, vgrid, epsilon):
     """Start at the local equilibrium f_i = M_i(v) * density_i(x)."""
-    f1, f2, f3 = (np.outer(rho, eq.values) for rho, eq in zip(macro.rho, eqs))
+    f1, f2, f3 = (np.outer(rho, M) for rho, M in zip(macro.rho, eqs))
     return KineticState(f1, f2, f3, float(epsilon), macro.time, macro.grid, vgrid)
 
 
@@ -80,7 +80,7 @@ def relaxation_substep(f, M, sigma, epsilon, q, dt, vgrid):
     factor exp(-sigma*dt/eps^(q+1)) while <f> is untouched."""
     decay = math.exp(-sigma * dt / epsilon ** (q + 1))
     mean = (f @ vgrid.weights)[:, None]
-    return M.values * mean + (f - M.values * mean) * decay
+    return M * mean + (f - M * mean) * decay
 
 
 def infected_gradient(f2, vgrid, grid):
@@ -108,8 +108,8 @@ def kinetic_step(state, params, eqs, dt):
     # (a) transport, then (b) stiff relaxation, exact per species
     f1, f2, f3 = (
         relaxation_substep(transport_substep(f, vgrid, grid, eps, dt),
-                           eq, sigma, eps, q, dt, vgrid)
-        for f, eq, sigma, q in zip(fields, eqs, sigmas, qs)
+                           M, sigma, eps, q, dt, vgrid)
+        for f, M, sigma, q in zip(fields, eqs, sigmas, qs)
     )
 
     # (c) infected-gradient bias on the healthy population

@@ -104,6 +104,8 @@ def run_macro(initial, coeff, t_final, snapshot_times=None, dt_max=None):
     0.8 margin for drift growth) or capped at dt_max, then rounded down so
     each segment is hit exactly. The final time is always snapshotted.
     """
+    if dt_max is not None and not dt_max > 0:
+        raise ValidationError("dt_max must be None or > 0")
     times = snapshot_schedule(snapshot_times, initial.time, t_final)
 
     def bound(state):

@@ -103,7 +103,8 @@ def integrate_sir(initial, params, t_final, dt):
     if t_final < 0:
         raise ValidationError("t_final must be >= 0")
 
-    n_steps = max(0, math.ceil(t_final / dt - 1e-12))
+    # at least one step whenever t_final > 0, however large dt is
+    n_steps = max(int(t_final > 0), math.ceil(t_final / dt - 1e-12))
     times = np.linspace(0.0, t_final, n_steps + 1)
     states = np.empty((n_steps + 1, 3))
     states[0] = (initial.u, initial.v, initial.w)

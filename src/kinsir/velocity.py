@@ -83,31 +83,18 @@ def build_velocity_grid(vmax, n_nodes):
     return VelocityGrid(float(vmax), nodes, weights)
 
 
-@dataclass(frozen=True)
-class EquilibriumDistribution:
-    """Per-node equilibrium profile M of one species (1, 2 or 3).
-
-    Positive everywhere, unit discrete mass sum_j w_j M_j = 1, zero net flux
-    sum_j w_j v_j M_j = 0.
-    """
-
-    species: int
-    values: np.ndarray
-
-
-def uniform_equilibrium(grid, species):
-    """The uniform profile M = 1/(2*vmax), normalized so the discrete mass
-    is 1 to the last bit."""
-    if species not in (1, 2, 3):
-        raise ValidationError("species must be 1, 2 or 3")
+def uniform_equilibrium(grid):
+    """The uniform velocity profile M = 1/(2*vmax) as an (n_nodes,) array:
+    positive, with zero net flux sum_j w_j v_j M_j = 0, and normalized so
+    the discrete mass sum_j w_j M_j is 1 to the last bit."""
     values = np.full(grid.n_nodes, 1.0 / grid.measure)
-    values = values / grid.moment0(values)
-    return EquilibriumDistribution(species, values)
+    return values / grid.moment0(values)
 
 
 def species_equilibria(grid):
-    """Equilibrium profiles for all three species."""
-    return tuple(uniform_equilibrium(grid, i) for i in (1, 2, 3))
+    """The equilibrium profiles M1, M2, M3 as the rows of a (3, n_nodes)
+    array."""
+    return np.stack([uniform_equilibrium(grid)] * 3)
 
 
 def relaxation_apply(g, M, sigma, grid):
@@ -118,7 +105,7 @@ def relaxation_apply(g, M, sigma, grid):
     creates nor destroys particles.
     """
     mean = grid.moment0(g)
-    return -sigma * (g - M.values * mean[..., None])
+    return -sigma * (g - M * mean[..., None])
 
 
 def relaxation_kernel(M, sigma, grid):
@@ -129,7 +116,7 @@ def relaxation_kernel(M, sigma, grid):
     lower bound T >= sigma*M with equality.
     """
     n = grid.n_nodes
-    return np.broadcast_to(sigma * M.values[:, None], (n, n)).copy()
+    return np.broadcast_to(sigma * M[:, None], (n, n)).copy()
 
 
 def turning_apply(kernel, g, grid):
@@ -162,12 +149,12 @@ def invert_relaxation(f, M, sigma, grid):
 def solve_theta(M, sigma, grid):
     """theta = L^-1(v*M) = -v*M/sigma, the first-moment response of the
     relaxation operator; the diffusivity is -sum_j w_j v_j theta_j."""
-    return invert_relaxation(grid.nodes * M.values, M, sigma, grid)
+    return invert_relaxation(grid.nodes * M, M, sigma, grid)
 
 
 def diffusion_tensor(M, sigma, grid):
     """D = (1/sigma) * sum_j w_j v_j^2 M_j, a float in one dimension."""
-    return float(grid.moment0(grid.nodes**2 * M.values) / sigma)
+    return float(grid.moment0(grid.nodes**2 * M) / sigma)
 
 
 def diffusion_tensor_from_theta(theta, grid):
@@ -199,9 +186,9 @@ def psi_profile(M2, chi0, grid):
 
         psi(v) = chi0*v*<M2> - chi0*(sum_k w_k v_k)*M2(v)  ( = chi0*v here).
     """
-    return chi0 * grid.nodes * grid.moment0(M2.values) - chi0 * grid.moment1(
+    return chi0 * grid.nodes * grid.moment0(M2) - chi0 * grid.moment1(
         np.ones(grid.n_nodes)
-    ) * M2.values
+    ) * M2
 
 
 def chemotactic_sensitivity(grid, params):
@@ -209,7 +196,7 @@ def chemotactic_sensitivity(grid, params):
 
     For the linear kernel this reduces to 2*chi0*vmax^3/(3*sigma1).
     """
-    psi = psi_profile(uniform_equilibrium(grid, 2), params.chi0, grid)
+    psi = psi_profile(uniform_equilibrium(grid), params.chi0, grid)
     return float(grid.moment1(psi) / params.sigma1)
 
 
@@ -223,8 +210,7 @@ def alpha_direct(s_gradient, grid, eqs, params):
     disagreement between the two routes beyond the relative tolerance
     CONSISTENCY_RTOL.
     """
-    M1 = eqs[0]
-    applied = perturbation_apply(M1.values, s_gradient, params.chi0, grid)
+    applied = perturbation_apply(eqs[0], s_gradient, params.chi0, grid)
     alpha = float(grid.moment1(applied) / params.sigma1)
     if _disagree(alpha, chemotactic_sensitivity(grid, params) * s_gradient,
                  CONSISTENCY_RTOL):
@@ -253,7 +239,7 @@ def interaction_terms(f1, f2, f3, eqs, params, grid):
     Integrating over V at a local equilibrium f_i = M_i*(c, s, u) reproduces
     the ODE right-hand side at (c, s, u) exactly.
     """
-    M1, M2, M3 = (eq.values for eq in eqs)
+    M1, M2, M3 = eqs
     rho1, rho2, rho3 = f1 / M1, f2 / M2, f3 / M3
     measure = grid.measure
     infection = params.beta * rho1 * rho3
@@ -297,12 +283,12 @@ def transport_coefficients(params, grid):
     eqs = species_equilibria(grid)
     sigmas = (params.sigma1, params.sigma2, params.sigma3)
     diffusivities = []
-    for eq, sigma in zip(eqs, sigmas):
-        direct = diffusion_tensor(eq, sigma, grid)
-        via_theta = diffusion_tensor_from_theta(solve_theta(eq, sigma, grid), grid)
+    for species, (M, sigma) in enumerate(zip(eqs, sigmas), start=1):
+        direct = diffusion_tensor(M, sigma, grid)
+        via_theta = diffusion_tensor_from_theta(solve_theta(M, sigma, grid), grid)
         if _disagree(direct, via_theta, CONSISTENCY_RTOL):
             raise ConsistencyError(
-                f"diffusivity of species {eq.species}: direct "
+                f"diffusivity of species {species}: direct "
                 f"{direct:.17g} but via theta {via_theta:.17g}"
             )
         diffusivities.append(direct)

@@ -156,9 +156,9 @@ def test_criterion_04_moment_identity():
     for _ in range(100):
         params = random_params(rng)
         c, s, u = rng.uniform(0.0, 3.0, 3)
-        f1 = c * eqs[0].values[None, :]
-        f2 = s * eqs[1].values[None, :]
-        f3 = u * eqs[2].values[None, :]
+        f1 = c * eqs[0][None, :]
+        f2 = s * eqs[1][None, :]
+        f3 = u * eqs[2][None, :]
         g1, g2, g3 = interaction_terms(f1, f2, f3, eqs, params, grid)
         got = np.array([grid.moment0(g[0]) for g in (g1, g2, g3)])
         want = sir_rhs(SirState(c, s, u), params)
@@ -174,28 +174,28 @@ def test_criterion_05_operator_properties():
     worst = 0.0
     for n in (8, 16, 32, 64):
         grid = build_velocity_grid(1.0, n)
-        M = uniform_equilibrium(grid, 1)
+        M = uniform_equilibrium(grid)
         sigma = 1.3
         # zero velocity average of L(g), and L annihilates M
         for _ in range(10):
             g = rng.uniform(-1.0, 1.0, n)
             worst = max(worst, abs(grid.moment0(relaxation_apply(g, M, sigma, grid))))
         worst = max(worst,
-                    np.max(np.abs(relaxation_apply(M.values, M, sigma, grid))))
+                    np.max(np.abs(relaxation_apply(M, M, sigma, grid))))
         # detailed balance and the kernel lower bound sigma*M
         K = relaxation_kernel(M, sigma, grid)
-        worst = max(worst, np.max(np.abs(K * M.values[None, :]
-                                         - K.T * M.values[:, None])))
-        assert np.all(K >= sigma * M.values[:, None] - 1e-15)
+        worst = max(worst, np.max(np.abs(K * M[None, :]
+                                         - K.T * M[:, None])))
+        assert np.all(K >= sigma * M[:, None] - 1e-15)
         # self-adjointness in the 1/M inner product
         a, b = rng.uniform(-1.0, 1.0, (2, n))
-        lhs = grid.moment0(relaxation_apply(a, M, sigma, grid) * b / M.values)
-        rhs = grid.moment0(a * relaxation_apply(b, M, sigma, grid) / M.values)
+        lhs = grid.moment0(relaxation_apply(a, M, sigma, grid) * b / M)
+        rhs = grid.moment0(a * relaxation_apply(b, M, sigma, grid) / M)
         worst = max(worst, abs(lhs - rhs))
         # kernel of the operator is exactly span{M}
-        A = -sigma * (np.eye(n) - np.outer(M.values, grid.weights))
+        A = -sigma * (np.eye(n) - np.outer(M, grid.weights))
         assert np.linalg.matrix_rank(A) == n - 1
-        worst = max(worst, np.max(np.abs(A @ M.values)))
+        worst = max(worst, np.max(np.abs(A @ M)))
         assert worst <= 1e-12
     report(f"criterion 5: relaxation operator properties on 8..64 nodes "
            f"(worst {worst:.2e})", start, 5.0)

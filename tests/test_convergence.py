@@ -97,6 +97,17 @@ def test_epsilons_are_checked_before_the_reference_is_built(monkeypatch, bad):
         run_convergence_study(PARABOLIC, RIPPLE, (bad, 0.4, 0.2), 0.1)
 
 
+def test_cfl_is_checked_before_the_reference_is_built(monkeypatch):
+    import kinsir.convergence as convergence
+
+    def reference_built(*args, **kwargs):
+        raise RuntimeError("the reference was built")
+
+    monkeypatch.setattr(convergence, "run_macro", reference_built)
+    with pytest.raises(ValidationError, match="cfl"):
+        run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1), 0.1, cfl=2.0)
+
+
 def test_parabolic_study_converges_to_the_macro_limit():
     # Measured at this configuration: per-species orders 1.8 to 2.9 and
     # strictly decreasing errors.

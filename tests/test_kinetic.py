@@ -84,7 +84,7 @@ def test_relaxation_substep_applies_the_exact_decay_factor():
     sigma, eps, q, dt = 2.0, 0.3, 2, 0.01
     out = kin.relaxation_substep(f, EQS[1], sigma, eps, q, dt, VGRID)
     mean = (f @ VGRID.weights)[:, None]
-    expected = EQS[1].values * mean + (f - EQS[1].values * mean) * math.exp(
+    expected = EQS[1] * mean + (f - EQS[1] * mean) * math.exp(
         -sigma * dt / eps ** (q + 1)
     )
     assert np.max(np.abs(out - expected)) <= 1e-15
@@ -98,7 +98,7 @@ def test_gradient_of_infected_moment_ignores_equilibrium_shifts():
     rng = np.random.default_rng(11)
     f2 = rng.uniform(0.5, 1.5, size=(GRID.n_cells, VGRID.n_nodes))
     base = kin.infected_gradient(f2, VGRID, GRID)
-    shifted = kin.infected_gradient(f2 + 0.37 * EQS[1].values, VGRID, GRID)
+    shifted = kin.infected_gradient(f2 + 0.37 * EQS[1], VGRID, GRID)
     assert np.max(np.abs(base - shifted)) <= 1e-12
 
 

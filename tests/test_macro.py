@@ -384,6 +384,16 @@ def test_snapshot_times_must_be_finite(bad):
                   snapshot_times=[bad])
 
 
+def test_dt_max_must_be_none_or_positive():
+    grid = SpatialGrid(1.0, 8)
+    coeff = build_macro_coefficients(ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2),
+                                     VGRID)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="dt_max"):
+            run_macro(constant_state([1.0, 0.5, 0.5], grid), coeff, 0.01,
+                      dt_max=bad)
+
+
 def test_run_macro_looks_up_the_step_at_call_time(monkeypatch):
     # wrappers installed on the module attribute (as a tracer does) must
     # see every step that run_macro takes

@@ -131,6 +131,14 @@ class TestIntegrator:
         assert tr.states.shape == (1, 3)
         np.testing.assert_array_equal(tr.states[0], [0.5, 0.25, 0.125])
 
+    @pytest.mark.parametrize("t_final, dt", [(1.0, 1e13), (1e-16, 0.01)])
+    def test_a_positive_horizon_takes_at_least_one_step(self, t_final, dt):
+        p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
+        tr = integrate_sir(SirState(0.5, 0.25, 0.125), p, t_final, dt)
+        assert tr.times.tolist() == [0.0, t_final]
+        assert tr.states.shape == (2, 3)
+        assert not np.array_equal(tr.states[1], tr.states[0])
+
     def test_linear_decay_matches_exponential(self):
         # beta = 0 decouples u: u(t) = u0*exp(-d1*t), solvable in closed form.
         p = ModelParams(d1=1.3, d2=1.0, d3=1.0, beta=0.0, k=0.0, r=0.0)

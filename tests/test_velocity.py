@@ -71,23 +71,33 @@ class TestGrid:
 class TestEquilibrium:
     def test_uniform_value(self):
         g = build_velocity_grid(1.0, 16)
-        M = uniform_equilibrium(g, 1)
-        np.testing.assert_allclose(M.values, 0.5, rtol=1e-14)
+        M = uniform_equilibrium(g)
+        np.testing.assert_allclose(M, 0.5, rtol=1e-14)
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_mass_flux_positivity(self, n):
         g = build_velocity_grid(1.7, n)
-        for species in (1, 2, 3):
-            M = uniform_equilibrium(g, species)
-            assert np.all(M.values > 0)
-            assert abs(g.moment0(M.values) - 1.0) < 1e-14
-            assert abs(g.moment1(M.values)) < 1e-14
+        M = uniform_equilibrium(g)
+        assert np.all(M > 0)
+        assert abs(g.moment0(M) - 1.0) < 1e-14
+        assert abs(g.moment1(M)) < 1e-14
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_species_rows_are_the_uniform_profile(self, n):
+        g = build_velocity_grid(1.7, n)
+        eqs = species_equilibria(g)
+        assert eqs.shape == (3, n)
+        for M in eqs:
+            assert np.array_equal(M, uniform_equilibrium(g))
+            assert np.all(M > 0)
+            assert abs(g.moment0(M) - 1.0) < 1e-14
+            assert abs(g.moment1(M)) < 1e-14
 
 
 class TestRelaxation:
     def test_zero_mean_for_random_inputs(self):
         g = build_velocity_grid(1.0, 32)
-        M = uniform_equilibrium(g, 1)
+        M = uniform_equilibrium(g)
         rng = np.random.default_rng(10)
         for _ in range(100):
             f = rng.uniform(-1.0, 2.0, g.n_nodes)
@@ -96,14 +106,14 @@ class TestRelaxation:
 
     def test_annihilates_equilibrium(self):
         g = build_velocity_grid(1.0, 16)
-        M = uniform_equilibrium(g, 2)
-        out = relaxation_apply(3.7 * M.values, M, 2.0, g)
+        M = uniform_equilibrium(g)
+        out = relaxation_apply(3.7 * M, M, 2.0, g)
         assert np.max(np.abs(out)) < 1e-14
 
     def test_matches_kernel_form(self):
         # dual route: closed-form relaxation vs gain/loss kernel quadrature
         g = build_velocity_grid(1.0, 24)
-        M = uniform_equilibrium(g, 1)
+        M = uniform_equilibrium(g)
         K = relaxation_kernel(M, 0.8, g)
         rng = np.random.default_rng(11)
         f = rng.uniform(0.0, 1.0, g.n_nodes)
@@ -113,66 +123,66 @@ class TestRelaxation:
 
     def test_detailed_balance_and_lower_bound(self):
         g = build_velocity_grid(1.0, 16)
-        M = uniform_equilibrium(g, 3)
+        M = uniform_equilibrium(g)
         K = relaxation_kernel(M, 1.3, g)
-        np.testing.assert_array_equal(K * M.values[None, :], K.T * M.values[:, None])
-        assert np.all(K >= 1.3 * M.values[:, None])
-        np.testing.assert_array_equal(K, np.broadcast_to(1.3 * M.values[:, None], K.shape))
+        np.testing.assert_array_equal(K * M[None, :], K.T * M[:, None])
+        assert np.all(K >= 1.3 * M[:, None])
+        np.testing.assert_array_equal(K, np.broadcast_to(1.3 * M[:, None], K.shape))
 
     def test_self_adjointness_in_weighted_inner_product(self):
         g = build_velocity_grid(1.0, 32)
-        M = uniform_equilibrium(g, 1)
+        M = uniform_equilibrium(g)
         rng = np.random.default_rng(12)
         for _ in range(25):
             a, b = rng.uniform(-1.0, 1.0, (2, g.n_nodes))
-            lhs = g.moment0(relaxation_apply(a, M, 1.0, g) * b / M.values)
-            rhs = g.moment0(a * relaxation_apply(b, M, 1.0, g) / M.values)
+            lhs = g.moment0(relaxation_apply(a, M, 1.0, g) * b / M)
+            rhs = g.moment0(a * relaxation_apply(b, M, 1.0, g) / M)
             assert abs(lhs - rhs) <= 1e-12
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_kernel_is_spanned_by_equilibrium(self, n):
         g = build_velocity_grid(1.0, n)
-        M = uniform_equilibrium(g, 1)
-        A = -1.0 * (np.eye(n) - np.outer(M.values, g.weights))
+        M = uniform_equilibrium(g)
+        A = -1.0 * (np.eye(n) - np.outer(M, g.weights))
         assert np.linalg.matrix_rank(A) == n - 1
-        assert np.max(np.abs(A @ M.values)) < 1e-13
+        assert np.max(np.abs(A @ M)) < 1e-13
 
     def test_solvability_requires_zero_mean(self):
         g = build_velocity_grid(1.0, 16)
-        M = uniform_equilibrium(g, 1)
+        M = uniform_equilibrium(g)
         rng = np.random.default_rng(13)
         f = rng.uniform(-1.0, 1.0, g.n_nodes)
-        f -= M.values * g.moment0(f)  # project onto the operator range
+        f -= M * g.moment0(f)  # project onto the operator range
         sol = invert_relaxation(f, M, 2.0, g)
         assert abs(g.moment0(sol)) < 1e-13
         np.testing.assert_allclose(relaxation_apply(sol, M, 2.0, g), f, atol=1e-13)
         with pytest.raises(ValidationError):
-            invert_relaxation(f + 0.1 * M.values, M, 2.0, g)
+            invert_relaxation(f + 0.1 * M, M, 2.0, g)
 
 
     @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
     def test_checks_are_relative_to_the_right_side(self, scale):
         g = build_velocity_grid(1.0, 16)
-        M = uniform_equilibrium(g, 1)
+        M = uniform_equilibrium(g)
         f = scale * np.random.default_rng(19).uniform(-1.0, 1.0, g.n_nodes)
-        f -= M.values * g.moment0(f)
+        f -= M * g.moment0(f)
         np.testing.assert_array_equal(invert_relaxation(f, M, 2.0, g), -f / 2.0)
         with pytest.raises(ValidationError):
-            invert_relaxation(f + 1e-6 * scale * M.values, M, 2.0, g)
+            invert_relaxation(f + 1e-6 * scale * M, M, 2.0, g)
 
 
 class TestTheta:
     def test_closed_form(self):
         g = build_velocity_grid(1.0, 16)
-        M = uniform_equilibrium(g, 1)
+        M = uniform_equilibrium(g)
         theta = solve_theta(M, 2.0, g)
         np.testing.assert_allclose(theta, -g.nodes / 4.0, atol=1e-14)
 
     def test_residual_and_mean(self):
         g = build_velocity_grid(2.0, 32)
-        M = uniform_equilibrium(g, 2)
+        M = uniform_equilibrium(g)
         theta = solve_theta(M, 0.7, g)
-        residual = relaxation_apply(theta, M, 0.7, g) - g.nodes * M.values
+        residual = relaxation_apply(theta, M, 0.7, g) - g.nodes * M
         assert np.max(np.abs(residual)) <= 1e-12
         assert abs(g.moment0(theta)) <= 1e-12
 
@@ -180,22 +190,22 @@ class TestTheta:
                                                 (1e-3, 1e4, 8), (1e5, 1e-4, 64)])
     def test_checks_scale_with_theta(self, vmax, sigma, n):
         g = build_velocity_grid(vmax, n)
-        theta = solve_theta(uniform_equilibrium(g, 1), sigma, g)
+        theta = solve_theta(uniform_equilibrium(g), sigma, g)
         assert np.max(np.abs(theta)) == pytest.approx(0.5 / sigma * g.nodes[-1] / vmax)
 
     def test_odd_symmetry(self):
         g = build_velocity_grid(1.0, 16)
-        theta = solve_theta(uniform_equilibrium(g, 1), 1.0, g)
+        theta = solve_theta(uniform_equilibrium(g), 1.0, g)
         np.testing.assert_array_equal(theta, -theta[::-1])
 
 
 class TestDiffusion:
     def test_unit_values(self):
         g = build_velocity_grid(1.0, 8)
-        M = uniform_equilibrium(g, 1)
+        M = uniform_equilibrium(g)
         assert diffusion_tensor(M, 1.0, g) == pytest.approx(1.0 / 3.0, abs=1e-13)
         g = build_velocity_grid(2.0, 8)
-        M = uniform_equilibrium(g, 1)
+        M = uniform_equilibrium(g)
         assert diffusion_tensor(M, 4.0, g) == pytest.approx(1.0 / 3.0, abs=1e-13)
 
     def test_matches_analytic_formula_randomized(self):
@@ -204,13 +214,13 @@ class TestDiffusion:
             vmax = rng.uniform(0.3, 3.0)
             sigma = rng.uniform(0.2, 5.0)
             g = build_velocity_grid(vmax, 16)
-            M = uniform_equilibrium(g, 1)
+            M = uniform_equilibrium(g)
             D = diffusion_tensor(M, sigma, g)
             assert abs(D - vmax**2 / (3 * sigma)) <= 1e-10 * max(1.0, vmax**2 / sigma)
 
     def test_two_routes_agree(self):
         g = build_velocity_grid(1.3, 24)
-        M = uniform_equilibrium(g, 1)
+        M = uniform_equilibrium(g)
         theta = solve_theta(M, 0.9, g)
         direct = diffusion_tensor(M, 0.9, g)
         via_theta = diffusion_tensor_from_theta(theta, g)
@@ -218,19 +228,19 @@ class TestDiffusion:
 
     def test_positive_definite(self):
         g = build_velocity_grid(0.5, 8)
-        D = diffusion_tensor(uniform_equilibrium(g, 1), 3.0, g)
+        D = diffusion_tensor(uniform_equilibrium(g), 3.0, g)
         assert isinstance(D, float) and D > 0
 
 
 class TestGradientBias:
     def test_psi_is_linear_in_v(self):
         g = build_velocity_grid(1.0, 16)
-        M2 = uniform_equilibrium(g, 2)
+        M2 = uniform_equilibrium(g)
         np.testing.assert_allclose(psi_profile(M2, 2.0, g), 2.0 * g.nodes, atol=1e-12)
 
     def test_psi_antisymmetry(self):
         g = build_velocity_grid(1.0, 12)
-        psi = psi_profile(uniform_equilibrium(g, 2), 1.5, g)
+        psi = psi_profile(uniform_equilibrium(g), 1.5, g)
         np.testing.assert_allclose(psi, -psi[::-1], atol=1e-15)
 
     def test_sensitivity_known_values(self):
@@ -254,8 +264,8 @@ class TestGradientBias:
 
     def test_perturbation_on_equilibrium(self):
         g = build_velocity_grid(1.0, 16)
-        M1 = uniform_equilibrium(g, 1)
-        out = perturbation_apply(M1.values, 1.0, 1.0, g)
+        M1 = uniform_equilibrium(g)
+        out = perturbation_apply(M1, 1.0, 1.0, g)
         np.testing.assert_allclose(out, g.nodes, atol=1e-12)
 
     def test_perturbation_conserves_mass(self):
@@ -277,9 +287,7 @@ class TestGradientBias:
         g = build_velocity_grid(1.0, 16)
         eqs = species_equilibria(g)
         # corrupt the mass of the equilibrium used by the direct route only
-        from kinsir.velocity import EquilibriumDistribution
-
-        bad = (EquilibriumDistribution(1, 1.2 * eqs[0].values), eqs[1], eqs[2])
+        bad = (1.2 * eqs[0], eqs[1], eqs[2])
         with pytest.raises(ConsistencyError):
             alpha_direct(1.0, g, bad, params_with(chi0=1.0))
 
@@ -299,7 +307,7 @@ class TestInteractions:
                 r=rng.uniform(0.0, 2),
             )
             c, s, u = rng.uniform(0.0, 3.0, 3)
-            f1, f2, f3 = (eq.values * rho for eq, rho in zip(eqs, (c, s, u)))
+            f1, f2, f3 = (eq * rho for eq, rho in zip(eqs, (c, s, u)))
             g1, g2, g3 = interaction_terms(f1, f2, f3, eqs, p, g)
             moments = np.array([g.moment0(g1), g.moment0(g2), g.moment0(g3)])
             expected = sir_rhs(SirState(c, s, u), p)
@@ -312,7 +320,7 @@ class TestInteractions:
         rng = np.random.default_rng(18)
         p = params_with(d1=0.3, d2=0.7, d3=1.1, beta=1.9, k=0.5, r=0.8)
         fs = [rng.uniform(0.0, 2.0, (8, g.n_nodes)) for _ in eqs]
-        law = p.reactions(*(f / eq.values for f, eq in zip(fs, eqs)))
+        law = p.reactions(*(f / eq for f, eq in zip(fs, eqs)))
         for term, expected in zip(interaction_terms(*fs, eqs, p, g), law):
             assert np.array_equal(term, expected / g.measure)
 
@@ -320,7 +328,7 @@ class TestInteractions:
         g = build_velocity_grid(1.0, 16)
         eqs = species_equilibria(g)
         p = params_with()
-        f1, f2, f3 = (eq.values * rho for eq, rho in zip(eqs, (1.2, 0.3, 0.7)))
+        f1, f2, f3 = (eq * rho for eq, rho in zip(eqs, (1.2, 0.3, 0.7)))
         for term in interaction_terms(f1, f2, f3, eqs, p, g):
             assert np.max(np.abs(term - term.mean())) < 1e-14
 
@@ -359,3 +367,19 @@ class TestTransportCoefficients:
                             lambda M, sigma, grid: original(M, sigma, grid) * 1.001)
         with pytest.raises(ConsistencyError):
             transport_coefficients(params_with(), build_velocity_grid(1.0, 8))
+
+    @pytest.mark.parametrize("species", [1, 2, 3])
+    def test_disagreement_names_the_species(self, monkeypatch, species):
+        import kinsir.velocity as velocity
+
+        sigmas = (1.0, 2.0, 4.0)
+        original = velocity.diffusion_tensor
+
+        def skewed(M, sigma, grid):
+            scale = 1.001 if sigma == sigmas[species - 1] else 1.0
+            return original(M, sigma, grid) * scale
+
+        monkeypatch.setattr(velocity, "diffusion_tensor", skewed)
+        p = params_with(sigma1=sigmas[0], sigma2=sigmas[1], sigma3=sigmas[2])
+        with pytest.raises(ConsistencyError, match=f"of species {species}: direct"):
+            transport_coefficients(p, build_velocity_grid(1.0, 8))

@@ -2,10 +2,9 @@
 
     python3 tools/cli_parity.py REV
 
-Extracts src/ at REV with `git archive` into a temporary directory and runs
-a fixed list of configs through `python3 -m kinsir.cli` on that tree and on
-the working tree. Both trees read the same config files, so the resolved
-headers match. For each file written it prints `identical`, or the largest
+Extracts src/ at REV into a temporary directory and runs a fixed list of
+configs through `python3 -m kinsir.cli` on that tree and on the working
+tree. Both trees read the same config files, so the resolved headers match. For each file written it prints `identical`, or the largest
 absolute and relative difference over the numeric cells. Exits 0 only if
 every run exits 0 and every file is identical.
 """
@@ -16,7 +15,7 @@ import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from revtree import ROOT, extract_src
 
 _COSINE = "chi0 = 0.5\nprofile = cosine\nc0 = 1\ns0 = 0.5\nu0 = 0.5\n"
 _ENDEMIC = "profile = constant\nc0 = 1\ns0 = 0.2\nu0 = 0.3\n"
@@ -105,18 +104,7 @@ def main(argv):
         print("usage: python3 tools/cli_parity.py REV", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="cli-parity-") as tmp:
-        archive = subprocess.run(
-            ["git", "-C", ROOT, "archive", "--format=tar", argv[0], "src"],
-            capture_output=True,
-        )
-        if archive.returncode != 0:
-            sys.stderr.write(archive.stderr.decode())
-            return 2
-        old_tree = os.path.join(tmp, "rev")
-        os.makedirs(old_tree)
-        subprocess.run(["tar", "-x", "-C", old_tree], input=archive.stdout,
-                       check=True)
-
+        old_src = extract_src(argv[0], os.path.join(tmp, "rev"))
         config_dir = os.path.join(tmp, "configs")
         os.makedirs(config_dir)
         with open(os.path.join(config_dir, "cells.csv"), "w") as handle:
@@ -126,7 +114,7 @@ def main(argv):
                 handle.write(text)
 
         outs = {tag: os.path.join(tmp, "out", tag) for tag in ("rev", "work")}
-        codes_rev = run_tree(os.path.join(old_tree, "src"), config_dir, outs["rev"])
+        codes_rev = run_tree(old_src, config_dir, outs["rev"])
         codes_work = run_tree(os.path.join(ROOT, "src"), config_dir, outs["work"])
 
         all_identical = True
