@@ -150,7 +150,7 @@ def load_config(path):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, source=str(path), base_dir=os.path.dirname(path))
 

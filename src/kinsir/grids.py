@@ -171,22 +171,26 @@ def march(state, step, bound, times, snapshot):
 def _read_profile_file(path, n_cells):
     """Read per-cell (c, s, u) lines into a (3, n_cells) array; '#' lines
     are comments. Every value must be a finite number."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read profile_file {path}: {exc}") from exc
     rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 'c,s,u', got {line!r}")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric value in {line!r}")
-            if not all(map(math.isfinite, values)):
-                raise ParseError(f"{path}:{lineno}: non-finite value in {line!r}")
-            rows.append(values)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 'c,s,u', got {line!r}")
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric value in {line!r}")
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"{path}:{lineno}: non-finite value in {line!r}")
+        rows.append(values)
     if len(rows) != n_cells:
         raise ValidationError(
             f"{path}: {len(rows)} rows but the grid has {n_cells} cells"

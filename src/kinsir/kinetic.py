@@ -28,11 +28,10 @@ from .velocity import interaction_terms, perturbation_apply
 
 @dataclass
 class KineticState:
-    """Distributions on (cell, velocity node), plus the scaling parameter."""
+    """Distributions on (species, cell, velocity node), plus the scaling
+    parameter; the rows of f are f1, f2 and f3."""
 
-    f1: np.ndarray
-    f2: np.ndarray
-    f3: np.ndarray
+    f: np.ndarray
     epsilon: float
     time: float
     grid: object
@@ -41,24 +40,25 @@ class KineticState:
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
             raise ValidationError("epsilon must be in (0, 1]")
-        shape = (self.grid.n_cells, self.vgrid.n_nodes)
-        for name in ("f1", "f2", "f3"):
-            if getattr(self, name).shape != shape:
-                raise ValidationError(f"{name} must have shape {shape}")
+        shape = (3, self.grid.n_cells, self.vgrid.n_nodes)
+        if self.f.shape != shape:
+            raise ValidationError(f"f must have shape {shape}")
+
+    # read-only views of the healthy, infected and virus rows
+    f1 = property(lambda self: self.f[0])
+    f2 = property(lambda self: self.f[1])
+    f3 = property(lambda self: self.f[2])
 
 
 def init_local_equilibrium(macro, eqs, vgrid, epsilon):
     """Start at the local equilibrium f_i = M_i(v) * density_i(x)."""
-    f1, f2, f3 = (np.outer(rho, M) for rho, M in zip(macro.rho, eqs))
-    return KineticState(f1, f2, f3, float(epsilon), macro.time, macro.grid, vgrid)
+    f = macro.rho[:, :, None] * eqs[:, None, :]
+    return KineticState(f, float(epsilon), macro.time, macro.grid, vgrid)
 
 
 def moments(state):
     """Zeroth velocity moments as a macroscopic state."""
-    w = state.vgrid.weights
-    return MacroState(
-        np.stack([state.f1 @ w, state.f2 @ w, state.f3 @ w]), state.time, state.grid
-    )
+    return MacroState(state.f @ state.vgrid.weights, state.time, state.grid)
 
 
 def max_step(state, cfl=0.9):
@@ -67,10 +67,11 @@ def max_step(state, cfl=0.9):
 
 
 def transport_substep(f, vgrid, grid, epsilon, dt):
-    """Conservative upwind transport at the scaled speeds v_j/eps."""
+    """Conservative upwind transport at the scaled speeds v_j/eps, cells on
+    axis -2: one species or the (3, n_cells, n_nodes) stack."""
     courant = vgrid.nodes * (dt / (epsilon * grid.dx))
     upwind_diff = np.where(
-        vgrid.nodes > 0, f - np.roll(f, 1, axis=0), np.roll(f, -1, axis=0) - f
+        vgrid.nodes > 0, f - np.roll(f, 1, axis=-2), np.roll(f, -1, axis=-2) - f
     )
     return f - courant * upwind_diff
 
@@ -101,30 +102,25 @@ def kinetic_step(state, params, eqs, dt):
             f"dt = {dt:.3e} exceeds the transport bound {max_step(state):.3e}"
         )
     eps, grid, vgrid = state.epsilon, state.grid, state.vgrid
-    fields = (state.f1, state.f2, state.f3)
     sigmas = (params.sigma1, params.sigma2, params.sigma3)
     qs = (params.q1, params.q2, params.q3)
 
-    # (a) transport, then (b) stiff relaxation, exact per species
-    f1, f2, f3 = (
-        relaxation_substep(transport_substep(f, vgrid, grid, eps, dt),
-                           M, sigma, eps, q, dt, vgrid)
-        for f, M, sigma, q in zip(fields, eqs, sigmas, qs)
-    )
+    # (a) transport of the stack, then (b) stiff relaxation, exact per species
+    f = transport_substep(state.f, vgrid, grid, eps, dt)
+    for i, (M, sigma, q) in enumerate(zip(eqs, sigmas, qs)):
+        f[i] = relaxation_substep(f[i], M, sigma, eps, q, dt, vgrid)
 
     # (c) infected-gradient bias on the healthy population
     if params.chi0 != 0.0:
-        grad_s = infected_gradient(f2, vgrid, grid)
+        grad_s = infected_gradient(f[1], vgrid, grid)
         scale = eps ** (params.p - params.q1 - 1)
-        f1 = f1 + dt * scale * perturbation_apply(f1, grad_s, params.chi0, vgrid)
+        f[0] += dt * scale * perturbation_apply(f[0], grad_s, params.chi0, vgrid)
 
     # (d) interactions
-    fields = (f1, f2, f3)
-    gains = interaction_terms(*fields, eqs, params, vgrid)
-    new = [f + dt * g for f, g in zip(fields, gains)]
-    for i, f in enumerate(new, start=1):
-        clamp_nonnegative(f, f"kinetic distribution f{i}")
-    return KineticState(*new, eps, state.time + dt, grid, vgrid)
+    for i, g in enumerate(interaction_terms(*f, eqs, params, vgrid)):
+        f[i] += dt * g
+        clamp_nonnegative(f[i], f"kinetic distribution f{i + 1}")
+    return KineticState(f, eps, state.time + dt, grid, vgrid)
 
 
 def run_kinetic(initial, params, eqs, t_final, snapshot_times=None, cfl=0.8):

@@ -263,6 +263,31 @@ def test_missing_config_file_exits_with_parse_code(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+FILE_PROFILE_CFG = (b"profile = file\nprofile_file = cells.csv\nn_cells = 2\n"
+                    b"t_final = 0.01\n")
+
+
+@pytest.mark.parametrize("config, profile, unreadable", [
+    (b"chi0 = 0.5\xff\n", None, "run.cfg"),
+    (FILE_PROFILE_CFG, "directory", "cells.csv"),
+    (FILE_PROFILE_CFG, b"1,1,1\n1,1,\xff1\n", "cells.csv"),
+], ids=["config-not-utf8", "profile-is-a-directory", "profile-not-utf8"])
+def test_unreadable_input_files_exit_with_parse_code(tmp_path, capsys, config,
+                                                     profile, unreadable):
+    (tmp_path / "run.cfg").write_bytes(config)
+    if profile == "directory":
+        (tmp_path / "cells.csv").mkdir()
+    elif profile is not None:
+        (tmp_path / "cells.csv").write_bytes(profile)
+    out = tmp_path / "out"
+    code = main(["macro", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: cannot read")
+    assert str(tmp_path / unreadable) in err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -11,12 +11,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kinsir.kinetic as kin
 from kinsir import ModelParams, SirState, integrate_sir
 from kinsir.errors import CflViolationError, NegativityError, ValidationError
-from kinsir.grids import InitialProfile, SpatialGrid
-from kinsir.velocity import build_velocity_grid, species_equilibria
+from kinsir.grids import InitialProfile, SpatialGrid, clamp_nonnegative
+from kinsir.velocity import (
+    build_velocity_grid,
+    interaction_terms,
+    perturbation_apply,
+    species_equilibria,
+)
 
 VGRID = build_velocity_grid(1.0, 8)
 EQS = species_equilibria(VGRID)
@@ -50,7 +57,40 @@ def test_state_validation():
         bump_state(epsilon=1.5)
     good = bump_state()
     with pytest.raises(ValidationError):
-        kin.KineticState(good.f1[:, :4], good.f2, good.f3, 0.2, 0.0, GRID, VGRID)
+        kin.KineticState(good.f[:, :, :4], 0.2, 0.0, GRID, VGRID)
+
+
+# ---------------------------------------------------------------------------
+# state layout: one (3, n_cells, n_nodes) array with rows f1, f2, f3
+
+
+@pytest.mark.parametrize("shape", [(32, 8), (2, 32, 8), (3, 32, 9)])
+def test_kinetic_state_rejects_other_shapes(shape):
+    with pytest.raises(ValidationError, match="shape"):
+        kin.KineticState(np.ones(shape), 0.2, 0.0, GRID, VGRID)
+
+
+def test_species_are_views_of_the_rows():
+    f = np.arange(3.0 * GRID.n_cells * VGRID.n_nodes).reshape(3, GRID.n_cells, -1)
+    state = kin.KineticState(f, 0.2, 0.0, GRID, VGRID)
+    for i, row in enumerate((state.f1, state.f2, state.f3)):
+        assert np.shares_memory(row, state.f)
+        np.testing.assert_array_equal(row, f[i])
+    state.f[1, 3, 2] = -7.0
+    assert state.f2[3, 2] == -7.0
+    with pytest.raises(AttributeError):
+        state.f1 = f[0]
+
+
+def test_equilibrium_and_moments_match_the_per_species_formulas():
+    macro = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.25,
+                           amplitude=0.3).build(GRID)
+    state = kin.init_local_equilibrium(macro, EQS, VGRID, 0.3)
+    for rho, M, f in zip(macro.rho, EQS, state.f):
+        np.testing.assert_array_equal(f, np.outer(rho, M))
+    got = kin.moments(state)
+    for i, f in enumerate((state.f1, state.f2, state.f3)):
+        np.testing.assert_array_equal(got.rho[i], f @ VGRID.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +173,84 @@ def test_interaction_overshoot_raises_negativity_error():
     params = ModelParams(d1=100.0, d2=0, d3=0, beta=0, k=0, r=0)
     with pytest.raises(NegativityError):
         kin.kinetic_step(state, params, EQS, dt)
+
+
+def per_species_step(fields, params, eqs, eps, grid, vgrid, dt):
+    """kinetic_step written out one species at a time: the reference that
+    the stacked step must match bit for bit."""
+    courant = vgrid.nodes * (dt / (eps * grid.dx))
+    sigmas = (params.sigma1, params.sigma2, params.sigma3)
+    qs = (params.q1, params.q2, params.q3)
+    relaxed = []
+    for f, M, sigma, q in zip(fields, eqs, sigmas, qs):
+        upwind_diff = np.where(vgrid.nodes > 0, f - np.roll(f, 1, axis=0),
+                               np.roll(f, -1, axis=0) - f)
+        f = f - courant * upwind_diff
+        decay = math.exp(-sigma * dt / eps ** (q + 1))
+        mean = (f @ vgrid.weights)[:, None]
+        relaxed.append(M * mean + (f - M * mean) * decay)
+    f1, f2, f3 = relaxed
+    if params.chi0 != 0.0:
+        grad_s = kin.infected_gradient(f2, vgrid, grid)
+        scale = eps ** (params.p - params.q1 - 1)
+        f1 = f1 + dt * scale * perturbation_apply(f1, grad_s, params.chi0, vgrid)
+    gains = interaction_terms(f1, f2, f3, eqs, params, vgrid)
+    new = [f + dt * g for f, g in zip((f1, f2, f3), gains)]
+    for i, f in enumerate(new, start=1):
+        clamp_nonnegative(f, f"kinetic distribution f{i}")
+    return new
+
+
+@pytest.mark.parametrize("n_cells, n_nodes, extra", [
+    (16, 8, dict(chi0=0.5)),
+    (128, 16, dict(chi0=0.5)),
+    (16, 8, dict(chi0=0.0)),
+    (16, 8, dict(chi0=0.5, q1=2, q2=2, q3=2, p=2)),
+    (16, 8, dict(chi0=0.5, sigma2=3.0, q3=2)),
+], ids=["chi0.5-16x8", "chi0.5-128x16", "chi0", "q=p=2", "sigma2=3-q3=2"])
+def test_stacked_step_matches_the_per_species_reference(n_cells, n_nodes, extra):
+    grid = SpatialGrid(1.0, n_cells)
+    vgrid = build_velocity_grid(1.0, n_nodes)
+    eqs = species_equilibria(vgrid)
+    params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0, **extra)
+    f = np.random.default_rng(23).uniform(0.2, 1.5, (3, n_cells, n_nodes))
+    state = kin.KineticState(f, 0.2, 0.0, grid, vgrid)
+    dt = kin.max_step(state, 0.8)
+    fields = list(f)
+    for _ in range(20):
+        fields = per_species_step(fields, params, eqs, 0.2, grid, vgrid, dt)
+        state = kin.kinetic_step(state, params, eqs, dt)
+    for got, want in zip(state.f, fields):
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_cells=st.integers(2, 24),
+    n_nodes=st.sampled_from([4, 6, 8, 10, 12]),
+    eps=st.floats(0.05, 1.0),
+    sigmas=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+    qs=st.tuples(*[st.sampled_from([1, 2])] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_steps_without_reactions_stay_nonnegative_and_conserve_mass(
+    n_cells, n_nodes, eps, sigmas, qs, seed
+):
+    grid = SpatialGrid(1.0, n_cells)
+    vgrid = build_velocity_grid(1.0, n_nodes)
+    eqs = species_equilibria(vgrid)
+    params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0, chi0=0.0,
+                         sigma1=sigmas[0], sigma2=sigmas[1], sigma3=sigmas[2],
+                         q1=qs[0], q2=qs[1], q3=qs[2])
+    f = np.random.default_rng(seed).uniform(0.0, 2.0, (3, n_cells, n_nodes))
+    state = kin.KineticState(f, eps, 0.0, grid, vgrid)
+    mass0 = kin.moments(state).total_mass()
+    dt = kin.max_step(state, 0.8)
+    for _ in range(20):
+        state = kin.kinetic_step(state, params, eqs, dt)
+        assert state.f.min() >= 0.0
+    mass = kin.moments(state).total_mass()
+    assert np.all(np.abs(mass - mass0) <= 1e-12 * mass0)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,10 @@ CONFIGS = [
     ("kinetic_q2", "kinetic", _COSINE + _HYPERBOLIC + "n_cells = 32\nn_nodes = 8\n"
                                                       "epsilon = 0.2\nt_final = 0.02\n"
                                                       "snapshot_times = 0.01\n"),
+    # per-species relaxation with different decay factors
+    ("kinetic_mixed", "kinetic", _COSINE + "sigma2 = 3\nq3 = 2\nn_cells = 32\n"
+                                           "n_nodes = 8\nepsilon = 0.2\n"
+                                           "t_final = 0.02\n"),
     ("converge_hyperbolic", "converge", _ENDEMIC + _HYPERBOLIC
      + "n_cells = 16\nn_nodes = 8\nt_final = 0.5\neps_list = 0.4 0.2 0.1\n"),
     # small relaxation rates: large theta through the relaxation inverse
