@@ -49,7 +49,7 @@ SCHEMA = {
     # run control
     "t_final": (_FLOAT, 1.0, "final time"),
     "dt": (_FLOAT, 1e-3, "ode step size"),
-    "dt_max": (_FLOAT, 0.0, "macro step cap, 0 = stability bound"),
+    "dt_max": (_FLOAT, 0.0, "macro step cap, 0 = drift bound"),
     "epsilon": (_FLOAT, 0.1, "kinetic scaling parameter"),
     "cfl": (_FLOAT, 0.8, "kinetic transport number, at most 0.9"),
     "snapshot_times": (_FLOAT_LIST, (), "snapshot times, empty = final only"),

@@ -5,8 +5,8 @@ kinetic solver, measures the distance of the zeroth moments from a reference
 solution, and fits the slope of log(error) versus log(eps). The reference
 depends on the regime encoded in the scaling exponents:
 
-* parabolic, all q_i = p = 1: reference is the macroscopic solver on a
-  grid refined by ref_refine, block-averaged back onto the study grid;
+* parabolic, all q_i = p = 1: reference is the Strang macroscopic solver
+  on a grid refined by ref_refine, block-averaged back onto the study grid;
 * hyperbolic material regime, all q_i = p = 2 with spatially constant
   initial data: the space-homogeneous dynamics reduce to the virus ODE
   system, so the reference is a finely resolved integrate_sir run.
@@ -133,7 +133,8 @@ def _parabolic_reference(profile, params, vgrid, grid, t_final, times, ref_refin
     coeff = build_macro_coefficients(params, vgrid)
     ref_snaps = run_macro(profile.build(fine), coeff, t_final, snapshot_times=times)
     reference = [s.rho.reshape(3, -1, ref_refine).mean(axis=2) for s in ref_snaps]
-    descriptor = f"run_macro on {fine.n_cells} cells, restricted {ref_refine}x"
+    descriptor = (f"run_macro (Strang, exact diffusion) on {fine.n_cells} cells, "
+                  f"restricted {ref_refine}x")
     return reference, descriptor
 
 

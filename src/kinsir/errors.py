@@ -42,7 +42,7 @@ class NegativityError(KinsirError):
 
 
 class StepSizeError(KinsirError):
-    """Macro step size exceeds its diffusive/advective stability bound."""
+    """A macro Euler stage exceeds the drift (advective) step bound."""
 
 
 class RegimeError(KinsirError):

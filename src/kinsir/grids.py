@@ -148,21 +148,30 @@ def snapshot_schedule(snapshot_times, start, t_final):
     return times
 
 
+def _split(segment, limit):
+    """(count, dt): the fewest equal steps no longer than limit in segment."""
+    count = max(1, math.ceil(segment / limit - 1e-12))
+    return count, segment / count
+
+
 def march(state, step, bound, times, snapshot):
     """Advance state through the scheduled times; returns (snapshots, state).
 
     Each segment up to the next time is split into the fewest equal steps
-    no longer than bound(state), so every time is hit exactly; step(state,
-    dt) returns the next state and snapshot(state) what to record there.
+    no longer than bound(state), and the rest again whenever a step outgrows
+    the bound, so every time is hit exactly; step(state, dt) returns the
+    next state and snapshot(state) what to record there.
     """
     snapshots = []
     for target in times:
-        segment = target - state.time
-        if segment > 0:
-            n = max(1, math.ceil(segment / bound(state) - 1e-12))
-            dt = segment / n
-            for _ in range(n):
+        if target > state.time:
+            left, dt = _split(target - state.time, bound(state))
+            while left:
                 state = step(state, dt)
+                left -= 1
+                limit = bound(state) if left else math.inf
+                if dt / limit - 1e-12 > 1:  # the bound shrank below dt
+                    left, dt = _split(target - state.time, limit)
             state.time = target  # cancel accumulated rounding in the sum
         snapshots.append(snapshot(state))
     return snapshots, state

@@ -306,6 +306,31 @@ def test_file_profile_runs_through_the_macro_solver(tmp_path):
     assert len(data) == 16
 
 
+AGGREGATING_CFG = ("chi0 = 5\nprofile = cosine\ns0 = 0.5\nu0 = 0.5\n"
+                   "amplitude = 0.9\nn_cells = 64\nr = 50\nbeta = 5\nk = 5\n"
+                   "sigma2 = 100\nsigma3 = 100\nt_final = 0.05\n")
+
+
+def test_growing_drift_within_a_segment_does_not_exit_ten(tmp_path):
+    # the chemotactic drift of this run grows within its one snapshot
+    # segment; a step size fixed at the segment's start exceeds the drift
+    # bound before t = 0.05 and used to exit 10
+    code, out = run_cli(tmp_path, "macro", AGGREGATING_CFG)
+    assert code == 0
+    _, _, rows = read_table(out / "macro_snapshots.csv")
+    assert len(rows) == 64
+    assert all(float(value) >= 0.0 for row in rows for value in row[2:])
+
+
+def test_virus_growth_within_a_step_keeps_the_macro_run_nonnegative(tmp_path):
+    # u = 0 at the start but k*s = 40: a step bound on the starting loss
+    # alone lets u grow within the step until c turns negative (exit 9)
+    code, out = run_cli(tmp_path, "macro", "c0 = 1\ns0 = 2\nu0 = 0\nk = 20\n")
+    assert code == 0
+    _, _, rows = read_table(out / "macro_snapshots.csv")
+    assert all(float(value) >= 0.0 for row in rows for value in row[2:])
+
+
 @pytest.mark.parametrize("subcommand", ["macro", "kinetic"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_profile_values_exit_with_parse_code(tmp_path, capsys,

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kinsir import ModelParams, equilibria
+from kinsir import ModelParams, equilibria, macro
 from kinsir.convergence import (
     ConvergenceReport,
     estimate_order,
@@ -21,7 +21,8 @@ from kinsir.errors import (
     RegimeError,
     ValidationError,
 )
-from kinsir.grids import InitialProfile
+from kinsir.grids import InitialProfile, SpatialGrid
+from kinsir.velocity import build_velocity_grid
 
 PARABOLIC = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5)
 HYPERBOLIC = ModelParams(d1=0.5, d2=0.4, d3=0.6, beta=1.2, k=1.1, r=0.9,
@@ -136,6 +137,30 @@ def test_parabolic_errors_do_not_depend_on_the_reference_resolution():
     for field in ("c", "s", "u"):
         for a, b in zip(coarse.errors[field], fine.errors[field]):
             assert abs(a - b) / b <= 0.1
+
+
+def test_reference_self_difference_is_far_below_the_kinetic_error(monkeypatch):
+    # criterion 7's study: its 512-cell Strang reference against the same run
+    # at half the step bound (N against 2N steps), in the study's norm
+    times = (0.05, 0.1, 0.15, 0.2)
+    report = run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1, 0.05), 0.2,
+                                   snapshot_times=times, n_cells=128, n_nodes=16,
+                                   ref_refine=4, cfl=0.8)
+    assert report.reference_descriptor == (
+        "run_macro (Strang, exact diffusion) on 512 cells, restricted 4x")
+    coeff = macro.build_macro_coefficients(PARABOLIC, build_velocity_grid(1.0, 16))
+    initial = RIPPLE.build(SpatialGrid(1.0, 512))
+    plain = macro.run_macro(initial, coeff, 0.2, snapshot_times=times)
+    bound = macro.stable_dt
+    monkeypatch.setattr(macro, "stable_dt", lambda *args: 0.5 * bound(*args))
+    halved = macro.run_macro(initial, coeff, 0.2, snapshot_times=times)
+    squared = np.zeros(3)
+    for a, b in zip(plain, halved):
+        delta = (a.rho - b.rho).reshape(3, 128, 4).mean(axis=2)
+        squared += np.sum(delta * delta, axis=1) / 128
+    self_difference = np.sqrt(squared / len(times)).max()
+    # measured 6.0e-7 (24 against 46 steps); smallest kinetic error 5.6e-4
+    assert self_difference <= 0.1 * min(report.max_errors())
 
 
 def test_hyperbolic_study_converges_to_the_ode():

@@ -2,9 +2,11 @@
 
 Accuracy thresholds were frozen from independent closed forms: the heat
 kernel decay rate for a single cosine mode, the virus ODE system solved by
-the fourth-order integrator, and hand-computed explicit Euler updates.
+the fourth-order integrator, hand-computed Heun updates and the matrix
+exponential of the discrete Laplacian.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +14,13 @@ import pytest
 
 from kinsir import ModelParams, SirState, equilibria, integrate_sir
 from kinsir.errors import NegativityError, StepSizeError, ValidationError
-from kinsir.grids import InitialProfile, MacroState, SpatialGrid, snapshot_schedule
+from kinsir.grids import (
+    InitialProfile,
+    MacroState,
+    SpatialGrid,
+    march,
+    snapshot_schedule,
+)
 from kinsir.macro import (
     MacroCoefficients,
     build_macro_coefficients,
@@ -20,7 +28,6 @@ from kinsir.macro import (
     run_macro,
     stable_dt,
 )
-from kinsir.sir import sir_rhs
 from kinsir.velocity import build_velocity_grid, transport_coefficients
 
 VGRID = build_velocity_grid(1.0, 16)
@@ -112,43 +119,41 @@ def test_coefficients_reject_negative_or_nonfinite_values():
         MacroCoefficients(Dc=0.1, Ds=0.1, Du=0.1, chi=math.nan, params=params)
 
 
-def per_species_step(state, coeff, dt):
-    """macro_step written out one species at a time: the reference that the
-    stacked step must match bit for bit."""
-    dx = state.grid.dx
-    c, s, u = state.c, state.s, state.u
-    p = coeff.params
-
-    def grad(f):
-        return (np.roll(f, -1) - f) / dx
-
-    w = coeff.chi * grad(s)
-    flux_c = w * np.where(w > 0, c, np.roll(c, -1)) - coeff.Dc * grad(c)
-    flux_s = -coeff.Ds * grad(s)
-    flux_u = -coeff.Du * grad(u)
-    infection = p.beta * c * u
-    new_c = c - dt / dx * (flux_c - np.roll(flux_c, 1)) + dt * (
-        -p.d1 * c - infection + p.r
-    )
-    new_s = s - dt / dx * (flux_s - np.roll(flux_s, 1)) + dt * (-p.d2 * s + infection)
-    new_u = u - dt / dx * (flux_u - np.roll(flux_u, 1)) + dt * (-p.d3 * u + p.k * s)
-    return new_c, new_s, new_u
-
-
-@pytest.mark.parametrize("chi0", [0.0, 2.0])
-def test_stacked_step_matches_the_per_species_reference(chi0):
-    rng = np.random.default_rng(21)
-    grid = SpatialGrid(1.0, 48)
-    params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0,
-                         sigma2=2.0, sigma3=3.0, chi0=chi0)
+@pytest.mark.parametrize("n", [16, 48])
+def test_pure_diffusion_step_is_the_matrix_exponential(n):
+    # chi = 0 and no reactions: the half steps are the identity and one step
+    # is exp(dt*D_i*Lap_h) on each row, Lap_h the periodic three-point
+    # Laplacian, here from its eigendecomposition instead of the FFT
+    params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0, sigma2=2.0, sigma3=3.0)
     coeff = build_macro_coefficients(params, VGRID)
-    state = MacroState(rng.uniform(0.2, 1.5, (3, grid.n_cells)), 0.0, grid)
-    dt = 0.5 * stable_dt(state, coeff)
-    for _ in range(5):
-        expected = per_species_step(state, coeff, dt)
-        state = macro_step(state, coeff, dt)
-        for got, want in zip((state.c, state.s, state.u), expected):
-            np.testing.assert_array_equal(got, want)
+    grid = SpatialGrid(1.0, n)
+    rho = np.random.default_rng(21).uniform(0.2, 1.5, (3, n))
+    eye = np.eye(n)
+    laplacian = np.roll(eye, 1, axis=0) + np.roll(eye, -1, axis=0) - 2.0 * eye
+    lam, vec = np.linalg.eigh(laplacian / grid.dx**2)
+    dt = 0.01  # dt*Dc/dx^2 = 7.7 at n = 48, far past an explicit diffusion bound
+    stepped = macro_step(MacroState(rho, 0.0, grid), coeff, dt)
+    for got, row, D in zip(stepped.rho, rho, (coeff.Dc, coeff.Ds, coeff.Du)):
+        want = vec @ (np.exp(dt * D * lam) * (vec.T @ row))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_strang_step_is_second_order_in_time():
+    # drift, diffusion and reactions all on; N, 2N and 4N steps to t = 0.1
+    params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5)
+    coeff = build_macro_coefficients(params, VGRID)
+    initial = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5,
+                             amplitude=0.3).build(SpatialGrid(1.0, 64))
+
+    def run(steps):
+        state = initial
+        for _ in range(steps):
+            state = macro_step(state, coeff, 0.1 / steps)
+        return state.rho
+
+    coarse, mid, fine = run(4), run(8), run(16)
+    ratio = np.abs(coarse - mid).max() / np.abs(mid - fine).max()
+    assert ratio >= 3.5  # measured 3.97; first-order halves would give 2
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +179,18 @@ def test_endemic_equilibrium_is_a_discrete_steady_state():
     assert drift <= 1e-10
 
 
+@pytest.mark.parametrize("n", [7, 17, 100])
+def test_constant_rows_stay_exactly_constant_on_any_grid(n):
+    # at these sizes an FFT round trip leaves ripples of about 1e-15 on a
+    # constant row; the step diffuses only the deviation from the row mean
+    params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=1, chi0=1.0)
+    coeff = build_macro_coefficients(params, VGRID)
+    state = constant_state((1.2, 0.4, 0.9), SpatialGrid(1.0, n))
+    for _ in range(20):
+        state = macro_step(state, coeff, 1e-3)
+    assert np.ptp(state.rho, axis=1).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_mass_conserved_without_reactions():
     params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0, chi0=1.0)
     coeff = build_macro_coefficients(params, VGRID)
@@ -188,18 +205,45 @@ def test_mass_conserved_without_reactions():
     assert final.u.min() >= 0.0
 
 
-def test_reaction_update_matches_hand_euler_step():
-    # With all transport off, one step is exactly forward Euler on the ODE.
+def test_reaction_update_matches_two_hand_heun_steps():
+    # With all transport off, one step is two Heun steps of dt/2 on the ODE.
     params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=1)
     coeff = MacroCoefficients(Dc=0.0, Ds=0.0, Du=0.0, chi=0.0, params=params)
     state = constant_state((1.2, 0.4, 0.9), SpatialGrid(1.0, 8))
     stepped = macro_step(state, coeff, 0.01)
-    manual = np.array([1.2, 0.4, 0.9]) + 0.01 * sir_rhs(
-        SirState(1.2, 0.4, 0.9), params
-    )
-    assert abs(stepped.c[0] - manual[0]) <= 1e-14
-    assert abs(stepped.s[0] - manual[1]) <= 1e-14
-    assert abs(stepped.u[0] - manual[2]) <= 1e-14
+    manual = np.array([1.2, 0.4, 0.9])
+    for _ in range(2):
+        stage = manual + 0.005 * np.array(params.reactions(*manual))
+        manual = 0.5 * (manual + stage + 0.005 * np.array(params.reactions(*stage)))
+    for row, value in zip(stepped.rho, manual):
+        assert np.max(np.abs(row - value)) <= 1e-14
+
+
+def test_drift_update_matches_two_hand_heun_steps():
+    # With diffusion and reactions off, one step is two Heun steps of dt/2
+    # of the upwind drift, here written out cell by cell: the velocity at
+    # face k+1/2 is chi*(s[k+1] - s[k])/dx and carries c from its upwind side.
+    params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
+    coeff = MacroCoefficients(Dc=0.0, Ds=0.0, Du=0.0, chi=0.7, params=params)
+    grid = SpatialGrid(1.0, 12)
+    rho = np.random.default_rng(5).uniform(0.2, 1.5, (3, 12))
+    dt = 0.5 * stable_dt(MacroState(rho, 0.0, grid), coeff)
+    stepped = macro_step(MacroState(rho.copy(), 0.0, grid), coeff, dt)
+    n, dx, s = 12, grid.dx, rho[1]
+
+    def drift(c):
+        flux = []
+        for k in range(n):
+            w = coeff.chi * (s[(k + 1) % n] - s[k]) / dx
+            flux.append(w * (c[k] if w > 0 else c[(k + 1) % n]))
+        return np.array([-(flux[k] - flux[k - 1]) / dx for k in range(n)])
+
+    c, h = rho[0], 0.5 * dt
+    for _ in range(2):
+        stage = c + h * drift(c)
+        c = 0.5 * (c + stage + h * drift(stage))
+    assert np.max(np.abs(stepped.c - c)) <= 1e-14
+    np.testing.assert_array_equal(stepped.rho[1:], rho[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +327,6 @@ def test_step_size_guards_fire():
     grid = SpatialGrid(1.0, 64)
     state = InitialProfile("cosine", c0=1.0, s0=1.0, u0=1.0,
                            amplitude=0.5).build(grid)
-    diff_bound = 0.45 * grid.dx**2 / coeff.max_diffusivity
-    with pytest.raises(StepSizeError):
-        macro_step(state, coeff, 2.0 * diff_bound)
     # large chi makes the drift bound the binding one
     steep = MacroCoefficients(Dc=0.0, Ds=0.0, Du=0.0, chi=500.0, params=params)
     with pytest.raises(StepSizeError):
@@ -342,13 +383,36 @@ def test_snapshot_times_outside_the_horizon_are_rejected():
 
 
 def test_stable_dt_matches_the_combined_bound():
-    params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.0)
+    params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2, chi0=0.5)
     coeff = build_macro_coefficients(params, VGRID)
     grid = SpatialGrid(1.0, 64)
-    state = constant_state((1.0, 1.0, 1.0), grid)
-    loss = max(params.d1 + params.beta * 1.0, params.d2, params.d3)
-    expected = 0.9 / (2.0 * coeff.max_diffusivity / grid.dx**2 + loss)
+    state = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5,
+                           amplitude=0.3).build(grid)
+    drift = coeff.chi * (np.roll(state.s, -1) - state.s) / grid.dx
+    c, s, u = state.c.max(), state.s.max(), state.u.max()
+    jacobian = np.array([[-params.d1 - params.beta * u, 0.0, -params.beta * c],
+                         [params.beta * u, -params.d2, params.beta * c],
+                         [0.0, params.k, -params.d3]])
+    rate = np.abs(jacobian).sum(axis=1).max() + math.sqrt(params.beta * params.k * s)
+    expected = 0.9 / (np.max(np.abs(drift)) / grid.dx + 16.0 * rate)
     assert stable_dt(state, coeff) == pytest.approx(expected, rel=1e-14)
+    # diffusion is exact and sets no bound
+    faster = build_macro_coefficients(
+        dataclasses.replace(params, sigma2=1e-3, sigma3=1e-3), VGRID)
+    assert stable_dt(state, faster) == stable_dt(state, coeff)
+
+
+def test_stable_dt_covers_virus_growth_within_the_step():
+    # u = 0 at the start, so the healthy cells' loss d1 + beta*u is 1; the
+    # virus made from s at rate k within the step raises it. k = 20 needs
+    # the Jacobian's k + d3 row, s = 1e4 the sqrt(beta*k*max(s)) term.
+    for k, s0 in ((20.0, 2.0), (1.0, 1e4)):
+        params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=k, r=2)
+        coeff = build_macro_coefficients(params, VGRID)
+        state = constant_state((1.0, s0, 0.0), SpatialGrid(1.0, 8))
+        for _ in range(10):
+            state = macro_step(state, coeff, 0.8 * stable_dt(state, coeff))
+        assert state.rho.min() > 0.0
 
 
 def test_stable_dt_is_infinite_when_nothing_moves():
@@ -392,6 +456,28 @@ def test_dt_max_must_be_none_or_positive():
         with pytest.raises(ValidationError, match="dt_max"):
             run_macro(constant_state([1.0, 0.5, 0.5], grid), coeff, 0.01,
                       dt_max=bad)
+
+
+def test_march_splits_the_rest_of_a_segment_again_when_the_bound_shrinks():
+    class Clock:
+        def __init__(self, time):
+            self.time = time
+
+    taken = []
+
+    def step(state, dt):
+        taken.append((state.time, dt))
+        return Clock(state.time + dt)
+
+    def bound(state):  # 0.1 until t = 0.3, then 0.03
+        return 0.1 if state.time < 0.3 - 1e-9 else 0.03
+
+    snaps, final = march(Clock(0.0), step, bound, [0.5, 1.0], lambda s: s.time)
+    assert snaps == [0.5, 1.0] and final.time == 1.0
+    assert all(dt <= bound(Clock(t)) * (1 + 1e-12) for t, dt in taken)
+    # 3 steps of 0.1, then the remaining 0.2 in 7 equal steps, then 0.5 in 17
+    assert [round(dt, 12) for _, dt in taken] == (
+        [0.1] * 3 + [round(0.2 / 7, 12)] * 7 + [round(0.5 / 17, 12)] * 17)
 
 
 def test_run_macro_looks_up_the_step_at_call_time(monkeypatch):

@@ -4,9 +4,11 @@
 
 Extracts src/ at REV into a temporary directory and runs a fixed list of
 configs through `python3 -m kinsir.cli` on that tree and on the working
-tree. Both trees read the same config files, so the resolved headers match. For each file written it prints `identical`, or the largest
-absolute and relative difference over the numeric cells. Exits 0 only if
-every run exits 0 and every file is identical.
+tree. Both trees read the same config files, so the resolved headers
+match. For each file written it prints `identical`, or the largest
+absolute and relative difference over the numeric cells and then every
+line whose text differs. Exits 0 only if every run exits 0 and every file
+is identical.
 """
 
 import os
@@ -43,6 +45,13 @@ CONFIGS = [
     ("kinetic_mixed", "kinetic", _COSINE + "sigma2 = 3\nq3 = 2\nn_cells = 32\n"
                                            "n_nodes = 8\nepsilon = 0.2\n"
                                            "t_final = 0.02\n"),
+    # every key at its default: a constant profile run to t_final = 1
+    ("macro_default", "macro", ""),
+    # a chemotactic drift that grows within its one snapshot segment
+    ("macro_aggregating", "macro", "chi0 = 5\nprofile = cosine\ns0 = 0.5\nu0 = 0.5\n"
+                                   "amplitude = 0.9\nn_cells = 64\nr = 50\nbeta = 5\n"
+                                   "k = 5\nsigma2 = 100\nsigma3 = 100\n"
+                                   "t_final = 0.05\n"),
     ("converge_hyperbolic", "converge", _ENDEMIC + _HYPERBOLIC
      + "n_cells = 16\nn_nodes = 8\nt_final = 0.5\neps_list = 0.4 0.2 0.1\n"),
     # small relaxation rates: large theta through the relaxation inverse
@@ -76,7 +85,8 @@ def run_tree(src, config_dir, out_root):
 
 
 def compare(text_a, text_b):
-    """'identical', or the largest numeric differences between two files.
+    """'identical', or the largest numeric differences between two files,
+    followed by each line whose text (not only its numbers) differs.
 
     Cells are split at commas and at the '=' of '# key = value' lines.
     """
@@ -86,21 +96,25 @@ def compare(text_a, text_b):
     if len(lines_a) != len(lines_b):
         return f"differs: {len(lines_a)} lines against {len(lines_b)}"
     max_abs = max_rel = 0.0
+    text_changes = []
     for line_a, line_b in zip(lines_a, lines_b):
         cells_a, cells_b = re.split("[,=]", line_a), re.split("[,=]", line_b)
         if len(cells_a) != len(cells_b):
-            return f"differs: {line_a!r} against {line_b!r}"
+            text_changes.append(f"{line_a!r} against {line_b!r}")
+            continue
         for a, b in zip(cells_a, cells_b):
             if a == b:
                 continue
             try:
                 x, y = float(a), float(b)
             except ValueError:
-                return f"differs: {line_a!r} against {line_b!r}"
+                text_changes.append(f"{line_a!r} against {line_b!r}")
+                break
             diff = abs(x - y)
             max_abs = max(max_abs, diff)
             max_rel = max(max_rel, diff / max(abs(x), abs(y)))
-    return f"max abs diff {max_abs:.3e}, max rel diff {max_rel:.3e}"
+    verdict = f"max abs diff {max_abs:.3e}, max rel diff {max_rel:.3e}"
+    return "; ".join([verdict, *text_changes])
 
 
 def main(argv):

@@ -20,8 +20,12 @@ freed temporaries let glibc trim the top of the heap regrows it on the next
 call; both show up here as faults per step. A step whose temporaries are
 recycled by the allocator reads 0.0.
 
-Reports the working tree and, when REV is given, src/ at REV. Both are
-copied to a temporary directory and byte-compiled before they are measured.
+Reports the working tree and, when REV is given, src/ at REV. Each tree in
+turn is copied to the same temporary path and byte-compiled there before it
+is measured, so both run from the same path string: the allocator's state
+in the child also depends on its import paths, and two trees measured from
+two paths can differ by that alone.
+
 A process that compiles kinsir from source at import (as one does under
 PYTHONDONTWRITEBYTECODE=1) leaves glibc's allocator in a state that depends
 on the source text and on the import path, and the 512x16 kinetic step then
@@ -132,12 +136,15 @@ def main(argv):
         print("usage: python3 tools/step_faults.py [REV]", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="step-faults-") as tmp:
-        trees = [("working tree", shutil.copytree(
-            os.path.join(ROOT, "src"), os.path.join(tmp, "work", "src"),
-            ignore=shutil.ignore_patterns("__pycache__")))]
-        if argv:
-            trees.append((argv[0], extract_src(argv[0], os.path.join(tmp, "rev"))))
-        for label, src in trees:
+        slot = os.path.join(tmp, "tree")
+        for label in ["working tree", *argv]:
+            shutil.rmtree(slot, ignore_errors=True)
+            if label == "working tree":
+                src = shutil.copytree(os.path.join(ROOT, "src"),
+                                      os.path.join(slot, "src"),
+                                      ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                src = extract_src(label, slot)
             compileall.compile_dir(src, quiet=1)
             for case in CASES:
                 print(f"{label}: {case}: {measure(src, case)} minor faults per step")
