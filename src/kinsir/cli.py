@@ -4,8 +4,8 @@
 
 Each run writes headered CSV files into the output directory. The header
 records the toolkit version, the subcommand, and the fully resolved
-configuration, so identical configs yield byte-identical files. Errors
-exit with one code per failure class and a single line on stderr.
+configuration, so identical configs yield byte-identical files. An error
+exits with its class's exit_code (1 if it has none) and one stderr line.
 """
 
 import argparse
@@ -16,38 +16,12 @@ from itertools import chain
 from . import __version__
 from .config import load_config
 from .convergence import run_convergence_study
-from .errors import (
-    CflViolationError,
-    ConsistencyError,
-    DegenerateFitError,
-    NegativeStateError,
-    NegativityError,
-    OddNodeCountError,
-    ParseError,
-    RegimeError,
-    ResidualError,
-    StepSizeError,
-    ValidationError,
-)
+from .errors import KinsirError
 from .grids import SpatialGrid
 from .kinetic import init_local_equilibrium, run_kinetic
 from .macro import build_macro_coefficients, run_macro
 from .sir import SirState, equilibria, integrate_sir
 from .velocity import build_velocity_grid, species_equilibria
-
-EXIT_CODES = {
-    ParseError: 2,
-    ValidationError: 3,
-    NegativeStateError: 4,
-    OddNodeCountError: 5,
-    ResidualError: 6,
-    ConsistencyError: 7,
-    CflViolationError: 8,
-    NegativityError: 9,
-    StepSizeError: 10,
-    RegimeError: 11,
-    DegenerateFitError: 12,
-}
 
 
 def _fmt(value):
@@ -218,7 +192,7 @@ def main(argv=None):
         written = dispatch(args.subcommand, config, args.out)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(type(exc), 1)
+        return exc.exit_code if isinstance(exc, KinsirError) else 1
     for name in written:
         print(f"wrote {os.path.join(args.out, name)}")
     return 0

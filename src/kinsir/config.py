@@ -8,10 +8,10 @@ filled in) can be echoed line by line into output headers.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ParseError, ValidationError
-from .grids import InitialProfile
+from .grids import InitialProfile, SpatialGrid
 from .params import ModelParams
 
 _FLOAT, _INT, _STRING, _FLOAT_LIST = "float", "int", "string", "float list"
@@ -49,17 +49,13 @@ SCHEMA = {
     # run control
     "t_final": (_FLOAT, 1.0, "final time"),
     "dt": (_FLOAT, 1e-3, "ode step size"),
-    "dt_max": (_FLOAT, 0.0, "macro step cap, 0 = drift bound"),
+    "dt_max": (_FLOAT, 0.0, "macro step cap, 0 = no cap"),
     "epsilon": (_FLOAT, 0.1, "kinetic scaling parameter"),
     "cfl": (_FLOAT, 0.8, "kinetic transport number, at most 0.9"),
     "snapshot_times": (_FLOAT_LIST, (), "snapshot times, empty = final only"),
     "eps_list": (_FLOAT_LIST, (0.4, 0.2, 0.1, 0.05), "study epsilons"),
     "ref_refine": (_INT, 4, "reference grid refinement factor"),
-    "seed": (_INT, 0, "seed reserved for randomized extensions"),
 }
-
-_PARAM_KEYS = ("d1", "d2", "d3", "beta", "k", "r", "sigma1", "sigma2",
-               "sigma3", "chi0", "q1", "q2", "q3", "p", "vmax")
 
 
 def _finite(text):
@@ -139,7 +135,8 @@ def parse_config(text, source="<config>", base_dir="."):
     for key, (_, default, _) in SCHEMA.items():
         values.setdefault(key, default)
 
-    params = ModelParams(**{key: values[key] for key in _PARAM_KEYS})
+    params = ModelParams(**{field.name: values[field.name]
+                            for field in fields(ModelParams)})
     profile = _build_profile(values, base_dir)
     _check_run_values(values)
     return RunConfig(values=values, params=params, profile=profile)
@@ -174,10 +171,7 @@ def _build_profile(values, base_dir):
 
 
 def _check_run_values(values):
-    if values["n_cells"] < 1:
-        raise ValidationError("n_cells must be >= 1")
-    if values["length"] <= 0:
-        raise ValidationError("length must be > 0")
+    SpatialGrid(values["length"], values["n_cells"])
     if values["t_final"] < 0:
         raise ValidationError("t_final must be >= 0")
     if values["dt"] <= 0:
@@ -190,7 +184,5 @@ def _check_run_values(values):
         raise ValidationError("epsilon must be in (0, 1]")
     if values["ref_refine"] < 2:
         raise ValidationError("ref_refine must be >= 2")
-    if values["seed"] < 0:
-        raise ValidationError("seed must be >= 0")
     if any(t < 0 for t in values["snapshot_times"]):
         raise ValidationError("snapshot_times must be >= 0")

@@ -93,10 +93,11 @@ def infected_gradient(f2, vgrid, grid):
 def kinetic_step(state, params, eqs, dt):
     """One split step; returns a new state at time + dt.
 
-    Precondition (CflViolationError): dt <= 0.9 * eps * dx / vmax.
+    Preconditions: dt finite and > 0 (ValidationError), and
+    dt <= 0.9 * eps * dx / vmax (CflViolationError).
     """
-    if dt <= 0:
-        raise ValidationError("dt must be > 0")
+    if not 0 < dt < math.inf:
+        raise ValidationError("dt must be finite and > 0")
     if dt > max_step(state) * (1.0 + 1e-12):
         raise CflViolationError(
             f"dt = {dt:.3e} exceeds the transport bound {max_step(state):.3e}"

@@ -96,10 +96,10 @@ def integrate_sir(initial, params, t_final, dt):
     lands exactly on t_final; the trajectory has ceil(t_final/dt)+1 states.
     Components in [-NEGATIVE_STATE_TOL, 0) are rounded up to zero after each
     step; a component below -NEGATIVE_STATE_TOL raises NegativeStateError
-    (dt too large).
+    (dt too large). dt must be finite and > 0.
     """
-    if dt <= 0:
-        raise ValidationError("dt must be > 0")
+    if not 0 < dt < math.inf:
+        raise ValidationError("dt must be finite and > 0")
     if t_final < 0:
         raise ValidationError("t_final must be >= 0")
 

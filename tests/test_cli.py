@@ -209,6 +209,16 @@ def test_every_failure_class_has_its_own_exit_code(tmp_path, monkeypatch):
         assert code == expected
 
 
+def test_each_error_class_carries_its_own_exit_code():
+    import kinsir.errors as errors
+
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, errors.KinsirError)]
+    codes = sorted(cls.exit_code for cls in classes)
+    assert codes == list(range(1, 13))
+    assert errors.KinsirError.exit_code == 1
+
+
 def test_unexpected_exceptions_exit_one(tmp_path, monkeypatch):
     import kinsir.cli as cli
 

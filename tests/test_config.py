@@ -16,7 +16,6 @@ def test_empty_document_resolves_to_the_documented_defaults():
     assert config.profile.kind == "constant"
     assert config.eps_list == (0.4, 0.2, 0.1, 0.05)
     assert config.snapshot_times == ()
-    assert config.seed == 0
 
 
 def test_comments_blanks_and_spacing_are_tolerated():
@@ -29,6 +28,11 @@ def test_comments_blanks_and_spacing_are_tolerated():
 def test_unknown_key_is_rejected_with_its_name_and_line():
     with pytest.raises(ParseError, match=r"<config>:2.*betaa"):
         parse_config("beta = 1\nbetaa = 2\n")
+
+
+def test_seed_is_no_longer_a_key():
+    with pytest.raises(ParseError, match="unknown key 'seed'"):
+        parse_config("seed = 0\n")
 
 
 def test_duplicate_key_is_rejected():
@@ -71,8 +75,8 @@ def test_float_lists_must_be_finite(key, value):
 def test_run_value_bounds():
     for text in ("cfl = 0.95\n", "epsilon = 0\n", "epsilon = 1.5\n",
                  "ref_refine = 1\n", "dt_max = -1\n", "dt = 0\n",
-                 "seed = -1\n", "snapshot_times = -0.1\n", "t_final = -1\n",
-                 "length = 0\n", "n_cells = 0\n"):
+                 "snapshot_times = -0.1\n", "t_final = -1\n",
+                 "length = 0\n", "n_cells = 0\n", "n_cells = 1\n"):
         with pytest.raises(ValidationError):
             parse_config(text)
 

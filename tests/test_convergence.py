@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kinsir import ModelParams, equilibria, macro
+from kinsir import ModelParams, SirState, equilibria, integrate_sir, macro
 from kinsir.convergence import (
     ConvergenceReport,
     estimate_order,
@@ -175,6 +175,29 @@ def test_hyperbolic_study_converges_to_the_ode():
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert 0.8 <= report.orders[field] <= 1.2  # measured 0.99 to 1.00
     assert report.estimated_order == pytest.approx(1.0, abs=0.2)
+
+
+def test_hyperbolic_reference_is_one_pass_over_the_snapshots(monkeypatch):
+    import kinsir.convergence as convergence
+
+    taken = []
+
+    def counting(initial, params, t_final, dt):
+        trajectory = integrate_sir(initial, params, t_final, dt)
+        taken.append(len(trajectory.times) - 1)
+        return trajectory
+
+    monkeypatch.setattr(convergence, "_REF_ODE_STEPS", 40)
+    monkeypatch.setattr(convergence, "integrate_sir", counting)
+    profile = InitialProfile("constant", c0=1.0, s0=0.2, u0=0.3)
+    times = [0.0, 0.25, 0.5, 0.75, 1.0]
+    reference, _ = convergence._hyperbolic_reference(
+        profile, HYPERBOLIC, SpatialGrid(1.0, 4), times)
+    assert sum(taken) <= 40 + len(times)
+    start = SirState(1.0, 0.2, 0.3)
+    np.testing.assert_array_equal(reference[0][:, 0], start.as_array())
+    whole = integrate_sir(start, HYPERBOLIC, 1.0, 1.0 / 40).final.as_array()
+    np.testing.assert_allclose(reference[-1][:, 0], whole, rtol=1e-13)
 
 
 def test_endemic_equilibrium_is_shared_by_both_tiers():

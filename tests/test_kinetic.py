@@ -167,6 +167,13 @@ def test_cfl_guard_fires():
         kin.kinetic_step(state, params, EQS, 1.01 * kin.max_step(state))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_step_is_rejected(bad):
+    params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
+    with pytest.raises(ValidationError, match="finite"):
+        kin.kinetic_step(bump_state(0.2), params, EQS, bad)
+
+
 def test_interaction_overshoot_raises_negativity_error():
     state = bump_state(0.5)
     dt = kin.max_step(state, 0.8)  # 0.0125, so d1*dt = 1.25 overshoots zero

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kinsir import ModelParams, SirState, equilibria, integrate_sir
 from kinsir.errors import NegativityError, StepSizeError, ValidationError
@@ -458,6 +461,25 @@ def test_dt_max_must_be_none_or_positive():
                       dt_max=bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_step_is_rejected(bad):
+    coeff = build_macro_coefficients(ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2),
+                                     VGRID)
+    with pytest.raises(ValidationError, match="finite"):
+        macro_step(constant_state([1.0, 0.5, 0.5], SpatialGrid(1.0, 8)), coeff, bad)
+
+
+def test_a_loose_dt_max_does_not_raise_the_step():
+    params = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5)
+    coeff = build_macro_coefficients(params, VGRID)
+    initial = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5).build(SpatialGrid(1.0, 16))
+    capped = run_macro(initial, coeff, 0.05, snapshot_times=[0.02], dt_max=1e9)
+    free = run_macro(initial, coeff, 0.05, snapshot_times=[0.02])
+    for a, b in zip(capped, free, strict=True):
+        assert a.time == b.time
+        np.testing.assert_array_equal(a.rho, b.rho)
+
+
 def test_march_splits_the_rest_of_a_segment_again_when_the_bound_shrinks():
     class Clock:
         def __init__(self, time):
@@ -500,3 +522,32 @@ def test_run_macro_looks_up_the_step_at_call_time(monkeypatch):
                       dt_max=1e-3)
     assert [s.time for s in snaps] == [0.005, 0.01]
     assert len(calls) == 10 and max(calls) <= 1e-3
+
+
+_RATES = st.tuples(*[st.floats(0.0, 5.0)] * 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_cells=st.integers(4, 64),
+    rates=st.one_of(st.just((0.0,) * 6), _RATES),
+    sigmas=st.tuples(*[st.floats(0.2, 5.0)] * 3),
+    chi0=st.floats(0.0, 2.0),
+    data=st.data(),
+)
+def test_steps_stay_finite_nonnegative_and_conserve_mass_without_reactions(
+    n_cells, rates, sigmas, chi0, data
+):
+    params = ModelParams(*rates, sigma1=sigmas[0], sigma2=sigmas[1],
+                         sigma3=sigmas[2], chi0=chi0)
+    coeff = build_macro_coefficients(params, VGRID)
+    grid = SpatialGrid(1.0, n_cells)
+    rho = data.draw(arrays(float, (3, n_cells), elements=st.floats(0.0, 3.0)))
+    state = MacroState(rho, 0.0, grid)
+    mass0 = state.total_mass()
+    for _ in range(20):
+        state = macro_step(state, coeff, min(0.8 * stable_dt(state, coeff), 0.05))
+        assert np.all(np.isfinite(state.rho)) and state.rho.min() >= 0.0
+    if not any(rates):
+        mass = state.total_mass()
+        assert np.all(np.abs(mass - mass0) <= 1e-12 * mass0)

@@ -172,6 +172,12 @@ class TestIntegrator:
         with pytest.raises(ValidationError):
             integrate_sir(SirState(1.0, 0.0, 0.0), p, -1.0, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_nonfinite_step(self, bad):
+        p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            integrate_sir(SirState(1.0, 0.0, 0.0), p, 1.0, bad)
+
 
 class TestThresholdDynamics:
     """Long-time behaviour on each side of R0 = 1 (small sample; the

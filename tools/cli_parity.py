@@ -6,11 +6,12 @@ Extracts src/ at REV into a temporary directory and runs a fixed list of
 configs through `python3 -m kinsir.cli` on that tree and on the working
 tree. Both trees read the same config files, so the resolved headers
 match. For each file written it prints `identical`, or the largest
-absolute and relative difference over the numeric cells and then every
-line whose text differs. Exits 0 only if every run exits 0 and every file
-is identical.
+absolute and relative difference over the numeric cells, then every
+paired line whose text differs and every line that only one tree wrote.
+Exits 0 only if every run exits 0 and every file is identical.
 """
 
+import difflib
 import os
 import re
 import subprocess
@@ -84,20 +85,31 @@ def run_tree(src, config_dir, out_root):
     return codes
 
 
-def compare(text_a, text_b):
+def compare(text_a, text_b, rev):
     """'identical', or the largest numeric differences between two files,
-    followed by each line whose text (not only its numbers) differs.
+    followed by each paired line whose text (not only its numbers) differs
+    and each unpaired line.
 
-    Cells are split at commas and at the '=' of '# key = value' lines.
+    difflib aligns the lines; within a changed block they pair in order and
+    the lines left over are unpaired. Cells are split at commas and at the
+    '=' of '# key = value' lines.
     """
     if text_a == text_b:
         return "identical"
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
-    if len(lines_a) != len(lines_b):
-        return f"differs: {len(lines_a)} lines against {len(lines_b)}"
+    pairs, unpaired = [], []
+    matcher = difflib.SequenceMatcher(None, lines_a, lines_b, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            paired = min(i2 - i1, j2 - j1)
+            pairs += zip(lines_a[i1:i1 + paired], lines_b[j1:j1 + paired])
+            unpaired += [f"only in {rev}: {line!r}"
+                         for line in lines_a[i1 + paired:i2]]
+            unpaired += [f"only in the working tree: {line!r}"
+                         for line in lines_b[j1 + paired:j2]]
     max_abs = max_rel = 0.0
     text_changes = []
-    for line_a, line_b in zip(lines_a, lines_b):
+    for line_a, line_b in pairs:
         cells_a, cells_b = re.split("[,=]", line_a), re.split("[,=]", line_b)
         if len(cells_a) != len(cells_b):
             text_changes.append(f"{line_a!r} against {line_b!r}")
@@ -114,7 +126,7 @@ def compare(text_a, text_b):
             max_abs = max(max_abs, diff)
             max_rel = max(max_rel, diff / max(abs(x), abs(y)))
     verdict = f"max abs diff {max_abs:.3e}, max rel diff {max_rel:.3e}"
-    return "; ".join([verdict, *text_changes])
+    return "; ".join([verdict, *text_changes, *unpaired])
 
 
 def main(argv):
@@ -153,7 +165,7 @@ def main(argv):
                     for path in paths:
                         with open(path, encoding="utf-8") as handle:
                             texts.append(handle.read())
-                    verdict = compare(*texts)
+                    verdict = compare(*texts, argv[0])
                 print(f"{name}/{filename}: {verdict}")
                 all_identical &= verdict == "identical"
     return 0 if all_identical else 1
