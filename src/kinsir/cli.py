@@ -65,6 +65,7 @@ def _write_snapshots(path, header, snapshots, grid):
 
 
 def _cmd_ode(config, out_dir):
+    """integrate the virus ODE system and report its equilibria"""
     header = _header("ode", config)
     trajectory = integrate_sir(
         SirState(config.c0, config.s0, config.u0),
@@ -90,13 +91,14 @@ def _cmd_ode(config, out_dir):
 
 
 def _cmd_macro(config, out_dir):
+    """run the chemotaxis-reaction-diffusion solver"""
     header = _header("macro", config)
     grid = SpatialGrid(config.length, config.n_cells)
     vgrid = build_velocity_grid(config.params.vmax, config.n_nodes)
     coeff = build_macro_coefficients(config.params, vgrid)
     snapshots = run_macro(
         config.profile.build(grid), coeff, config.t_final,
-        snapshot_times=list(config.snapshot_times) or None,
+        snapshot_times=config.snapshot_times,
         dt_max=config.dt_max or None,
     )
     _write_snapshots(os.path.join(out_dir, "macro_snapshots.csv"),
@@ -105,6 +107,7 @@ def _cmd_macro(config, out_dir):
 
 
 def _cmd_kinetic(config, out_dir):
+    """run the velocity-jump solver and emit moments"""
     header = _header("kinetic", config)
     grid = SpatialGrid(config.length, config.n_cells)
     vgrid = build_velocity_grid(config.params.vmax, config.n_nodes)
@@ -114,7 +117,7 @@ def _cmd_kinetic(config, out_dir):
     )
     snapshots, _ = run_kinetic(
         state, config.params, eqs, config.t_final,
-        snapshot_times=list(config.snapshot_times) or None, cfl=config.cfl,
+        snapshot_times=config.snapshot_times, cfl=config.cfl,
     )
     _write_snapshots(os.path.join(out_dir, "kinetic_moments.csv"),
                      header, snapshots, grid)
@@ -122,10 +125,11 @@ def _cmd_kinetic(config, out_dir):
 
 
 def _cmd_converge(config, out_dir):
+    """run a kinetic-to-limit convergence study"""
     header = _header("converge", config)
     report = run_convergence_study(
         config.params, config.profile, config.eps_list, config.t_final,
-        snapshot_times=list(config.snapshot_times) or None,
+        snapshot_times=config.snapshot_times,
         length=config.length, n_cells=config.n_cells, n_nodes=config.n_nodes,
         ref_refine=config.ref_refine, cfl=config.cfl,
     )
@@ -138,6 +142,7 @@ def _cmd_converge(config, out_dir):
 
 
 def _cmd_coeffs(config, out_dir):
+    """print the derived transport coefficients"""
     header = _header("coeffs", config)
     vgrid = build_velocity_grid(config.params.vmax, config.n_nodes)
     coeff = build_macro_coefficients(config.params, vgrid)
@@ -171,15 +176,8 @@ def _build_parser():
     parser.add_argument("--version", action="version",
                         version=f"kinsir {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    help_lines = {
-        "ode": "integrate the virus ODE system and report its equilibria",
-        "macro": "run the chemotaxis-reaction-diffusion solver",
-        "kinetic": "run the velocity-jump solver and emit moments",
-        "converge": "run a kinetic-to-limit convergence study",
-        "coeffs": "print the derived transport coefficients",
-    }
-    for name, text in help_lines.items():
-        sub = subparsers.add_parser(name, help=text)
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.__doc__)
         sub.add_argument("--config", required=True, help="key = value file")
         sub.add_argument("--out", default=".", help="output directory")
     return parser

@@ -8,10 +8,11 @@ filled in) can be echoed line by line into output headers.
 
 import math
 import os
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import fields
 
 from .errors import ParseError, ValidationError
-from .grids import InitialProfile, SpatialGrid
+from .grids import InitialProfile, SpatialGrid, snapshot_schedule
 from .params import ModelParams
 
 _FLOAT, _INT, _STRING, _FLOAT_LIST = "float", "int", "string", "float list"
@@ -86,28 +87,18 @@ def _format_value(kind, value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved configuration: every schema key has a value."""
+class RunConfig(namedtuple("RunConfig", [
+        *(key for key in SCHEMA if key != "profile"), "params", "profile"])):
+    """A fully resolved configuration: a field per schema key, with params
+    the ModelParams and profile the InitialProfile built from them."""
 
-    values: dict
-    params: ModelParams
-    profile: InitialProfile
-
-    def __getattr__(self, key):
-        if key == "values":  # not yet bound during copying or unpickling
-            raise AttributeError(key)
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key) from None
+    __slots__ = ()
 
     def resolved_lines(self):
         """One `key = value` line per schema key, in schema order."""
-        return [
-            f"{key} = {_format_value(SCHEMA[key][0], self.values[key])}"
-            for key in SCHEMA
-        ]
+        echoed = self._replace(profile=self.profile.kind)
+        return [f"{key} = {_format_value(kind, getattr(echoed, key))}"
+                for key, (kind, _, _) in SCHEMA.items()]
 
 
 def parse_config(text, source="<config>", base_dir="."):
@@ -139,7 +130,8 @@ def parse_config(text, source="<config>", base_dir="."):
                             for field in fields(ModelParams)})
     profile = _build_profile(values, base_dir)
     _check_run_values(values)
-    return RunConfig(values=values, params=params, profile=profile)
+    values.update(params=params, profile=profile)
+    return RunConfig._make(map(values.__getitem__, RunConfig._fields))
 
 
 def load_config(path):
@@ -172,8 +164,7 @@ def _build_profile(values, base_dir):
 
 def _check_run_values(values):
     SpatialGrid(values["length"], values["n_cells"])
-    if values["t_final"] < 0:
-        raise ValidationError("t_final must be >= 0")
+    snapshot_schedule(values["snapshot_times"], 0.0, values["t_final"])
     if values["dt"] <= 0:
         raise ValidationError("dt must be > 0")
     if values["dt_max"] < 0:
@@ -184,5 +175,3 @@ def _check_run_values(values):
         raise ValidationError("epsilon must be in (0, 1]")
     if values["ref_refine"] < 2:
         raise ValidationError("ref_refine must be >= 2")
-    if any(t < 0 for t in values["snapshot_times"]):
-        raise ValidationError("snapshot_times must be >= 0")

@@ -189,9 +189,10 @@ def run_convergence_study(params, profile, epsilons, t_final,
     else:
         reference, descriptor = _hyperbolic_reference(profile, params, grid, times)
 
+    initial = profile.build(grid)
     table = []
     for eps in epsilons:
-        state = kinetic.init_local_equilibrium(profile.build(grid), eqs, vgrid, eps)
+        state = kinetic.init_local_equilibrium(initial, eqs, vgrid, eps)
         snaps, _ = kinetic.run_kinetic(
             state, params, eqs, t_final, snapshot_times=times, cfl=cfl
         )

@@ -134,7 +134,7 @@ class InitialProfile:
 def snapshot_schedule(snapshot_times, start, t_final):
     """Sorted distinct snapshot times in [start, t_final], ending at t_final.
 
-    None asks for the final time only; every time must be finite.
+    None or empty asks for the final time only; every time must be finite.
     """
     if t_final < 0:
         raise ValidationError("t_final must be >= 0")

@@ -99,7 +99,8 @@ def stable_dt(state, coeff):
             + math.sqrt(p.beta * p.k * s))
     w = coeff.chi / dx * (_shifted(state.s, 1) - state.s)
     denom = np.abs(w).max() / dx + 16.0 * rate
-    return 0.9 / denom if denom > 0 else math.inf
+    # a float divide: a subnormal denom overflows to inf without a numpy warning
+    return 0.9 / float(denom) if denom > 0 else math.inf
 
 
 def run_macro(initial, coeff, t_final, snapshot_times=None, dt_max=None):

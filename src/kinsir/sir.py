@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeStateError, ValidationError
-
-NEGATIVE_STATE_TOL = 1e-12
+from .grids import NEGATIVITY_TOL
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,17 @@ def integrate_sir(initial, params, t_final, dt):
 
     The actual step is t_final/ceil(t_final/dt), the largest step <= dt that
     lands exactly on t_final; the trajectory has ceil(t_final/dt)+1 states.
-    Components in [-NEGATIVE_STATE_TOL, 0) are rounded up to zero after each
-    step; a component below -NEGATIVE_STATE_TOL raises NegativeStateError
-    (dt too large). dt must be finite and > 0.
+    Components in [-NEGATIVITY_TOL, 0) are rounded up to zero after each
+    step; a component below -NEGATIVITY_TOL raises NegativeStateError
+    (dt too large). dt must be finite and > 0; t_final and every component
+    of the initial state must be finite and >= 0.
     """
     if not 0 < dt < math.inf:
         raise ValidationError("dt must be finite and > 0")
-    if t_final < 0:
-        raise ValidationError("t_final must be >= 0")
+    if not 0 <= t_final < math.inf:
+        raise ValidationError("t_final must be finite and >= 0")
+    if not all(0 <= x < math.inf for x in (initial.u, initial.v, initial.w)):
+        raise ValidationError("initial state must be finite and >= 0")
 
     # at least one step whenever t_final > 0, however large dt is
     n_steps = max(int(t_final > 0), math.ceil(t_final / dt - 1e-12))
@@ -145,9 +147,9 @@ def integrate_sir(initial, params, t_final, dt):
 
         low = min(u, v, w)
         if low < 0.0:
-            if low < -NEGATIVE_STATE_TOL:
+            if low < -NEGATIVITY_TOL:
                 raise NegativeStateError(
-                    f"state component {low:.3e} < -{NEGATIVE_STATE_TOL:.1e} at "
+                    f"state component {low:.3e} < -{NEGATIVITY_TOL:.1e} at "
                     f"t = {i * h:.6g}; reduce dt"
                 )
             u, v, w = max(u, 0.0), max(v, 0.0), max(w, 0.0)

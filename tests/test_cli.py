@@ -5,6 +5,7 @@ inspects the files it leaves behind.
 """
 
 import os
+import re
 
 import pytest
 
@@ -368,3 +369,50 @@ def test_non_finite_list_values_exit_with_parse_code(tmp_path, capsys,
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ParseError:")
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("profile, code, message", [
+    ("1,0.5\n1,0.5\n", 2, r"cells\.csv:1: expected 'c,s,u'"),
+    ("1,0.5,0.2\n1,half,0.2\n", 2, r"cells\.csv:2: non-numeric value"),
+    ("1,0.5,0.2\n1,0.5,0.2\n1,0.5,0.2\n", 3, "3 rows but the grid has 2 cells"),
+    ("1,0.5,0.2\n1,-0.5,0.2\n", 3, "initial densities must be >= 0"),
+], ids=["column-count", "non-numeric", "row-count", "negative"])
+def test_malformed_profile_files_are_reported(tmp_path, capsys, profile, code,
+                                              message):
+    (tmp_path / "cells.csv").write_text(profile)
+    exit_code, out = run_cli(tmp_path, "macro", FILE_PROFILE_CFG.decode())
+    assert exit_code == code
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_ode_rejects_a_negative_start_from_a_file_profile_config(tmp_path, capsys):
+    # a file profile leaves c0, s0 and u0 unchecked by the config; the
+    # integrator checks its starting state itself
+    (tmp_path / "cells.csv").write_text("1,0,0\n1,0,0\n")
+    code, _ = run_cli(tmp_path, "ode",
+                      FILE_PROFILE_CFG.decode() + "c0 = -1\ns0 = -5\n")
+    assert code == 3
+    assert "initial state must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["ode", "macro", "kinetic", "converge",
+                                        "coeffs"])
+def test_snapshot_times_beyond_t_final_exit_three_at_parse_time(tmp_path, capsys,
+                                                                subcommand):
+    code, out = run_cli(tmp_path, subcommand, "snapshot_times = 2\nt_final = 1\n")
+    assert code == 3
+    assert "snapshot times must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_identically_zero_errors_report_a_flat_order(tmp_path, capsys):
+    # zero densities with r = 0 stay zero on both tiers: every error is 0.0
+    cfg = ("q1 = 2\nq2 = 2\nq3 = 2\np = 2\nr = 0\nc0 = 0\nn_cells = 8\n"
+           "n_nodes = 8\nt_final = 0.05\neps_list = 0.4 0.2 0.1\n")
+    code, out = run_cli(tmp_path, "converge", cfg)
+    assert code == 0
+    assert "orders c=0.000 s=0.000 u=0.000 estimated=0.000" in capsys.readouterr().out
+    header, _, rows = read_table(out / "convergence.csv")
+    assert "# estimated_order = 0" in header
+    assert all(float(cell) == 0.0 for row in rows for cell in row[1:])

@@ -4,6 +4,7 @@ import pytest
 
 from kinsir.config import SCHEMA, load_config, parse_config
 from kinsir.errors import ParseError, ValidationError
+from kinsir.grids import InitialProfile
 
 
 def test_empty_document_resolves_to_the_documented_defaults():
@@ -76,9 +77,30 @@ def test_run_value_bounds():
     for text in ("cfl = 0.95\n", "epsilon = 0\n", "epsilon = 1.5\n",
                  "ref_refine = 1\n", "dt_max = -1\n", "dt = 0\n",
                  "snapshot_times = -0.1\n", "t_final = -1\n",
-                 "length = 0\n", "n_cells = 0\n", "n_cells = 1\n"):
+                 "length = 0\n", "n_cells = 0\n", "n_cells = 1\n",
+                 "snapshot_times = 2\nt_final = 1\n"):
         with pytest.raises(ValidationError):
             parse_config(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("profile = blob\n", "profile must be constant, cosine or file"),
+    ("c0 = -1\n", "initial densities must be >= 0"),
+    ("s0 = -0.5\n", "initial densities must be >= 0"),
+    ("profile = cosine\nu0 = -1e-3\n", "initial densities must be >= 0"),
+    ("profile = cosine\namplitude = 1.5\n", r"amplitude must be in \[0, 1\]"),
+    ("profile = cosine\namplitude = -0.1\n", r"amplitude must be in \[0, 1\]"),
+    ("profile = cosine\nmode = 0\n", "mode must be >= 1"),
+])
+def test_profile_values_are_checked_at_parse_time(text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("path", [None, ""])
+def test_a_file_profile_needs_a_path(path):
+    with pytest.raises(ValidationError, match="file profile needs a path"):
+        InitialProfile("file", path=path)
 
 
 def test_resolved_lines_echo_every_key_in_schema_order():

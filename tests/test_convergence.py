@@ -109,6 +109,12 @@ def test_cfl_is_checked_before_the_reference_is_built(monkeypatch):
         run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1), 0.1, cfl=2.0)
 
 
+def test_reference_refinement_must_be_at_least_two():
+    with pytest.raises(ValidationError, match="ref_refine must be >= 2"):
+        run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1), 0.01,
+                              n_cells=16, n_nodes=8, ref_refine=1)
+
+
 def test_parabolic_study_converges_to_the_macro_limit():
     # Measured at this configuration: per-species orders 1.8 to 2.9 and
     # strictly decreasing errors.

@@ -8,6 +8,7 @@ exponential of the discrete Laplacian.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from kinsir.grids import (
     InitialProfile,
     MacroState,
     SpatialGrid,
+    clamp_nonnegative,
     march,
     snapshot_schedule,
 )
@@ -353,6 +355,13 @@ def test_rounding_level_negatives_are_clamped_to_zero():
     assert np.all(stepped.c >= 0.0)
 
 
+@pytest.mark.parametrize("low", [-1e-13, -1e-12])
+def test_clamp_rounds_noise_level_negatives_up_in_place(low):
+    field = np.array([low, 0.0, 2.0])
+    assert clamp_nonnegative(field, "test field") is field
+    assert field.tolist() == [0.0, 0.0, 2.0]
+
+
 def test_snapshot_times_are_hit_exactly_and_final_time_is_appended():
     params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
     coeff = build_macro_coefficients(params, VGRID)
@@ -426,6 +435,16 @@ def test_stable_dt_is_infinite_when_nothing_moves():
     # run_macro still lands on the final time with a single step
     snaps = run_macro(state, coeff, 1.0)
     assert snaps[-1].time == 1.0
+
+
+def test_stable_dt_overflows_to_inf_without_a_warning():
+    # a subnormal rate: 0.9/denom overflows, which numpy scalars warn about
+    params = ModelParams(d1=1e-320, d2=0, d3=0, beta=0, k=0, r=0)
+    coeff = MacroCoefficients(Dc=0.0, Ds=0.0, Du=0.0, chi=0.0, params=params)
+    state = constant_state((1.0, 1.0, 1.0), SpatialGrid(1.0, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stable_dt(state, coeff) == math.inf
 
 
 def test_snapshot_schedule_sorts_deduplicates_and_ends_at_t_final():

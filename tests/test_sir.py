@@ -179,6 +179,20 @@ class TestIntegrator:
             integrate_sir(SirState(1.0, 0.0, 0.0), p, 1.0, bad)
 
 
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf])
+    def test_rejects_a_nonfinite_horizon(self, t_final):
+        p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
+        with pytest.raises(ValidationError, match="t_final must be finite"):
+            integrate_sir(SirState(1.0, 0.0, 0.0), p, t_final, 0.1)
+
+    @pytest.mark.parametrize("start", [(1.0, -1e-3, 0.0), (math.nan, 0.0, 0.0),
+                                       (1.0, 0.0, math.inf)])
+    def test_rejects_a_negative_or_nonfinite_start(self, start):
+        p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
+        with pytest.raises(ValidationError, match="initial state"):
+            integrate_sir(SirState(*start), p, 1.0, 0.1)
+
+
 class TestThresholdDynamics:
     """Long-time behaviour on each side of R0 = 1 (small sample; the
     acceptance suite runs the full 20+20 sweep)."""

@@ -314,7 +314,7 @@ class TestInteractions:
             assert np.max(np.abs(moments - expected)) <= 1e-12
 
     def test_terms_are_the_shared_reaction_law_over_the_measure(self):
-        # interaction_terms writes ModelParams.reactions out; pin the copy
+        # interaction_terms calls ModelParams.reactions itself; pin the call
         g = build_velocity_grid(1.3, 16)
         eqs = species_equilibria(g)
         rng = np.random.default_rng(18)
