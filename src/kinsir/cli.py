@@ -13,6 +13,8 @@ import os
 import sys
 from itertools import chain
 
+import numpy as np
+
 from . import __version__
 from .config import load_config
 from .convergence import run_convergence_study
@@ -24,8 +26,9 @@ from .sir import SirState, equilibria, integrate_sir
 from .velocity import build_velocity_grid, species_equilibria
 
 
-def _fmt(value):
-    return f"{value:.17g}"
+# rows per % call: a chunk's string (about 5 KB) stays below the text
+# buffer, and no full-size copy of a table is ever built
+_CHUNK_ROWS = 64
 
 
 def _header(subcommand, config):
@@ -35,33 +38,44 @@ def _header(subcommand, config):
 
 
 def _write_csv(path, header, lines):
-    """Write the header comment lines, then the table lines."""
+    """Write the header comment lines, then the table lines.
+
+    Each item gets one trailing newline; a table item may hold several
+    lines already joined by newlines.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in chain(header, lines):
             handle.write(line + "\n")
 
 
-def _numbers(columns, rows):
-    """Table lines: the column names, then one line per row of numbers."""
+def _numbers(columns, blocks):
+    """Table lines: the column names, then the rows of each block.
+
+    A block is a sequence of equal-length number columns; row i holds
+    element i of each column. Each chunk of up to _CHUNK_ROWS rows is
+    formatted by one % call with %.17g, and the chunk's lines come out
+    joined by newlines.
+    """
     yield columns
-    for row in rows:
-        yield ",".join(map(_fmt, row))
+    for block in blocks:
+        row = ",".join(["%.17g"] * len(block))
+        for start in range(0, len(block[0]), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            chunk = np.column_stack([col[start:stop] for col in block])
+            yield "\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 def _named(columns, pairs):
     """Table lines: the column names, then one `name,value` line per pair."""
     yield columns
     for name, value in pairs:
-        yield f"{name},{_fmt(value)}"
+        yield f"{name},{value:.17g}"
 
 
 def _write_snapshots(path, header, snapshots, grid):
-    rows = (
-        (snap.time, x, c, s, u)
-        for snap in snapshots
-        for x, c, s, u in zip(grid.centers, *snap.rho)
-    )
-    _write_csv(path, header, _numbers("time,x,c,s,u", rows))
+    blocks = [(np.full(grid.n_cells, snap.time), grid.centers, *snap.rho)
+              for snap in snapshots]
+    _write_csv(path, header, _numbers("time,x,c,s,u", blocks))
 
 
 def _cmd_ode(config, out_dir):
@@ -71,12 +85,9 @@ def _cmd_ode(config, out_dir):
         SirState(config.c0, config.s0, config.u0),
         config.params, config.t_final, config.dt,
     )
-    rows = (
-        (t, row[0], row[1], row[2])
-        for t, row in zip(trajectory.times, trajectory.states)
-    )
+    blocks = [(trajectory.times, *trajectory.states.T)]
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header,
-               _numbers("t,c,s,u", rows))
+               _numbers("t,c,s,u", blocks))
 
     report = equilibria(config.params)
     quantities = [("r0", report.r0)]

@@ -6,7 +6,8 @@ solution, and fits the slope of log(error) versus log(eps). The reference
 depends on the regime encoded in the scaling exponents:
 
 * parabolic, all q_i = p = 1: reference is the Strang macroscopic solver
-  on a grid refined by ref_refine, block-averaged back onto the study grid;
+  on a grid refined by ref_refine, block-averaged back onto the study grid
+  (a file profile, given per study cell, is repeated onto the fine cells);
 * hyperbolic material regime, all q_i = p = 2 with spatially constant
   initial data: the space-homogeneous dynamics reduce to the virus ODE
   system, so the reference is one finely resolved integrate_sir pass.
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import kinetic
 from .errors import DegenerateFitError, RegimeError, ValidationError
-from .grids import SpatialGrid, snapshot_schedule
+from .grids import MacroState, SpatialGrid, snapshot_schedule
 from .macro import build_macro_coefficients, run_macro
 from .sir import SirState, integrate_sir
 from .velocity import build_velocity_grid, species_equilibria
@@ -128,10 +129,17 @@ def _error_norm(snaps, reference, dx):
     return np.sqrt(acc / len(snaps))
 
 
-def _parabolic_reference(profile, params, vgrid, grid, t_final, times, ref_refine):
-    fine = SpatialGrid(grid.length, grid.n_cells * ref_refine)
+def _parabolic_reference(profile, initial, params, vgrid, t_final, times,
+                         ref_refine):
+    fine = SpatialGrid(initial.grid.length, initial.grid.n_cells * ref_refine)
+    if profile.kind == "file":
+        # the file has one row per study cell; repeating each row onto its
+        # fine cells keeps the cell averages
+        start = MacroState(np.repeat(initial.rho, ref_refine, axis=1), 0.0, fine)
+    else:
+        start = profile.build(fine)
     coeff = build_macro_coefficients(params, vgrid)
-    ref_snaps = run_macro(profile.build(fine), coeff, t_final, snapshot_times=times)
+    ref_snaps = run_macro(start, coeff, t_final, snapshot_times=times)
     reference = [s.rho.reshape(3, -1, ref_refine).mean(axis=2) for s in ref_snaps]
     descriptor = (f"run_macro (Strang, exact diffusion) on {fine.n_cells} cells, "
                   f"restricted {ref_refine}x")
@@ -182,14 +190,14 @@ def run_convergence_study(params, profile, epsilons, t_final,
     grid = SpatialGrid(length, n_cells)
     vgrid = build_velocity_grid(params.vmax, n_nodes)
     eqs = species_equilibria(vgrid)
+    initial = profile.build(grid)
     if regime == "parabolic":
         reference, descriptor = _parabolic_reference(
-            profile, params, vgrid, grid, t_final, times, ref_refine
+            profile, initial, params, vgrid, t_final, times, ref_refine
         )
     else:
         reference, descriptor = _hyperbolic_reference(profile, params, grid, times)
 
-    initial = profile.build(grid)
     table = []
     for eps in epsilons:
         state = kinetic.init_local_equilibrium(initial, eqs, vgrid, eps)

@@ -4,13 +4,15 @@ Each test drives main() in-process with a config written to tmp_path and
 inspects the files it leaves behind.
 """
 
+import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from kinsir import __version__
-from kinsir.cli import _header, main
+from kinsir.cli import _header, _numbers, main
 from kinsir.config import load_config
 from kinsir.convergence import run_convergence_study
 
@@ -299,6 +301,23 @@ def test_unreadable_input_files_exit_with_parse_code(tmp_path, capsys, config,
     assert not out.exists() or not os.listdir(out)
 
 
+def test_parabolic_study_runs_from_a_file_profile(tmp_path):
+    # the file gives one row per study cell; the refined reference used to
+    # read it against its own 64 cells and exit 3
+    ripple = (1 + 0.1 * np.cos(2 * np.pi * (np.arange(16) + 0.5) / 16)).tolist()
+    (tmp_path / "cells.csv").write_text(
+        "".join(f"{r!r},{0.5 * r!r},{0.5 * r!r}\n" for r in ripple))
+    cfg = ("chi0 = 0.5\nprofile = file\nprofile_file = cells.csv\n"
+           "n_cells = 16\nn_nodes = 8\nt_final = 0.05\neps_list = 0.4 0.2 0.1\n")
+    code, out = run_cli(tmp_path, "converge", cfg)
+    assert code == 0
+    header, columns, rows = read_table(out / "convergence.csv")
+    assert "# regime = parabolic" in header
+    assert columns == "epsilon,error_c,error_s,error_u"
+    assert len(rows) == 3
+    assert all(0 < float(cell) < 1 for row in rows for cell in row[1:])
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -416,3 +435,28 @@ def test_identically_zero_errors_report_a_flat_order(tmp_path, capsys):
     header, _, rows = read_table(out / "convergence.csv")
     assert "# estimated_order = 0" in header
     assert all(float(cell) == 0.0 for row in rows for cell in row[1:])
+
+
+# ---------------------------------------------------------------------------
+# the table writer
+
+
+_SPECIAL = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e300,
+            math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 129])
+def test_table_writer_matches_per_number_formatting(n_rows, n_blocks):
+    rng = np.random.default_rng(n_rows)
+    blocks = []
+    for b in range(n_blocks):
+        # strided columns, as the trajectory's states.T are
+        states = np.resize(_SPECIAL, (n_rows, 3))
+        scales = 10.0 ** rng.integers(-300, 300, n_rows)
+        states[:, 2] = rng.standard_normal(n_rows) * scales
+        blocks.append((np.full(n_rows, b / 7), *states.T))
+    lines = "\n".join(_numbers("t,c,s,u", blocks)).split("\n")
+    expected = [",".join(f"{x:.17g}" for x in row)
+                for block in blocks for row in zip(*block)]
+    assert lines == ["t,c,s,u"] + expected

@@ -206,6 +206,21 @@ def test_hyperbolic_reference_is_one_pass_over_the_snapshots(monkeypatch):
     np.testing.assert_allclose(reference[-1][:, 0], whole, rtol=1e-13)
 
 
+def test_parabolic_reference_repeats_a_file_profile_onto_the_fine_cells(tmp_path):
+    import kinsir.convergence as convergence
+
+    rows = [(1.0 + 0.1 * i, 0.5, 0.25 + 0.01 * i) for i in range(8)]
+    path = tmp_path / "cells.csv"
+    path.write_text("".join(f"{c!r},{s!r},{u!r}\n" for c, s, u in rows))
+    profile = InitialProfile("file", path=str(path))
+    reference, descriptor = convergence._parabolic_reference(
+        profile, profile.build(SpatialGrid(1.0, 8)), PARABOLIC,
+        build_velocity_grid(PARABOLIC.vmax, 8), 0.01, [0.0, 0.01], 4)
+    # restricted back to the study grid, the start is the file's cell values
+    np.testing.assert_allclose(reference[0], np.array(rows).T, rtol=1e-15, atol=0)
+    assert "on 32 cells" in descriptor
+
+
 def test_endemic_equilibrium_is_shared_by_both_tiers():
     # Constant endemic data is a steady state of the kinetic run and of the
     # macro reference alike, so the errors sit at rounding level (or are

@@ -59,6 +59,13 @@ CONFIGS = [
     ("coeffs_vmax1000", "coeffs", "vmax = 1000\nsigma1 = 1e-4\nsigma2 = 1e-4\n"
                                   "sigma3 = 1e-4\n"),
     ("coeffs_vmax37", "coeffs", "vmax = 37\nsigma1 = 1e-4\nn_nodes = 4\n"),
+    # tables longer than one writer chunk (64 rows), each with a partial
+    # last chunk: 1,001 trajectory rows, and three snapshots of 100 cells
+    ("ode_long", "ode", "r = 2\nc0 = 1.2\ns0 = 0.4\nu0 = 0.9\nt_final = 1\n"
+                        "dt = 1e-3\n"),
+    ("kinetic_n100", "kinetic", _COSINE + "n_cells = 100\nn_nodes = 8\n"
+                                          "epsilon = 0.2\nt_final = 0.02\n"
+                                          "snapshot_times = 0.005 0.01 0.02\n"),
 ]
 
 # per-cell (c, s, u) rows for the file profile: 16 distinct positive values
