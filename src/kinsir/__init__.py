@@ -17,7 +17,6 @@ from .errors import (
     NegativityError,
     OddNodeCountError,
     ParseError,
-    RegimeError,
     ResidualError,
     StepSizeError,
     ValidationError,
@@ -64,7 +63,6 @@ __all__ = [
     "NegativityError",
     "OddNodeCountError",
     "ParseError",
-    "RegimeError",
     "ResidualError",
     "SirState",
     "SirTrajectory",

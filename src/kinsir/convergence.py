@@ -2,43 +2,43 @@
 
 For a decreasing sequence of scaling parameters eps the study runs the
 kinetic solver, measures the distance of the zeroth moments from a reference
-solution, and fits the slope of log(error) versus log(eps). The reference
-depends on the regime encoded in the scaling exponents:
+solution, and fits the slope of log(error) versus log(eps).
 
-* parabolic, all q_i = p = 1: reference is the Strang macroscopic solver
-  on a grid refined by ref_refine, block-averaged back onto the study grid
-  (a file profile, given per study cell, is repeated onto the fine cells);
-* hyperbolic material regime, all q_i = p = 2 with spatially constant
-  initial data: the space-homogeneous dynamics reduce to the virus ODE
-  system, so the reference is one finely resolved integrate_sir pass.
-
-Any other exponent combination, or non-constant data in the second case,
-raises RegimeError.
+Relaxation (rate eps^-(q_i+1)) outruns transport (eps^-1) for every
+q_i >= 1, and a first-order Chapman-Enskog step leaves species i the flux
+eps^(q_i-1)*(-D_i*dx rho_i), plus eps^(p-1)*chi*c*dx s for the healthy
+cells. So every regime has the macro system as its limit, with D_i kept
+if and only if q_i == 1, chi kept if and only if p == 1, and each other
+coefficient set to zero (the dropped terms are O(eps)). The reference is
+the Strang macroscopic solver with those coefficients, on a grid refined by
+ref_refine and block-averaged back onto the study grid (a file profile,
+given per study cell, is repeated onto the fine cells). With every
+coefficient zero, as in the material regime q_i = p = 2, the Strang step is
+Heun on the reactions: the cell average of the pointwise virus ODE.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kinetic
-from .errors import DegenerateFitError, RegimeError, ValidationError
+from .errors import DegenerateFitError, ValidationError
 from .grids import MacroState, SpatialGrid, snapshot_schedule
 from .macro import build_macro_coefficients, run_macro
-from .sir import SirState, integrate_sir
 from .velocity import build_velocity_grid, species_equilibria
 
 _FIELDS = ("c", "s", "u")
-_REF_ODE_STEPS = 100_000
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Per-species L2-in-space, RMS-in-snapshots errors and fitted orders.
 
-    regime is "parabolic" or "hyperbolic", exponents the (q1, q2, q3, p)
-    tuple behind it, and reference_descriptor records which reference run
-    the errors are measured against. estimated_order is fit on the
+    regime labels the (q1, q2, q3, p) tuple in exponents: "parabolic" (all
+    1), "hyperbolic" (all 2) or "mixed". reference_descriptor records which
+    reference run the errors are measured against, and which macro
+    coefficients the limit drops. estimated_order is fit on the
     per-eps maximum error across species.
     """
 
@@ -110,14 +110,13 @@ def _fit_or_flat(epsilons, errors):
 
 
 def _detect_regime(params):
+    """A label for the scaling exponents; the reference does not depend on it."""
     exponents = (params.q1, params.q2, params.q3, params.p)
     if all(e == 1 for e in exponents):
         return "parabolic", exponents
     if all(e == 2 for e in exponents):
         return "hyperbolic", exponents
-    raise RegimeError(
-        f"no reference solution for scaling exponents (q1,q2,q3,p) = {exponents}"
-    )
+    return "mixed", exponents
 
 
 def _error_norm(snaps, reference, dx):
@@ -129,8 +128,8 @@ def _error_norm(snaps, reference, dx):
     return np.sqrt(acc / len(snaps))
 
 
-def _parabolic_reference(profile, initial, params, vgrid, t_final, times,
-                         ref_refine):
+def _limit_reference(profile, initial, params, vgrid, t_final, times,
+                     ref_refine):
     fine = SpatialGrid(initial.grid.length, initial.grid.n_cells * ref_refine)
     if profile.kind == "file":
         # the file has one row per study cell; repeating each row onto its
@@ -138,31 +137,18 @@ def _parabolic_reference(profile, initial, params, vgrid, t_final, times,
         start = MacroState(np.repeat(initial.rho, ref_refine, axis=1), 0.0, fine)
     else:
         start = profile.build(fine)
-    coeff = build_macro_coefficients(params, vgrid)
+    # the limit keeps D_i only where q_i == 1 and chi only where p == 1
+    exponents = (params.q1, params.q2, params.q3, params.p)
+    dropped = [name for name, e in zip(("Dc", "Ds", "Du", "chi"), exponents)
+               if e != 1]
+    coeff = replace(build_macro_coefficients(params, vgrid),
+                    **dict.fromkeys(dropped, 0.0))
     ref_snaps = run_macro(start, coeff, t_final, snapshot_times=times)
     reference = [s.rho.reshape(3, -1, ref_refine).mean(axis=2) for s in ref_snaps]
     descriptor = (f"run_macro (Strang, exact diffusion) on {fine.n_cells} cells, "
                   f"restricted {ref_refine}x")
-    return reference, descriptor
-
-
-def _hyperbolic_reference(profile, params, grid, times):
-    rho0 = profile.build(grid).rho
-    for field, spread in zip(_FIELDS, np.ptp(rho0, axis=1)):
-        if spread != 0.0:
-            raise RegimeError(
-                "the hyperbolic material regime needs spatially constant "
-                f"initial data; field {field} varies across cells"
-            )
-    # one pass at one step size, continued from snapshot to snapshot
-    state, start, dt = SirState(*rho0[:, 0]), 0.0, times[-1] / _REF_ODE_STEPS
-    ones = np.ones(grid.n_cells)
-    reference = []
-    for t in times:
-        if t > start:
-            state, start = integrate_sir(state, params, t - start, dt).final, t
-        reference.append(np.outer(state.as_array(), ones))
-    descriptor = f"integrate_sir, {_REF_ODE_STEPS} steps to the last snapshot"
+    if dropped:
+        descriptor += ", " + " = ".join(dropped) + " = 0"
     return reference, descriptor
 
 
@@ -191,12 +177,9 @@ def run_convergence_study(params, profile, epsilons, t_final,
     vgrid = build_velocity_grid(params.vmax, n_nodes)
     eqs = species_equilibria(vgrid)
     initial = profile.build(grid)
-    if regime == "parabolic":
-        reference, descriptor = _parabolic_reference(
-            profile, initial, params, vgrid, t_final, times, ref_refine
-        )
-    else:
-        reference, descriptor = _hyperbolic_reference(profile, params, grid, times)
+    reference, descriptor = _limit_reference(
+        profile, initial, params, vgrid, t_final, times, ref_refine
+    )
 
     table = []
     for eps in epsilons:

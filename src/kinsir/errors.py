@@ -55,11 +55,6 @@ class StepSizeError(KinsirError):
     exit_code = 10
 
 
-class RegimeError(KinsirError):
-    """The (q, p) scaling combination has no implemented reference."""
-    exit_code = 11
-
-
 class DegenerateFitError(KinsirError):
     """Order estimation needs >= 3 points with strictly positive errors."""
     exit_code = 12

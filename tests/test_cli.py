@@ -178,7 +178,8 @@ def test_exit_codes_by_failure_class(tmp_path):
         ("kinetic",
          "d1 = 100\nepsilon = 0.5\nn_cells = 8\nn_nodes = 8\nt_final = 0.1\n",
          9),                                            # NegativityError
-        ("converge", "q1 = 2\nn_cells = 16\nn_nodes = 8\nt_final = 0.01\n", 11),
+        # a mixed scaling regime: the limit drops Dc
+        ("converge", "q1 = 2\nn_cells = 16\nn_nodes = 8\nt_final = 0.01\n", 0),
         ("converge",
          "eps_list = 0.4 0.2\nn_cells = 16\nn_nodes = 8\nt_final = 0.01\n",
          12),                                           # DegenerateFitError
@@ -187,6 +188,8 @@ def test_exit_codes_by_failure_class(tmp_path):
         code, _ = run_cli(tmp_path, subcommand, cfg, out=f"e{i}",
                           name=f"case{i}.cfg")
         assert code == expected, f"{subcommand} case {i}"
+    header, _, _ = read_table(tmp_path / "e5" / "convergence.csv")
+    assert "# regime = mixed" in header
 
 
 def test_every_failure_class_has_its_own_exit_code(tmp_path, monkeypatch):
@@ -218,7 +221,7 @@ def test_each_error_class_carries_its_own_exit_code():
     classes = [value for value in vars(errors).values()
                if isinstance(value, type) and issubclass(value, errors.KinsirError)]
     codes = sorted(cls.exit_code for cls in classes)
-    assert codes == list(range(1, 13))
+    assert codes == [*range(1, 11), 12]
     assert errors.KinsirError.exit_code == 1
 
 

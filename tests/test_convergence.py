@@ -1,33 +1,35 @@
 """Convergence harness tests.
 
-The order fitter is checked on exact power laws, the study on both scaling
-regimes with measured error levels, and the report format on its
-serialized lines.
+The order fitter is checked on exact power laws, the limit reference on its
+coefficient rule, the study on the scaling regimes with measured error
+levels, and the report format on its serialized lines.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kinsir.convergence as convergence
+import kinsir.kinetic as kin
 from kinsir import ModelParams, SirState, equilibria, integrate_sir, macro
 from kinsir.convergence import (
     ConvergenceReport,
     estimate_order,
     run_convergence_study,
 )
-from kinsir.errors import (
-    DegenerateFitError,
-    RegimeError,
-    ValidationError,
-)
-from kinsir.grids import InitialProfile, SpatialGrid
-from kinsir.velocity import build_velocity_grid
+from kinsir.errors import DegenerateFitError, ValidationError
+from kinsir.grids import InitialProfile, MacroState, SpatialGrid
+from kinsir.velocity import build_velocity_grid, species_equilibria
 
 PARABOLIC = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5)
 HYPERBOLIC = ModelParams(d1=0.5, d2=0.4, d3=0.6, beta=1.2, k=1.1, r=0.9,
                          q1=2, q2=2, q3=2, p=2)
 RIPPLE = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5, amplitude=0.1)
+ENDEMIC = InitialProfile("constant", c0=1.0, s0=0.2, u0=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -62,19 +64,66 @@ def test_estimate_order_rejects_degenerate_inputs():
 
 
 # ---------------------------------------------------------------------------
-# regime selection and preconditions
+# regime labels, the limit coefficients and preconditions
 
 
-def test_mixed_scaling_exponents_have_no_reference():
+def test_mixed_scaling_exponents_get_the_limit_reference():
     params = dataclasses.replace(PARABOLIC, q1=2)
-    with pytest.raises(RegimeError):
-        run_convergence_study(params, RIPPLE, (0.4, 0.2, 0.1), 0.1)
+    report = run_convergence_study(params, RIPPLE, (0.4, 0.2, 0.1), 0.1,
+                                   n_cells=16, n_nodes=8)
+    assert report.regime == "mixed"
+    assert report.exponents == (2, 1, 1, 1)
+    assert report.reference_descriptor.endswith("restricted 4x, Dc = 0")
+    assert all(e > 0 for e in report.max_errors())
 
 
-def test_hyperbolic_regime_requires_constant_data():
-    with pytest.raises(RegimeError):
-        run_convergence_study(HYPERBOLIC, RIPPLE, (0.4, 0.2, 0.1), 0.1,
+def test_material_regime_study_runs_on_varying_data():
+    report = run_convergence_study(HYPERBOLIC, RIPPLE, (0.4, 0.2, 0.1), 0.1,
+                                   n_cells=16, n_nodes=8)
+    assert report.regime == "hyperbolic"
+    assert report.reference_descriptor.endswith("Dc = Ds = Du = chi = 0")
+    assert all(0 < e < 1 for e in report.max_errors())
+
+
+class _ReferenceBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("exponents", list(itertools.product((1, 2), repeat=4)),
+                         ids=lambda e: "".join(map(str, e)))
+def test_limit_keeps_each_coefficient_only_at_exponent_one(monkeypatch, exponents):
+    q1, q2, q3, p = exponents
+    params = dataclasses.replace(PARABOLIC, q1=q1, q2=q2, q3=q3, p=p)
+    full = macro.build_macro_coefficients(params, build_velocity_grid(1.0, 8))
+    used = []
+
+    def recording(initial, coeff, *args, **kwargs):
+        used.append(coeff)
+        raise _ReferenceBuilt
+
+    monkeypatch.setattr(convergence, "run_macro", recording)
+    with pytest.raises(_ReferenceBuilt):
+        run_convergence_study(params, RIPPLE, (0.4, 0.2, 0.1), 0.1,
                               n_cells=16, n_nodes=8)
+    (coeff,) = used
+    for name, exponent in zip(("Dc", "Ds", "Du", "chi"), exponents):
+        kept = getattr(full, name)
+        assert kept > 0
+        assert getattr(coeff, name) == (kept if exponent == 1 else 0.0), name
+    assert coeff.params is params
+
+
+def test_material_reference_is_the_ode_in_every_cell():
+    times = [0.0, 0.25, 0.5]
+    reference, _ = convergence._limit_reference(
+        ENDEMIC, ENDEMIC.build(SpatialGrid(1.0, 4)), HYPERBOLIC,
+        build_velocity_grid(1.0, 8), 0.5, times, 4)
+    state = SirState(1.0, 0.2, 0.3)
+    for start, end, ref in zip(times, times[1:], reference[1:]):
+        state = integrate_sir(state, HYPERBOLIC, end - start, 1e-4).final
+        # measured 9.3e-7 at t = 0.5: Heun on the reactions at the macro bound
+        np.testing.assert_allclose(ref, np.outer(state.as_array(), np.ones(4)),
+                                   rtol=0, atol=2e-6)
 
 
 def test_epsilon_list_must_be_positive_distinct_and_long_enough():
@@ -88,8 +137,6 @@ def test_epsilon_list_must_be_positive_distinct_and_long_enough():
 
 @pytest.mark.parametrize("bad", [2.0, float("nan")])
 def test_epsilons_are_checked_before_the_reference_is_built(monkeypatch, bad):
-    import kinsir.convergence as convergence
-
     def reference_built(*args, **kwargs):
         raise RuntimeError("the reference was built")
 
@@ -99,8 +146,6 @@ def test_epsilons_are_checked_before_the_reference_is_built(monkeypatch, bad):
 
 
 def test_cfl_is_checked_before_the_reference_is_built(monkeypatch):
-    import kinsir.convergence as convergence
-
     def reference_built(*args, **kwargs):
         raise RuntimeError("the reference was built")
 
@@ -145,37 +190,63 @@ def test_parabolic_errors_do_not_depend_on_the_reference_resolution():
             assert abs(a - b) / b <= 0.1
 
 
-def test_reference_self_difference_is_far_below_the_kinetic_error(monkeypatch):
-    # criterion 7's study: its 512-cell Strang reference against the same run
-    # at half the step bound (N against 2N steps), in the study's norm
-    times = (0.05, 0.1, 0.15, 0.2)
-    report = run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1, 0.05), 0.2,
-                                   snapshot_times=times, n_cells=128, n_nodes=16,
-                                   ref_refine=4, cfl=0.8)
-    assert report.reference_descriptor == (
-        "run_macro (Strang, exact diffusion) on 512 cells, restricted 4x")
-    coeff = macro.build_macro_coefficients(PARABOLIC, build_velocity_grid(1.0, 16))
-    initial = RIPPLE.build(SpatialGrid(1.0, 512))
-    plain = macro.run_macro(initial, coeff, 0.2, snapshot_times=times)
+def _reference_self_difference(monkeypatch, study, ref_refine):
+    """The study's reference run against the same run at half the step
+    bound (N against 2N steps), restricted and measured in the study's norm."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return macro.run_macro(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "run_macro", recording)
+    report = study()
+    (args, kwargs), = calls
+    plain = macro.run_macro(*args, **kwargs)
     bound = macro.stable_dt
-    monkeypatch.setattr(macro, "stable_dt", lambda *args: 0.5 * bound(*args))
-    halved = macro.run_macro(initial, coeff, 0.2, snapshot_times=times)
+    monkeypatch.setattr(macro, "stable_dt", lambda *a: 0.5 * bound(*a))
+    halved = macro.run_macro(*args, **kwargs)
     squared = np.zeros(3)
     for a, b in zip(plain, halved):
-        delta = (a.rho - b.rho).reshape(3, 128, 4).mean(axis=2)
-        squared += np.sum(delta * delta, axis=1) / 128
-    self_difference = np.sqrt(squared / len(times)).max()
+        delta = (a.rho - b.rho).reshape(3, -1, ref_refine).mean(axis=2)
+        squared += np.sum(delta * delta, axis=1) / delta.shape[1]
+    return report, np.sqrt(squared / len(plain)).max()
+
+
+def test_reference_self_difference_is_far_below_the_kinetic_error(monkeypatch):
+    # criterion 7's study and its 512-cell Strang reference
+    report, self_difference = _reference_self_difference(
+        monkeypatch, lambda: run_convergence_study(
+            PARABOLIC, RIPPLE, (0.4, 0.2, 0.1, 0.05), 0.2,
+            snapshot_times=(0.05, 0.1, 0.15, 0.2), n_cells=128, n_nodes=16,
+            ref_refine=4, cfl=0.8), ref_refine=4)
+    assert report.reference_descriptor == (
+        "run_macro (Strang, exact diffusion) on 512 cells, restricted 4x")
     # measured 6.0e-7 (24 against 46 steps); smallest kinetic error 5.6e-4
     assert self_difference <= 0.1 * min(report.max_errors())
 
 
+def test_material_reference_self_difference_is_far_below_the_kinetic_error(
+        monkeypatch):
+    # the material-regime study at t = 1 over six eps down to 0.0125, with
+    # its reference of Heun steps on the reactions (every coefficient zero)
+    report, self_difference = _reference_self_difference(
+        monkeypatch, lambda: run_convergence_study(
+            dataclasses.replace(HYPERBOLIC, chi0=0.5), ENDEMIC,
+            (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125), 1.0,
+            snapshot_times=(0.25, 0.5, 0.75, 1.0), n_cells=16, n_nodes=8,
+            ref_refine=4), ref_refine=4)
+    assert report.regime == "hyperbolic"
+    # measured 7.3e-7; smallest kinetic error 4.6e-5
+    assert self_difference <= 0.1 * min(report.max_errors())
+
+
 def test_hyperbolic_study_converges_to_the_ode():
-    profile = InitialProfile("constant", c0=1.0, s0=0.2, u0=0.3)
-    report = run_convergence_study(HYPERBOLIC, profile, (0.4, 0.2, 0.1), 0.5,
+    report = run_convergence_study(HYPERBOLIC, ENDEMIC, (0.4, 0.2, 0.1), 0.5,
                                    n_cells=16, n_nodes=8)
     assert report.regime == "hyperbolic"
     assert report.exponents == (2, 2, 2, 2)
-    assert "integrate_sir" in report.reference_descriptor
+    assert "run_macro" in report.reference_descriptor
     for field in ("c", "s", "u"):
         errs = report.errors[field]
         assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -183,37 +254,12 @@ def test_hyperbolic_study_converges_to_the_ode():
     assert report.estimated_order == pytest.approx(1.0, abs=0.2)
 
 
-def test_hyperbolic_reference_is_one_pass_over_the_snapshots(monkeypatch):
-    import kinsir.convergence as convergence
-
-    taken = []
-
-    def counting(initial, params, t_final, dt):
-        trajectory = integrate_sir(initial, params, t_final, dt)
-        taken.append(len(trajectory.times) - 1)
-        return trajectory
-
-    monkeypatch.setattr(convergence, "_REF_ODE_STEPS", 40)
-    monkeypatch.setattr(convergence, "integrate_sir", counting)
-    profile = InitialProfile("constant", c0=1.0, s0=0.2, u0=0.3)
-    times = [0.0, 0.25, 0.5, 0.75, 1.0]
-    reference, _ = convergence._hyperbolic_reference(
-        profile, HYPERBOLIC, SpatialGrid(1.0, 4), times)
-    assert sum(taken) <= 40 + len(times)
-    start = SirState(1.0, 0.2, 0.3)
-    np.testing.assert_array_equal(reference[0][:, 0], start.as_array())
-    whole = integrate_sir(start, HYPERBOLIC, 1.0, 1.0 / 40).final.as_array()
-    np.testing.assert_allclose(reference[-1][:, 0], whole, rtol=1e-13)
-
-
 def test_parabolic_reference_repeats_a_file_profile_onto_the_fine_cells(tmp_path):
-    import kinsir.convergence as convergence
-
     rows = [(1.0 + 0.1 * i, 0.5, 0.25 + 0.01 * i) for i in range(8)]
     path = tmp_path / "cells.csv"
     path.write_text("".join(f"{c!r},{s!r},{u!r}\n" for c, s, u in rows))
     profile = InitialProfile("file", path=str(path))
-    reference, descriptor = convergence._parabolic_reference(
+    reference, descriptor = convergence._limit_reference(
         profile, profile.build(SpatialGrid(1.0, 8)), PARABOLIC,
         build_velocity_grid(PARABOLIC.vmax, 8), 0.01, [0.0, 0.01], 4)
     # restricted back to the study grid, the start is the file's cell values
@@ -230,6 +276,74 @@ def test_endemic_equilibrium_is_shared_by_both_tiers():
     report = run_convergence_study(PARABOLIC, profile, (0.4, 0.2, 0.1),
                                    0.1, n_cells=32, n_nodes=8)
     assert max(report.max_errors()) <= 1e-8
+
+
+# Studies that the split kinetic scheme fails. Its upwind transport carries
+# a numerical diffusion of about |v|*dx/(2*eps), which outgrows the model
+# error as eps shrinks; an asymptotic-preserving step should pass both.
+
+
+def _assert_converges(report):
+    maxes = report.max_errors()
+    assert all(a > b for a, b in zip(maxes, maxes[1:]))
+    assert report.estimated_order >= 0.8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the split scheme flattens varying data in the "
+                   "material regime")
+def test_material_regime_with_varying_data_converges_to_the_pointwise_ode():
+    # measured on the split scheme: 0.243, 0.229, 0.212, 0.231, order 0.03
+    profile = InitialProfile("cosine", c0=1.0, s0=0.2, u0=0.3, amplitude=0.5)
+    report = run_convergence_study(dataclasses.replace(HYPERBOLIC, chi0=0.5),
+                                   profile, (0.4, 0.2, 0.1, 0.05), 1.0,
+                                   n_cells=64, n_nodes=8)
+    _assert_converges(report)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the split scheme's numerical diffusion outgrows "
+                   "the model error at small eps")
+def test_mixed_regime_converges_to_the_limit_without_virus_diffusion():
+    # criterion 7's study with q3 = 2: the u error rises 6.4e-3, 1.07e-2,
+    # 1.73e-2 on the split scheme
+    report = run_convergence_study(dataclasses.replace(PARABOLIC, q3=2), RIPPLE,
+                                   (0.05, 0.025, 0.0125), 0.2,
+                                   snapshot_times=(0.05, 0.1, 0.15, 0.2),
+                                   n_cells=128, n_nodes=16, ref_refine=4, cfl=0.8)
+    _assert_converges(report)
+
+
+# rates with an endemic equilibrium: R0 = beta*k*r/(d1*d2*d3) in [1.2, 5]
+_ENDEMIC_RATES = st.builds(
+    lambda d, beta, k, r0, chi0: ModelParams(
+        d1=d[0], d2=d[1], d3=d[2], beta=beta, k=k,
+        r=r0 * d[0] * d[1] * d[2] / (beta * k), chi0=chi0),
+    st.tuples(*[st.floats(0.4, 2.0)] * 3), st.floats(0.3, 2.0),
+    st.floats(0.3, 2.0), st.floats(1.2, 5.0), st.floats(0.0, 2.0),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=_ENDEMIC_RATES)
+def test_both_steps_hold_the_endemic_equilibrium(params):
+    # measured over 200 draws: relative drift 0 (macro), <= 1.6e-14 (kinetic)
+    qstar = equilibria(params).qstar.as_array()
+    grid, vgrid = SpatialGrid(1.0, 16), build_velocity_grid(params.vmax, 8)
+    start = MacroState(np.outer(qstar, np.ones(grid.n_cells)), 0.0, grid)
+    coeff = macro.build_macro_coefficients(params, vgrid)
+    state = start
+    dt = 0.8 * macro.stable_dt(state, coeff)
+    for _ in range(100):
+        state = macro.macro_step(state, coeff, dt)
+    np.testing.assert_allclose(state.rho, start.rho, rtol=1e-12, atol=0)
+    eqs = species_equilibria(vgrid)
+    kinetic = kin.init_local_equilibrium(start, eqs, vgrid, 0.1)
+    dt = kin.max_step(kinetic)
+    for _ in range(100):
+        kinetic = kin.kinetic_step(kinetic, params, eqs, dt)
+    np.testing.assert_allclose(kin.moments(kinetic).rho, start.rho,
+                               rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,12 @@ CONFIGS = [
                                    "t_final = 0.05\n"),
     ("converge_hyperbolic", "converge", _ENDEMIC + _HYPERBOLIC
      + "n_cells = 16\nn_nodes = 8\nt_final = 0.5\neps_list = 0.4 0.2 0.1\n"),
+    # limit references that drop some (q3 = 2: Du) or all of the macro
+    # coefficients, on varying data
+    ("converge_mixed", "converge", _COSINE + "q3 = 2\n"
+     + "n_cells = 16\nn_nodes = 8\nt_final = 0.05\neps_list = 0.4 0.2 0.1\n"),
+    ("converge_material", "converge", _COSINE + _HYPERBOLIC
+     + "n_cells = 16\nn_nodes = 8\nt_final = 0.05\neps_list = 0.4 0.2 0.1\n"),
     # small relaxation rates: large theta through the relaxation inverse
     ("coeffs_vmax1000", "coeffs", "vmax = 1000\nsigma1 = 1e-4\nsigma2 = 1e-4\n"
                                   "sigma3 = 1e-4\n"),
