@@ -13,6 +13,7 @@ from dataclasses import fields
 
 from .errors import ParseError, ValidationError
 from .grids import InitialProfile, SpatialGrid, snapshot_schedule
+from .kinetic import MAX_CFL, check_cfl
 from .params import ModelParams
 
 _FLOAT, _INT, _STRING, _FLOAT_LIST = "float", "int", "string", "float list"
@@ -52,7 +53,7 @@ SCHEMA = {
     "dt": (_FLOAT, 1e-3, "ode step size"),
     "dt_max": (_FLOAT, 0.0, "macro step cap, 0 = no cap"),
     "epsilon": (_FLOAT, 0.1, "kinetic scaling parameter"),
-    "cfl": (_FLOAT, 0.8, "kinetic transport number, at most 0.9"),
+    "cfl": (_FLOAT, 0.8, f"kinetic transport number, at most {MAX_CFL}"),
     "snapshot_times": (_FLOAT_LIST, (), "snapshot times, empty = final only"),
     "eps_list": (_FLOAT_LIST, (0.4, 0.2, 0.1, 0.05), "study epsilons"),
     "ref_refine": (_INT, 4, "reference grid refinement factor"),
@@ -169,8 +170,7 @@ def _check_run_values(values):
         raise ValidationError("dt must be > 0")
     if values["dt_max"] < 0:
         raise ValidationError("dt_max must be >= 0 (0 means automatic)")
-    if not 0 < values["cfl"] <= 0.9:
-        raise ValidationError("cfl must be in (0, 0.9]")
+    check_cfl(values["cfl"])
     if not 0 < values["epsilon"] <= 1:
         raise ValidationError("epsilon must be in (0, 1]")
     if values["ref_refine"] < 2:

@@ -163,8 +163,7 @@ def run_convergence_study(params, profile, epsilons, t_final,
     """
     if len(set(epsilons)) != len(epsilons) or not all(0 < e <= 1 for e in epsilons):
         raise ValidationError("epsilons must be distinct and in (0, 1]")
-    if not 0 < cfl <= 0.9:
-        raise ValidationError("cfl must be in (0, 0.9]")
+    kinetic.check_cfl(cfl)
     if len(epsilons) < 3:
         raise DegenerateFitError("a convergence study needs at least three epsilons")
     if ref_refine < 2:

@@ -28,6 +28,14 @@ def clamp_nonnegative(field, what):
     return field
 
 
+def shifted(field, k, axis=-1):
+    """field[(i + k) % n] along axis, for k = 1 or -1: the periodic
+    neighbour of both tiers, a roll by -k without the cost of numpy's."""
+    lead = (slice(None),) * (axis % field.ndim)
+    return np.concatenate((field[lead + (slice(k, None),)],
+                           field[lead + (slice(None, k),)]), axis=axis)
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform periodic finite-volume grid on [0, length)."""
@@ -67,17 +75,10 @@ class MacroState:
         if self.rho.shape != (3, self.grid.n_cells):
             raise ValidationError(f"rho must have shape (3, {self.grid.n_cells})")
 
-    @property
-    def c(self):
-        return self.rho[0]
-
-    @property
-    def s(self):
-        return self.rho[1]
-
-    @property
-    def u(self):
-        return self.rho[2]
+    # read-only views of the c, s and u rows
+    c = property(lambda self: self.rho[0])
+    s = property(lambda self: self.rho[1])
+    u = property(lambda self: self.rho[2])
 
     def total_mass(self):
         """Cell-integrated totals (per species), conserved by pure transport."""

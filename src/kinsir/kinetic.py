@@ -11,9 +11,10 @@ so transport runs at speed v/eps, velocity relaxation at rate
 sigma_i/eps^(q_i+1), the infected-gradient bias at eps^(p-q_1-1), and the
 virus-dynamics interactions at order one. A step is the sequence: upwind
 transport, exact exponential relaxation, explicit gradient bias, explicit
-interactions, each over the full dt. Transport is in conservative upwind
-form and the other three sub-steps preserve the zeroth moment node-for-node,
-so total mass moves only through the interaction terms.
+interactions, each over the full dt and each in one call on the whole
+(3, n_cells, n_nodes) stack (the bias on its f1 row). Transport is in
+conservative upwind form and the other three sub-steps preserve the zeroth
+moment node-for-node, so total mass moves only through the interactions.
 """
 
 import math
@@ -22,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CflViolationError, ValidationError
-from .grids import MacroState, clamp_nonnegative, march, snapshot_schedule
+from .grids import MacroState, clamp_nonnegative, march, shifted, snapshot_schedule
 from .velocity import interaction_terms, perturbation_apply
+
+MAX_CFL = 0.9  # transport number bound: dt <= MAX_CFL * eps * dx / vmax
 
 
 @dataclass
@@ -61,7 +64,13 @@ def moments(state):
     return MacroState(state.f @ state.vgrid.weights, state.time, state.grid)
 
 
-def max_step(state, cfl=0.9):
+def check_cfl(cfl):
+    """Reject a transport number outside (0, MAX_CFL]."""
+    if not 0 < cfl <= MAX_CFL:
+        raise ValidationError(f"cfl must be in (0, {MAX_CFL}]")
+
+
+def max_step(state, cfl=MAX_CFL):
     """Largest dt allowed by the transport CFL condition."""
     return cfl * state.epsilon * state.grid.dx / state.vgrid.vmax
 
@@ -70,31 +79,32 @@ def transport_substep(f, vgrid, grid, epsilon, dt):
     """Conservative upwind transport at the scaled speeds v_j/eps, cells on
     axis -2: one species or the (3, n_cells, n_nodes) stack."""
     courant = vgrid.nodes * (dt / (epsilon * grid.dx))
-    upwind_diff = np.where(
-        vgrid.nodes > 0, f - np.roll(f, 1, axis=-2), np.roll(f, -1, axis=-2) - f
-    )
+    upwind_diff = np.where(vgrid.nodes > 0, f - shifted(f, -1, axis=-2),
+                           shifted(f, 1, axis=-2) - f)
     return f - courant * upwind_diff
 
 
 def relaxation_substep(f, M, sigma, epsilon, q, dt, vgrid):
     """Exact relaxation toward M * <f>: the anisotropic part decays by the
-    factor exp(-sigma*dt/eps^(q+1)) while <f> is untouched."""
-    decay = math.exp(-sigma * dt / epsilon ** (q + 1))
-    mean = (f @ vgrid.weights)[:, None]
-    return M * mean + (f - M * mean) * decay
+    factor exp(-sigma*dt/eps^(q+1)) while <f> is untouched. sigma and q are
+    scalars for one species, or one per row of the stack (M = eqs[:, None, :])."""
+    rates = zip(sigma, q) if M.ndim > 1 else [(sigma, q)]
+    decay = np.array([math.exp(-s * dt / epsilon ** (e + 1)) for s, e in rates])
+    mean = (f @ vgrid.weights)[..., None]
+    return M * mean + (f - M * mean) * decay.reshape(M.shape[:-1] + (1,))
 
 
 def infected_gradient(f2, vgrid, grid):
     """Centered-difference gradient of the infected-cell moment."""
     s = f2 @ vgrid.weights
-    return (np.roll(s, -1) - np.roll(s, 1)) / (2.0 * grid.dx)
+    return (shifted(s, 1) - shifted(s, -1)) / (2.0 * grid.dx)
 
 
 def kinetic_step(state, params, eqs, dt):
     """One split step; returns a new state at time + dt.
 
     Preconditions: dt finite and > 0 (ValidationError), and
-    dt <= 0.9 * eps * dx / vmax (CflViolationError).
+    dt <= MAX_CFL * eps * dx / vmax (CflViolationError).
     """
     if not 0 < dt < math.inf:
         raise ValidationError("dt must be finite and > 0")
@@ -106,10 +116,9 @@ def kinetic_step(state, params, eqs, dt):
     sigmas = (params.sigma1, params.sigma2, params.sigma3)
     qs = (params.q1, params.q2, params.q3)
 
-    # (a) transport of the stack, then (b) stiff relaxation, exact per species
+    # (a) transport, then (b) stiff relaxation, exact with one factor per row
     f = transport_substep(state.f, vgrid, grid, eps, dt)
-    for i, (M, sigma, q) in enumerate(zip(eqs, sigmas, qs)):
-        f[i] = relaxation_substep(f[i], M, sigma, eps, q, dt, vgrid)
+    f = relaxation_substep(f, eqs[:, None, :], sigmas, eps, qs, dt, vgrid)
 
     # (c) infected-gradient bias on the healthy population
     if params.chi0 != 0.0:
@@ -117,10 +126,11 @@ def kinetic_step(state, params, eqs, dt):
         scale = eps ** (params.p - params.q1 - 1)
         f[0] += dt * scale * perturbation_apply(f[0], grad_s, params.chi0, vgrid)
 
-    # (d) interactions
-    for i, g in enumerate(interaction_terms(*f, eqs, params, vgrid)):
-        f[i] += dt * g
-        clamp_nonnegative(f[i], f"kinetic distribution f{i + 1}")
+    # (d) interactions; a failing check names the row that went negative
+    f += dt * interaction_terms(*f, eqs, params, vgrid)
+    if f.min() < 0.0:
+        for i, row in enumerate(f, start=1):
+            clamp_nonnegative(row, f"kinetic distribution f{i}")
     return KineticState(f, eps, state.time + dt, grid, vgrid)
 
 
@@ -131,8 +141,7 @@ def run_kinetic(initial, params, eqs, t_final, snapshot_times=None, cfl=0.8):
     is hit exactly; the final time is always snapshotted. Returns the list
     of snapshots and the final kinetic state.
     """
-    if not 0 < cfl <= 0.9:
-        raise ValidationError("cfl must be in (0, 0.9]")
+    check_cfl(cfl)
     times = snapshot_schedule(snapshot_times, initial.time, t_final)
     return march(
         initial, lambda state, dt: kinetic_step(state, params, eqs, dt),

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .grids import MacroState, clamp_nonnegative, march, snapshot_schedule
+from .grids import MacroState, clamp_nonnegative, march, shifted, snapshot_schedule
 from .velocity import MacroCoefficients, transport_coefficients  # noqa: F401
 
 DRIFT_CFL = 0.9  # Euler stage of size h: h <= DRIFT_CFL * dx / max|chi * ds/dx|
@@ -32,21 +32,16 @@ def build_macro_coefficients(params, vgrid):
     return transport_coefficients(params, vgrid)
 
 
-def _shifted(field, k):
-    """field[(i + k) % n] for k = 1 or -1; np.roll(field, -k) without its cost."""
-    return np.concatenate((field[k:], field[:k]))
-
-
 def _euler_stage(rho, coeff, h, dx):
     """Forward Euler over h for upwind chemotactic drift plus reactions."""
     new = rho + h * np.array(coeff.params.reactions(*rho))
     if coeff.chi:
-        w = coeff.chi / dx * (_shifted(rho[1], 1) - rho[1])  # drift at face k+1/2
+        w = coeff.chi / dx * (shifted(rho[1], 1) - rho[1])  # drift at face k+1/2
         if h * np.abs(w).max() > DRIFT_CFL * dx:
             bound = DRIFT_CFL * dx / np.abs(w).max()
             raise StepSizeError(f"dt/2 = {h:.3e} exceeds the drift bound {bound:.3e}")
-        flux = w * np.where(w > 0, rho[0], _shifted(rho[0], 1))
-        new[0] -= h / dx * (flux - _shifted(flux, -1))
+        flux = w * np.where(w > 0, rho[0], shifted(rho[0], 1))
+        new[0] -= h / dx * (flux - shifted(flux, -1))
     if new.min() < 0.0:
         for name, field in zip("csu", new):
             clamp_nonnegative(field, f"macro field {name}")
@@ -97,7 +92,7 @@ def stable_dt(state, coeff):
     c, s, u = np.maximum(state.rho.max(axis=1), 0.0)
     rate = (max(max(p.d1, p.d2) + p.beta * (c + u), p.k + p.d3)
             + math.sqrt(p.beta * p.k * s))
-    w = coeff.chi / dx * (_shifted(state.s, 1) - state.s)
+    w = coeff.chi / dx * (shifted(state.s, 1) - state.s)
     denom = np.abs(w).max() / dx + 16.0 * rate
     # a float divide: a subnormal denom overflows to inf without a numpy warning
     return 0.9 / float(denom) if denom > 0 else math.inf

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (
-    ConsistencyError,
-    OddNodeCountError,
-    ResidualError,
-    ValidationError,
-)
+from .errors import ConsistencyError, OddNodeCountError, ResidualError, ValidationError
 
 # relative tolerance within which two routes to one coefficient must agree
 CONSISTENCY_RTOL = 1e-12
@@ -228,14 +223,14 @@ def _disagree(a, b, rtol):
 def interaction_terms(f1, f2, f3, eqs, params, grid):
     """Kinetic gain/loss terms of the virus dynamics, per velocity node:
     the shared law ModelParams.reactions at the ratios rho_i = f_i/M_i,
-    which play the role of local densities, each divided by |V|.
+    which play the role of local densities, each divided by |V|; one array
+    with the three terms as its rows.
 
     Integrating over V at a local equilibrium f_i = M_i*(c, s, u) reproduces
     the ODE right-hand side at (c, s, u) exactly.
     """
     M1, M2, M3 = eqs
-    terms = params.reactions(f1 / M1, f2 / M2, f3 / M3)
-    return tuple(term / grid.measure for term in terms)
+    return np.stack(params.reactions(f1 / M1, f2 / M2, f3 / M3)) / grid.measure
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,8 @@ def test_run_value_bounds():
                  "snapshot_times = 2\nt_final = 1\n"):
         with pytest.raises(ValidationError):
             parse_config(text)
+    with pytest.raises(ValidationError, match=r"^cfl must be in \(0, 0\.9\]$"):
+        parse_config("cfl = 0.95\n")
 
 
 @pytest.mark.parametrize("text,message", [

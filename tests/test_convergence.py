@@ -150,7 +150,7 @@ def test_cfl_is_checked_before_the_reference_is_built(monkeypatch):
         raise RuntimeError("the reference was built")
 
     monkeypatch.setattr(convergence, "run_macro", reference_built)
-    with pytest.raises(ValidationError, match="cfl"):
+    with pytest.raises(ValidationError, match=r"^cfl must be in \(0, 0\.9\]$"):
         run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1), 0.1, cfl=2.0)
 
 

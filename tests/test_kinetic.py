@@ -28,6 +28,7 @@ from kinsir.velocity import (
 VGRID = build_velocity_grid(1.0, 8)
 EQS = species_equilibria(VGRID)
 GRID = SpatialGrid(1.0, 32)
+NO_REACTIONS = dict(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
 
 
 def bump_state(epsilon=0.2):
@@ -174,11 +175,14 @@ def test_nonfinite_step_is_rejected(bad):
         kin.kinetic_step(bump_state(0.2), params, EQS, bad)
 
 
-def test_interaction_overshoot_raises_negativity_error():
+@pytest.mark.parametrize("row, rate", [("f1", "d1"), ("f2", "d2"), ("f3", "d3")])
+def test_interaction_overshoot_raises_negativity_error(row, rate):
+    # only the row whose death rate is large goes negative, and the one
+    # stacked check must still name it
     state = bump_state(0.5)
-    dt = kin.max_step(state, 0.8)  # 0.0125, so d1*dt = 1.25 overshoots zero
-    params = ModelParams(d1=100.0, d2=0, d3=0, beta=0, k=0, r=0)
-    with pytest.raises(NegativityError):
+    dt = kin.max_step(state, 0.8)  # 0.0125, so d_i*dt = 1.25 overshoots zero
+    params = ModelParams(**{**NO_REACTIONS, rate: 100.0})
+    with pytest.raises(NegativityError, match=f"kinetic distribution {row} "):
         kin.kinetic_step(state, params, EQS, dt)
 
 
@@ -214,12 +218,16 @@ def per_species_step(fields, params, eqs, eps, grid, vgrid, dt):
     (16, 8, dict(chi0=0.0)),
     (16, 8, dict(chi0=0.5, q1=2, q2=2, q3=2, p=2)),
     (16, 8, dict(chi0=0.5, sigma2=3.0, q3=2)),
-], ids=["chi0.5-16x8", "chi0.5-128x16", "chi0", "q=p=2", "sigma2=3-q3=2"])
+    (2, 4, dict(chi0=0.5)),  # the shift wraps on both sides of every cell
+    (16, 8, dict(chi0=0.5, **NO_REACTIONS)),
+], ids=["chi0.5-16x8", "chi0.5-128x16", "chi0", "q=p=2", "sigma2=3-q3=2",
+        "chi0.5-2x4", "no-reactions"])
 def test_stacked_step_matches_the_per_species_reference(n_cells, n_nodes, extra):
     grid = SpatialGrid(1.0, n_cells)
     vgrid = build_velocity_grid(1.0, n_nodes)
     eqs = species_equilibria(vgrid)
-    params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0, **extra)
+    rates = dict(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0)
+    params = ModelParams(**{**rates, **extra})
     f = np.random.default_rng(23).uniform(0.2, 1.5, (3, n_cells, n_nodes))
     state = kin.KineticState(f, 0.2, 0.0, grid, vgrid)
     dt = kin.max_step(state, 0.8)
@@ -337,14 +345,17 @@ def test_snapshots_land_exactly_and_final_time_is_appended():
     np.testing.assert_array_equal(snaps[0].c, start.c)
 
 
+CFL_MESSAGE = r"^cfl must be in \(0, 0\.9\]$"
+
+
 def test_run_validation():
     params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
     state = bump_state(0.2)
     with pytest.raises(ValidationError):
         kin.run_kinetic(state, params, EQS, -1.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=CFL_MESSAGE):
         kin.run_kinetic(state, params, EQS, 0.1, cfl=0.95)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=CFL_MESSAGE):
         kin.run_kinetic(state, params, EQS, 0.1, cfl=0.0)
     with pytest.raises(ValidationError):
         kin.run_kinetic(state, params, EQS, 0.1, snapshot_times=[0.2])

@@ -24,6 +24,7 @@ from kinsir.grids import (
     SpatialGrid,
     clamp_nonnegative,
     march,
+    shifted,
     snapshot_schedule,
 )
 from kinsir.macro import (
@@ -338,11 +339,14 @@ def test_step_size_guards_fire():
         macro_step(state, steep, 0.5 * grid.dx)
 
 
-def test_negative_reaction_overshoot_is_reported():
-    params = ModelParams(d1=300.0, d2=1, d3=1, beta=0, k=0, r=0)
+@pytest.mark.parametrize("field, rate", [("c", "d1"), ("s", "d2"), ("u", "d3")])
+def test_negative_reaction_overshoot_is_reported(field, rate):
+    # only the field whose decay rate is large goes negative, and the one
+    # stacked check must still name it
+    params = ModelParams(**{**dict(d1=0, d2=0, d3=0, beta=0, k=0, r=0), rate: 300.0})
     coeff = MacroCoefficients(Dc=0.0, Ds=0.0, Du=0.0, chi=0.0, params=params)
-    state = constant_state((1.0, 0.0, 0.0), SpatialGrid(1.0, 8))
-    with pytest.raises(NegativityError):
+    state = constant_state((1.0, 1.0, 1.0), SpatialGrid(1.0, 8))
+    with pytest.raises(NegativityError, match=f"macro field {field} "):
         macro_step(state, coeff, 0.01)
 
 
@@ -353,6 +357,16 @@ def test_rounding_level_negatives_are_clamped_to_zero():
     # one step of decay cannot overshoot below -tol; the floor is exact zero
     stepped = macro_step(state, coeff, 1.0 + 5e-14)
     assert np.all(stepped.c >= 0.0)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 3), (3, 5, 4), (3, 2, 4)])
+@pytest.mark.parametrize("k", [1, -1])
+def test_shifted_is_the_periodic_roll(shape, k):
+    # 1-D fields shift along their one axis, stacks along their cell axis -2
+    field = np.arange(float(np.prod(shape))).reshape(shape)
+    axis = -1 if len(shape) == 1 else -2
+    np.testing.assert_array_equal(shifted(field, k, axis),
+                                  np.roll(field, -k, axis))
 
 
 @pytest.mark.parametrize("low", [-1e-13, -1e-12])

@@ -46,6 +46,9 @@ CONFIGS = [
     ("kinetic_mixed", "kinetic", _COSINE + "sigma2 = 3\nq3 = 2\nn_cells = 32\n"
                                            "n_nodes = 8\nepsilon = 0.2\n"
                                            "t_final = 0.02\n"),
+    # the kinetic step without its bias sub-step
+    ("kinetic_nochi", "kinetic", _COSINE.replace("chi0 = 0.5", "chi0 = 0")
+     + "n_cells = 32\nn_nodes = 8\nepsilon = 0.2\nt_final = 0.02\n"),
     # every key at its default: a constant profile run to t_final = 1
     ("macro_default", "macro", ""),
     # a chemotactic drift that grows within its one snapshot segment
