@@ -13,7 +13,7 @@ from dataclasses import fields
 
 from .errors import ParseError, ValidationError
 from .grids import InitialProfile, SpatialGrid, snapshot_schedule
-from .kinetic import MAX_CFL, check_cfl
+from .kinetic import MAX_CFL, check_cfl, check_epsilon
 from .params import ModelParams
 
 _FLOAT, _INT, _STRING, _FLOAT_LIST = "float", "int", "string", "float list"
@@ -171,7 +171,6 @@ def _check_run_values(values):
     if values["dt_max"] < 0:
         raise ValidationError("dt_max must be >= 0 (0 means automatic)")
     check_cfl(values["cfl"])
-    if not 0 < values["epsilon"] <= 1:
-        raise ValidationError("epsilon must be in (0, 1]")
+    check_epsilon(values["epsilon"])
     if values["ref_refine"] < 2:
         raise ValidationError("ref_refine must be >= 2")

@@ -161,8 +161,11 @@ def run_convergence_study(params, profile, epsilons, t_final,
     Orders are fit per species, and estimated_order on the per-eps maximum
     across species; identically zero errors report a flat order of 0.0.
     """
-    if len(set(epsilons)) != len(epsilons) or not all(0 < e <= 1 for e in epsilons):
-        raise ValidationError("epsilons must be distinct and in (0, 1]")
+    message = "epsilons must be distinct and in (0, 1]"
+    if len(set(epsilons)) != len(epsilons):
+        raise ValidationError(message)
+    for eps in epsilons:
+        kinetic.check_epsilon(eps, message)
     kinetic.check_cfl(cfl)
     if len(epsilons) < 3:
         raise DegenerateFitError("a convergence study needs at least three epsilons")

@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 _NONNEGATIVE = ("d1", "d2", "d3", "beta", "k", "r", "chi0")
@@ -71,3 +73,21 @@ class ModelParams:
             -self.d2 * s + infection,
             -self.d3 * u + self.k * s,
         )
+
+    def reactions_in_place(self, rho, work):
+        """reactions over the rows (c, s, u) of the float array rho, written
+        back into rho and returned; the same operations in the same order,
+        so equal to reactions bit for bit. work, two more rows of the same
+        shape, holds the infection and k*s while the rows are overwritten."""
+        c, s, u = rho
+        infection = np.multiply(self.beta, c, out=work[0])
+        infection *= u
+        virus_gain = np.multiply(self.k, s, out=work[1])
+        c *= -self.d1
+        c -= infection
+        c += self.r
+        s *= -self.d2
+        s += infection
+        u *= -self.d3
+        u += virus_gain
+        return rho

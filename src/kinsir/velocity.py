@@ -169,11 +169,19 @@ def perturbation_apply(f1, grad_s, chi0, grid):
     cancellation of an omitted term. Accepts stacked f1 with node index last
     and grad_s broadcasting against the leading axes.
     """
+    shape = np.broadcast_shapes(np.shape(grad_s) + (grid.n_nodes,), np.shape(f1))
+    return perturbation_into(f1, grad_s, chi0, grid, np.empty(shape), np.empty(shape))
+
+
+def perturbation_into(f1, grad_s, chi0, grid, out, work):
+    """perturbation_apply written into the float array out, with work of
+    the same shape as scratch; returns out."""
     mean = grid.moment0(f1)
     grad = np.asarray(grad_s)
-    gain = chi0 * (grad * mean)[..., None] * grid.nodes
-    loss = chi0 * grid.moment1(np.ones(grid.n_nodes)) * grad[..., None] * f1
-    return gain - loss
+    gain = np.multiply(chi0 * (grad * mean)[..., None], grid.nodes, out=out)
+    loss = np.multiply(chi0 * grid.moment1(np.ones(grid.n_nodes)) * grad[..., None],
+                       f1, out=work)
+    return np.subtract(gain, loss, out=out)
 
 
 def psi_profile(M2, chi0, grid):
@@ -229,8 +237,21 @@ def interaction_terms(f1, f2, f3, eqs, params, grid):
     Integrating over V at a local equilibrium f_i = M_i*(c, s, u) reproduces
     the ODE right-hand side at (c, s, u) exactly.
     """
-    M1, M2, M3 = eqs
-    return np.stack(params.reactions(f1 / M1, f2 / M2, f3 / M3)) / grid.measure
+    f = np.stack((f1, f2, f3))
+    return interaction_terms_into(f, eqs, params, grid, np.empty(f.shape),
+                                  np.empty((2,) + f.shape[1:]))
+
+
+def interaction_terms_into(f, eqs, params, grid, out, work):
+    """interaction_terms of the stack f = (f1, f2, f3), node index last,
+    written into the float array out of f's shape and returned; the law
+    runs in place on out (ModelParams.reactions_in_place), with work, two
+    rows of f's row shape, as its scratch."""
+    M = np.asarray(eqs)
+    np.divide(f, M.reshape((3,) + (1,) * (f.ndim - 2) + M.shape[1:]), out=out)
+    params.reactions_in_place(out, work)
+    out /= grid.measure
+    return out
 
 
 @dataclass(frozen=True)

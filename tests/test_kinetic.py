@@ -8,6 +8,7 @@ material regime.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,62 @@ def test_stacked_step_matches_the_per_species_reference(n_cells, n_nodes, extra)
         state = kin.kinetic_step(state, params, eqs, dt)
     for got, want in zip(state.f, fields):
         np.testing.assert_array_equal(got, want)
+
+
+def test_a_step_leaves_its_state_untouched_and_repeats_bit_for_bit():
+    params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0, chi0=0.5)
+    state = bump_state(0.2)
+    dt = kin.max_step(state, 0.8)
+    state = kin.kinetic_step(state, params, EQS, dt)  # now holds a scratch
+    before = state.f.copy()
+    first = kin.kinetic_step(state, params, EQS, dt)
+    assert state.f.tobytes() == before.tobytes()
+    second = kin.kinetic_step(state, params, EQS, dt)
+    assert state.f.tobytes() == before.tobytes()
+    assert first.scratch is second.scratch is state.scratch
+    assert first.f.tobytes() == second.f.tobytes()
+    # two runs that share one scratch, stepped in turn, stay identical
+    for _ in range(5):
+        first = kin.kinetic_step(first, params, EQS, dt)
+        second = kin.kinetic_step(second, params, EQS, dt)
+        assert first.f.tobytes() == second.f.tobytes()
+
+
+def test_hand_built_and_marched_states_step_alike():
+    params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0, chi0=0.5)
+    state = bump_state(0.2)
+    dt = kin.max_step(state, 0.8)
+    marched = kin.kinetic_step(state, params, EQS, dt)
+    hand = kin.KineticState(marched.f.copy(), 0.2, marched.time, GRID, VGRID)
+    assert hand.scratch is None and marched.scratch is not None
+    marched.scratch.fill(math.nan)  # a stale scratch value must never be read
+    from_hand = kin.kinetic_step(hand, params, EQS, dt)
+    from_marched = kin.kinetic_step(marched, params, EQS, dt)
+    assert from_hand.scratch is hand.scratch is not marched.scratch
+    assert from_hand.f.tobytes() == from_marched.f.tobytes()
+    assert from_hand.time == from_marched.time
+
+
+def test_a_step_allocates_one_full_size_array():
+    # the new state's f and nothing of its size: the scratch comes from the
+    # state that is stepped, and the rest of the peak is small arrays and
+    # numpy's ufunc buffers (8192 doubles each, 0.4 of this f in all); one
+    # row-sized temporary would add another 1/3
+    grid, vgrid = SpatialGrid(1.0, 1024), build_velocity_grid(1.0, 16)
+    eqs = species_equilibria(vgrid)
+    params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0, chi0=0.5)
+    profile = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.25, amplitude=0.3)
+    state = kin.init_local_equilibrium(profile.build(grid), eqs, vgrid, 0.2)
+    dt = kin.max_step(state, 0.8)
+    state = kin.kinetic_step(state, params, eqs, dt)
+    tracemalloc.start()
+    try:
+        state = kin.kinetic_step(state, params, eqs, dt)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.1 * state.f.nbytes
+    assert peak < 1.6 * state.f.nbytes
 
 
 @settings(max_examples=50, deadline=None)

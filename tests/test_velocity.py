@@ -276,6 +276,19 @@ class TestGradientBias:
             grad = rng.uniform(-3.0, 3.0)
             assert abs(g.moment0(perturbation_apply(f, grad, 1.7, g))) <= 1e-12
 
+    def test_perturbation_is_the_gain_minus_loss_quadrature_bit_for_bit(self):
+        # the kinetic step and the per-species reference both run this body
+        # (perturbation_into), so pin it to the formula written out
+        g = build_velocity_grid(1.3, 16)
+        rng = np.random.default_rng(19)
+        f1 = rng.uniform(0.0, 2.0, (32, g.n_nodes))
+        grad = rng.uniform(-3.0, 3.0, 32)
+        chi0 = 0.7
+        gain = chi0 * (grad * g.moment0(f1))[:, None] * g.nodes
+        loss = chi0 * g.moment1(np.ones(g.n_nodes)) * grad[:, None] * f1
+        got = perturbation_apply(f1, grad, chi0, g)
+        assert got.tobytes() == (gain - loss).tobytes()
+
     def test_alpha_equals_chi_times_gradient(self):
         g = build_velocity_grid(1.0, 16)
         eqs = species_equilibria(g)

@@ -75,6 +75,11 @@ CONFIGS = [
     ("kinetic_n100", "kinetic", _COSINE + "n_cells = 100\nn_nodes = 8\n"
                                           "epsilon = 0.2\nt_final = 0.02\n"
                                           "snapshot_times = 0.005 0.01 0.02\n"),
+    # the kinetic benchmark's size: 256 steps between its two snapshots,
+    # each handing the step's scratch array on to the next
+    ("kinetic_512", "kinetic", _COSINE + "n_cells = 512\nn_nodes = 16\n"
+                                         "epsilon = 0.05\nt_final = 0.04\n"
+                                         "snapshot_times = 0.02\n"),
 ]
 
 # per-cell (c, s, u) rows for the file profile: 16 distinct positive values

@@ -28,8 +28,9 @@ two paths can differ by that alone.
 
 A process that compiles kinsir from source at import (as one does under
 PYTHONDONTWRITEBYTECODE=1) leaves glibc's allocator in a state that depends
-on the source text and on the import path, and the 512x16 kinetic step then
-reads anywhere from 0 to about 100 faults per step whatever its own code.
+on the source text and on the import path, and a step that frees large
+temporaries on every call then reads anywhere from 0 to about 100 faults
+per step whatever its own code.
 """
 
 import compileall
