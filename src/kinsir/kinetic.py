@@ -27,9 +27,28 @@ from one state. Every sub-step writes the scratch before it reads it, so
 nothing passes through it from one sub-step or step to the next, and
 states that share it (two steps taken from one state) stay independent.
 Steps that share a scratch must not run concurrently.
-transport_substep, relaxation_substep, perturbation_apply and
-interaction_terms allocate their own buffers and run the same in-place
-bodies as the step.
+
+Step plan: what a step needs that does not depend on f lives in a
+StepPlan, KineticState.plan: the three relaxation decay factors, the
+courant row split by the sign of v into two (n_cells, n_nodes) tiles, eqs
+as a (3, n_cells, n_nodes) tile, the nodes as an (n_cells, n_nodes) tile
+for the bias gain, chi0 * sum_j w_j v_j, dt * eps^(p-q1-1) and 2*dx. The
+tiles make every full-size operation a contiguous one; broadcasting a row
+of n_nodes values makes numpy's inner loop run over the nodes alone. A
+step reuses the plan of the state it is given when the plan was built for
+the same dt, eps, grid, velocity nodes and weights, params, eqs (by value:
+an eqs changed in place is a new key) and shape of f, and builds a new one
+otherwise; it leaves a new plan on a state that has none and hands the
+plan on to the state it returns, so a run builds one per distinct dt. A
+plan built for a new dt keeps the M and nodes tiles of the one it
+replaces when they still fit. A plan's arrays are read-only, and one plan
+is shared by every state of a run. The dt, CFL and negativity checks run
+on every step.
+
+transport_substep, relaxation_substep, infected_gradient,
+perturbation_apply and interaction_terms allocate their own buffers, pass
+rows that broadcast in place of the tiles, and run the same bodies as the
+step.
 """
 
 import math
@@ -38,10 +57,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CflViolationError, ValidationError
-from .grids import MacroState, clamp_nonnegative, march, shifted, snapshot_schedule
-from .velocity import interaction_terms_into, perturbation_into
+from .grids import MacroState, clamp_nonnegative, march, snapshot_schedule
+from .velocity import bias_loss_rate, interaction_terms_into, perturbation_into
 
 MAX_CFL = 0.9  # transport number bound: dt <= MAX_CFL * eps * dx / vmax
+
+
+@dataclass(eq=False)
+class StepPlan:
+    """The f-independent part of a kinetic step for one key (see the module
+    docstring); every array is read-only."""
+
+    key: tuple
+    decay: np.ndarray  # (3, 1, 1) relaxation factors
+    c_up: np.ndarray  # courant numbers where v > 0, else 0: (n_cells, n_nodes)
+    c_dn: np.ndarray  # courant numbers where v < 0, else 0
+    M: np.ndarray  # eqs tiled to f's shape
+    nodes: np.ndarray  # the nodes tiled to (n_cells, n_nodes)
+    bias_loss: float  # chi0 * sum_j w_j v_j
+    bias_scale: float  # dt * eps**(p - q1 - 1)
+    two_dx: float
 
 
 @dataclass
@@ -54,10 +89,11 @@ class KineticState:
     time: float
     grid: object
     vgrid: object
-    # kinetic_step's work array, (5, n_cells, n_nodes), handed on from
-    # state to state
+    # kinetic_step's work array, (5, n_cells, n_nodes), and its StepPlan,
+    # both handed on from state to state
     scratch: np.ndarray = field(default=None, init=False, repr=False,
                                 compare=False)
+    plan: StepPlan = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_epsilon(self.epsilon)
@@ -99,53 +135,121 @@ def max_step(state, cfl=MAX_CFL):
     return cfl * state.epsilon * state.grid.dx / state.vgrid.vmax
 
 
+def _courant_rows(vgrid, grid, epsilon, dt):
+    """The courant numbers v_j*dt/(eps*dx) where v_j > 0 and where v_j < 0,
+    each row 0 at the other nodes."""
+    courant = vgrid.nodes * (dt / (epsilon * grid.dx))
+    return (np.where(vgrid.nodes > 0, courant, 0.0),
+            np.where(vgrid.nodes < 0, courant, 0.0))
+
+
 def transport_substep(f, vgrid, grid, epsilon, dt):
     """Conservative upwind transport at the scaled speeds v_j/eps, cells on
     axis -2: one species or the (3, n_cells, n_nodes) stack."""
-    return _transport(f, np.empty(f.shape), np.empty(f.shape),
-                      vgrid, grid, epsilon, dt)
+    c_up, c_dn = (np.broadcast_to(row, f.shape[-2:])
+                  for row in _courant_rows(vgrid, grid, epsilon, dt))
+    return _transport(f, np.empty(f.shape), np.empty(f.shape), c_up, c_dn)
 
 
-def _transport(f, out, diff, vgrid, grid, epsilon, dt):
-    """transport_substep of f written into out, with diff as scratch.
+def _transport(f, out, diff, c_up, c_dn):
+    """transport_substep of f written into out, with diff as scratch and
+    the courant rows c_up, c_dn broadcasting to (n_cells, n_nodes).
 
     diff[i] = f[i] - f[i-1] (periodic in i) is the backward difference of
     cell i, the upwind one for v > 0, and the forward difference of cell
-    i-1, the upwind one for v < 0: one subtraction serves both.
+    i-1, the upwind one for v < 0: one subtraction serves both. Each node
+    takes c_dn * diff[i+1] + c_up * diff[i], where one of the two terms is
+    a signed zero, which leaves the other unchanged except for the sign of
+    a zero; f - out therefore equals the masked upwind form bit for bit
+    wherever f does not hold -0.0, and the relaxation that follows in a
+    step maps either sign of a zero to the same value.
     """
     np.subtract(f[..., 1:, :], f[..., :-1, :], out=diff[..., 1:, :])
     np.subtract(f[..., :1, :], f[..., -1:, :], out=diff[..., :1, :])
-    out[..., :-1, :] = diff[..., 1:, :]
-    out[..., -1:, :] = diff[..., :1, :]
-    np.copyto(out, diff, where=vgrid.nodes > 0)
-    out *= vgrid.nodes * (dt / (epsilon * grid.dx))
+    np.multiply(diff[..., 1:, :], c_dn[:-1], out=out[..., :-1, :])
+    np.multiply(diff[..., :1, :], c_dn[-1:], out=out[..., -1:, :])
+    diff *= c_up
+    out += diff
     return np.subtract(f, out, out=out)
+
+
+def _decay_factors(M, sigma, q, epsilon, dt):
+    """exp(-sigma*dt/eps^(q+1)) on Python floats, shaped to broadcast
+    against M: one factor, or one per row for tuples sigma and q."""
+    rates = zip(sigma, q) if M.ndim > 1 else [(sigma, q)]
+    decay = np.array([math.exp(-s * dt / epsilon ** (e + 1)) for s, e in rates])
+    return decay.reshape(M.shape[:-1] + (1,))
 
 
 def relaxation_substep(f, M, sigma, epsilon, q, dt, vgrid):
     """Exact relaxation toward M * <f>: the anisotropic part decays by the
     factor exp(-sigma*dt/eps^(q+1)) while <f> is untouched. sigma and q are
     scalars for one species, or one per row of the stack (M = eqs[:, None, :])."""
-    return _relax(np.array(f, dtype=float), M, sigma, epsilon, q, dt, vgrid,
-                  np.empty(np.shape(f)))
+    f = np.array(f, dtype=float)
+    return _relax(f, M, _decay_factors(M, sigma, q, epsilon, dt), vgrid,
+                  np.empty(f.shape))
 
 
-def _relax(f, M, sigma, epsilon, q, dt, vgrid, work):
-    """relaxation_substep applied to f in place, with work (f's shape) as
-    scratch; returns f."""
-    rates = zip(sigma, q) if M.ndim > 1 else [(sigma, q)]
-    decay = np.array([math.exp(-s * dt / epsilon ** (e + 1)) for s, e in rates])
-    equilibrium = np.multiply(M, (f @ vgrid.weights)[..., None], out=work)
-    f -= equilibrium
-    f *= decay.reshape(M.shape[:-1] + (1,))
-    f += equilibrium
+def _relax(f, M, decay, vgrid, work):
+    """relaxation_substep applied to f in place, with M broadcasting to
+    f's shape and work (f's shape) as scratch; returns f."""
+    np.copyto(work, (f @ vgrid.weights)[..., None])
+    work *= M
+    f -= work
+    f *= decay
+    f += work
     return f
 
 
 def infected_gradient(f2, vgrid, grid):
     """Centered-difference gradient of the infected-cell moment."""
-    s = f2 @ vgrid.weights
-    return (shifted(s, 1) - shifted(s, -1)) / (2.0 * grid.dx)
+    return _centered_gradient(f2 @ vgrid.weights, 2.0 * grid.dx)
+
+
+def _centered_gradient(s, two_dx):
+    """(s[i+1] - s[i-1]) / two_dx, periodic in i."""
+    grad = np.empty(s.shape)
+    np.subtract(s[2:], s[:-2], out=grad[1:-1])
+    np.subtract(s[1:2], s[-1:], out=grad[:1])
+    np.subtract(s[:1], s[-2:-1], out=grad[-1:])
+    grad /= two_dx
+    return grad
+
+
+def _tile(values, shape):
+    """values broadcast to shape, as a new read-only contiguous array."""
+    tile = np.empty(shape)
+    tile[...] = values
+    tile.flags.writeable = False
+    return tile
+
+
+def step_plan(state, params, eqs, dt):
+    """The state's StepPlan when it was built for this step, else a new one.
+
+    The key holds the velocity grid and eqs by their bytes, since their
+    arrays can change in place; its last item is all that the M and nodes
+    tiles depend on, and a new plan keeps those two of the state's plan
+    when they still fit, so that a run whose dt changes builds them once.
+    """
+    eps, grid, vgrid = state.epsilon, state.grid, state.vgrid
+    key = (dt, eps, grid, params,
+           (vgrid.vmax, vgrid.nodes.tobytes(), vgrid.weights.tobytes(),
+            eqs.dtype, eqs.shape, eqs.tobytes(), state.f.shape))
+    old = state.plan
+    if old is not None and old.key == key:
+        return old
+    cells = state.f.shape[1:]
+    if old is not None and old.key[-1] == key[-1]:
+        M, nodes = old.M, old.nodes
+    else:
+        M, nodes = _tile(eqs[:, None, :], state.f.shape), _tile(vgrid.nodes, cells)
+    decay = _decay_factors(eqs[:, None, :], (params.sigma1, params.sigma2, params.sigma3),
+                           (params.q1, params.q2, params.q3), eps, dt)
+    c_up, c_dn = (_tile(row, cells) for row in _courant_rows(vgrid, grid, eps, dt))
+    return StepPlan(key, _tile(decay, decay.shape), c_up, c_dn, M, nodes,
+                    bias_loss_rate(params.chi0, vgrid),
+                    dt * eps ** (params.p - params.q1 - 1), 2.0 * grid.dx)
 
 
 def kinetic_step(state, params, eqs, dt):
@@ -160,34 +264,36 @@ def kinetic_step(state, params, eqs, dt):
         raise CflViolationError(
             f"dt = {dt:.3e} exceeds the transport bound {max_step(state):.3e}"
         )
-    eps, grid, vgrid = state.epsilon, state.grid, state.vgrid
-    sigmas = (params.sigma1, params.sigma2, params.sigma3)
-    qs = (params.q1, params.q2, params.q3)
+    plan = step_plan(state, params, eqs, dt)
+    if state.plan is None:
+        state.plan = plan
+    vgrid = state.vgrid
     f = np.empty(state.f.shape)
     if state.scratch is None:
         state.scratch = np.empty((5,) + f.shape[1:])
     scratch, law_rows = state.scratch[:3], state.scratch[3:]
 
     # (a) transport, then (b) stiff relaxation, exact with one factor per row
-    _transport(state.f, f, scratch, vgrid, grid, eps, dt)
-    _relax(f, eqs[:, None, :], sigmas, eps, qs, dt, vgrid, scratch)
+    _transport(state.f, f, scratch, plan.c_up, plan.c_dn)
+    _relax(f, plan.M, plan.decay, vgrid, scratch)
 
     # (c) infected-gradient bias on the healthy population
     if params.chi0 != 0.0:
-        grad_s = infected_gradient(f[1], vgrid, grid)
-        bias = perturbation_into(f[0], grad_s, params.chi0, vgrid, *scratch[:2])
-        bias *= dt * eps ** (params.p - params.q1 - 1)
+        grad_s = _centered_gradient(f[1] @ vgrid.weights, plan.two_dx)
+        bias = perturbation_into(f[0], grad_s, params.chi0, vgrid, plan.nodes,
+                                 plan.bias_loss, *scratch[:2])
+        bias *= plan.bias_scale
         f[0] += bias
 
     # (d) interactions; a failing check names the row that went negative
-    gains = interaction_terms_into(f, eqs, params, vgrid, scratch, law_rows)
+    gains = interaction_terms_into(f, plan.M, params, vgrid, scratch, law_rows)
     gains *= dt
     f += gains
     if f.min() < 0.0:
         for i, row in enumerate(f, start=1):
             clamp_nonnegative(row, f"kinetic distribution f{i}")
-    new = KineticState(f, eps, state.time + dt, grid, vgrid)
-    new.scratch = state.scratch
+    new = KineticState(f, state.epsilon, state.time + dt, state.grid, vgrid)
+    new.scratch, new.plan = state.scratch, plan
     return new
 
 

@@ -170,18 +170,25 @@ def perturbation_apply(f1, grad_s, chi0, grid):
     and grad_s broadcasting against the leading axes.
     """
     shape = np.broadcast_shapes(np.shape(grad_s) + (grid.n_nodes,), np.shape(f1))
-    return perturbation_into(f1, grad_s, chi0, grid, np.empty(shape), np.empty(shape))
+    return perturbation_into(f1, grad_s, chi0, grid, grid.nodes, bias_loss_rate(chi0, grid),
+                             np.empty(shape), np.empty(shape))
 
 
-def perturbation_into(f1, grad_s, chi0, grid, out, work):
+def bias_loss_rate(chi0, grid):
+    """The loss coefficient chi0 * sum_k w_k v_k of the bias operator."""
+    return chi0 * grid.moment1(np.ones(grid.n_nodes))
+
+
+def perturbation_into(f1, grad_s, chi0, grid, nodes, loss, out, work):
     """perturbation_apply written into the float array out, with work of
-    the same shape as scratch; returns out."""
-    mean = grid.moment0(f1)
+    the same shape as scratch, the nodes broadcasting to out's shape and
+    loss = bias_loss_rate(chi0, grid); returns out."""
     grad = np.asarray(grad_s)
-    gain = np.multiply(chi0 * (grad * mean)[..., None], grid.nodes, out=out)
-    loss = np.multiply(chi0 * grid.moment1(np.ones(grid.n_nodes)) * grad[..., None],
-                       f1, out=work)
-    return np.subtract(gain, loss, out=out)
+    np.copyto(out, (chi0 * (grad * grid.moment0(f1)))[..., None])
+    out *= nodes
+    np.copyto(work, (loss * grad)[..., None])
+    work *= f1
+    return np.subtract(out, work, out=out)
 
 
 def psi_profile(M2, chi0, grid):
@@ -189,9 +196,7 @@ def psi_profile(M2, chi0, grid):
 
         psi(v) = chi0*v*<M2> - chi0*(sum_k w_k v_k)*M2(v)  ( = chi0*v here).
     """
-    return chi0 * grid.nodes * grid.moment0(M2) - chi0 * grid.moment1(
-        np.ones(grid.n_nodes)
-    ) * M2
+    return chi0 * grid.nodes * grid.moment0(M2) - bias_loss_rate(chi0, grid) * M2
 
 
 def chemotactic_sensitivity(grid, params):
@@ -238,17 +243,19 @@ def interaction_terms(f1, f2, f3, eqs, params, grid):
     the ODE right-hand side at (c, s, u) exactly.
     """
     f = np.stack((f1, f2, f3))
-    return interaction_terms_into(f, eqs, params, grid, np.empty(f.shape),
+    M = np.asarray(eqs)
+    return interaction_terms_into(f, M.reshape((3,) + (1,) * (f.ndim - 2) + M.shape[1:]),
+                                  params, grid, np.empty(f.shape),
                                   np.empty((2,) + f.shape[1:]))
 
 
-def interaction_terms_into(f, eqs, params, grid, out, work):
+def interaction_terms_into(f, M, params, grid, out, work):
     """interaction_terms of the stack f = (f1, f2, f3), node index last,
-    written into the float array out of f's shape and returned; the law
-    runs in place on out (ModelParams.reactions_in_place), with work, two
-    rows of f's row shape, as its scratch."""
-    M = np.asarray(eqs)
-    np.divide(f, M.reshape((3,) + (1,) * (f.ndim - 2) + M.shape[1:]), out=out)
+    with the equilibria M broadcasting to f's shape, written into the float
+    array out of f's shape and returned; the law runs in place on out
+    (ModelParams.reactions_in_place), with work, two rows of f's row
+    shape, as its scratch."""
+    np.divide(f, M, out=out)
     params.reactions_in_place(out, work)
     out /= grid.measure
     return out

@@ -274,6 +274,97 @@ def test_hand_built_and_marched_states_step_alike():
     assert from_hand.time == from_marched.time
 
 
+def fresh_step(state, params, eqs, dt):
+    """The step from a hand-built copy of state: no scratch and no plan."""
+    hand = kin.KineticState(state.f.copy(), state.epsilon, state.time,
+                            state.grid, state.vgrid)
+    return kin.kinetic_step(hand, params, eqs.copy(), dt)
+
+
+def test_a_plan_never_goes_stale():
+    params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0, chi0=0.5)
+    eqs = EQS.copy()
+    state = bump_state(0.2)
+    dt = kin.max_step(state, 0.8)
+    state = kin.kinetic_step(state, params, eqs, dt)  # now holds a plan
+    plan = state.plan
+    for array in (plan.decay, plan.c_up, plan.c_dn, plan.M, plan.nodes):
+        assert not array.flags.writeable
+    assert kin.kinetic_step(state, params, eqs, dt).plan is plan
+    # a new dt alone keeps the tiles that do not depend on it
+    assert kin.kinetic_step(state, params, eqs, 0.6 * dt).plan.M is plan.M
+
+    vgrid4 = build_velocity_grid(1.0, 4)
+    narrow = kin.init_local_equilibrium(kin.moments(state), species_equilibria(vgrid4),
+                                        vgrid4, 0.2)
+    wider = kin.KineticState(state.f.copy(), 0.3, state.time, GRID, VGRID)
+    cases = [
+        (state, params, eqs, 0.6 * dt),
+        (state, ModelParams(**{**vars(params), "chi0": 0.9}), eqs, dt),
+        (narrow, params, species_equilibria(vgrid4), dt),
+        (wider, params, eqs, dt),
+        (state, params, eqs, dt),  # after eqs[1] *= 1.5 below
+    ]
+    for i, (stepped, step_params, step_eqs, step_dt) in enumerate(cases):
+        if i == len(cases) - 1:
+            eqs[1] *= 1.5
+        stepped.plan = plan  # handed on from a state it does not fit
+        want = fresh_step(stepped, step_params, step_eqs, step_dt)
+        got = kin.kinetic_step(stepped, step_params, step_eqs, step_dt)
+        assert got.plan is not plan and stepped.plan is plan
+        assert got.f.tobytes() == want.f.tobytes()
+
+
+def masked_upwind(f, vgrid, grid, eps, dt):
+    """The upwind transport written with a masked copy: the periodic
+    backward difference D, D shifted by one cell and overlaid by D where
+    v > 0, times the courant row, subtracted from f."""
+    diff = np.empty(f.shape)
+    np.subtract(f[..., 1:, :], f[..., :-1, :], out=diff[..., 1:, :])
+    np.subtract(f[..., :1, :], f[..., -1:, :], out=diff[..., :1, :])
+    out = np.roll(diff, -1, axis=-2)
+    np.copyto(out, diff, where=vgrid.nodes > 0)
+    out *= vgrid.nodes * (dt / (eps * grid.dx))
+    return f - out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cells=st.integers(2, 12),
+    n_nodes=st.sampled_from([4, 6, 8]),
+    eps=st.floats(0.05, 1.0),
+    cfl=st.floats(0.01, kin.MAX_CFL),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sign_split_transport_is_the_masked_upwind_form_bit_for_bit(
+    n_cells, n_nodes, eps, cfl, seed
+):
+    # few distinct values, so that many differences are exactly 0 and many
+    # entries are exact zeros; a zero term adds a signed zero to the other
+    grid, vgrid = SpatialGrid(1.0, n_cells), build_velocity_grid(1.0, n_nodes)
+    eqs = species_equilibria(vgrid)
+    rng = np.random.default_rng(seed)
+    shape = (3, n_cells, n_nodes)
+    f = np.where(rng.random(shape) < 0.7, rng.choice([0.0, 0.5, 1.0], shape),
+                 rng.uniform(0.0, 2.0, shape))
+    state = kin.KineticState(f, eps, 0.0, grid, vgrid)
+    dt = kin.max_step(state, cfl)
+    want = masked_upwind(f, vgrid, grid, eps, dt)
+    plan = kin.step_plan(state, ModelParams(**NO_REACTIONS), eqs, dt)
+    got = kin._transport(f, np.empty(shape), np.empty(shape), plan.c_up, plan.c_dn)
+    assert got.tobytes() == want.tobytes()
+    for row, want_row in zip(f, want):
+        got_row = kin.transport_substep(row, vgrid, grid, eps, dt)
+        assert got_row.tobytes() == want_row.tobytes()
+    # a -0.0 in f may flip the sign of a zero in the transported f; the
+    # relaxation that follows in a step takes either sign to the same bits
+    negative_zeros = kin.KineticState(np.where(f == 0.0, -0.0, f), eps, 0.0,
+                                      grid, vgrid)
+    params = ModelParams(**NO_REACTIONS)
+    assert (kin.kinetic_step(negative_zeros, params, eqs, dt).f.tobytes()
+            == kin.kinetic_step(state, params, eqs, dt).f.tobytes())
+
+
 def test_a_step_allocates_one_full_size_array():
     # the new state's f and nothing of its size: the scratch comes from the
     # state that is stepped, and the rest of the peak is small arrays and

@@ -80,6 +80,16 @@ CONFIGS = [
     ("kinetic_512", "kinetic", _COSINE + "n_cells = 512\nn_nodes = 16\n"
                                          "epsilon = 0.05\nt_final = 0.04\n"
                                          "snapshot_times = 0.02\n"),
+    # three snapshot segments with three distinct dt: the step plan is
+    # built anew at each segment
+    ("kinetic_uneven", "kinetic", _COSINE + "n_cells = 32\nn_nodes = 8\n"
+                                            "epsilon = 0.2\nt_final = 0.02\n"
+                                            "snapshot_times = 0.003 0.01 0.02\n"),
+    # flat data: every upwind difference is exactly 0, and f3 starts at
+    # exact zeros
+    ("kinetic_flat", "kinetic", "chi0 = 0.5\nprofile = constant\nc0 = 1\ns0 = 0.5\n"
+                                "u0 = 0\nn_cells = 16\nn_nodes = 8\nepsilon = 0.2\n"
+                                "t_final = 0.1\n"),
 ]
 
 # per-cell (c, s, u) rows for the file profile: 16 distinct positive values

@@ -1,10 +1,13 @@
 """Extract src/ at a git revision, for the tools that compare two trees."""
 
+import compileall
 import os
+import shutil
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKING_TREE = "working tree"
 
 
 def extract_src(rev, dest):
@@ -22,3 +25,21 @@ def extract_src(rev, dest):
     os.makedirs(dest, exist_ok=True)
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
     return os.path.join(dest, "src")
+
+
+def compiled_tree(label, slot):
+    """Replace slot with src/ of the working tree (label WORKING_TREE) or of
+    the git revision label, byte-compiled; returns the path of its src/.
+
+    The tools that time or count a step put each tree in turn at one slot,
+    so that both run from the same path string: the allocator's state in a
+    child process also depends on its import paths.
+    """
+    shutil.rmtree(slot, ignore_errors=True)
+    if label == WORKING_TREE:
+        src = shutil.copytree(os.path.join(ROOT, "src"), os.path.join(slot, "src"),
+                              ignore=shutil.ignore_patterns("__pycache__"))
+    else:
+        src = extract_src(label, slot)
+    compileall.compile_dir(src, quiet=1)
+    return src

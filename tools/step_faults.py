@@ -33,14 +33,12 @@ temporaries on every call then reads anywhere from 0 to about 100 faults
 per step whatever its own code.
 """
 
-import compileall
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 
-from revtree import ROOT, extract_src
+from revtree import ROOT, WORKING_TREE, compiled_tree
 
 CASES = ("macro_step 512", "kinetic_step 512x16", "run_kinetic kinetic_chemotaxis")
 
@@ -138,15 +136,8 @@ def main(argv):
         return 2
     with tempfile.TemporaryDirectory(prefix="step-faults-") as tmp:
         slot = os.path.join(tmp, "tree")
-        for label in ["working tree", *argv]:
-            shutil.rmtree(slot, ignore_errors=True)
-            if label == "working tree":
-                src = shutil.copytree(os.path.join(ROOT, "src"),
-                                      os.path.join(slot, "src"),
-                                      ignore=shutil.ignore_patterns("__pycache__"))
-            else:
-                src = extract_src(label, slot)
-            compileall.compile_dir(src, quiet=1)
+        for label in [WORKING_TREE, *argv]:
+            src = compiled_tree(label, slot)
             for case in CASES:
                 print(f"{label}: {case}: {measure(src, case)} minor faults per step")
     return 0
