@@ -28,12 +28,10 @@ def clamp_nonnegative(field, what):
     return field
 
 
-def shifted(field, k, axis=-1):
-    """field[(i + k) % n] along axis, for k = 1 or -1: the periodic
-    neighbour of both tiers, a roll by -k without the cost of numpy's."""
-    lead = (slice(None),) * (axis % field.ndim)
-    return np.concatenate((field[lead + (slice(k, None),)],
-                           field[lead + (slice(None, k),)]), axis=axis)
+def shifted(row, k):
+    """row[(i + k) % n] of a 1-D row, for k = 1 or -1: the macro tier's
+    periodic neighbour, a roll by -k without the cost of numpy's."""
+    return np.concatenate((row[k:], row[:k]))
 
 
 @dataclass(frozen=True)

@@ -16,34 +16,30 @@ interactions, each over the full dt and each in one call on the whole
 conservative upwind form and the other three sub-steps preserve the zeroth
 moment node-for-node, so total mass moves only through the interactions.
 
-Buffers: a step allocates one array, the f of the state it returns.
-Transport writes into it from the old f, which a step never changes, and
-every later sub-step updates it in place. KineticState.scratch holds the
-step's work space, one (5, n_cells, n_nodes) array: rows 0-2 a scratch of
-f's shape, rows 3-4 the reaction law's two rows. A step allocates it when
-the state it is given has none, leaves it there and hands it on to the
-state it returns, so a run allocates it once, and so do repeated steps
-from one state. Every sub-step writes the scratch before it reads it, so
-nothing passes through it from one sub-step or step to the next, and
-states that share it (two steps taken from one state) stay independent.
-Steps that share a scratch must not run concurrently.
-
-Step plan: what a step needs that does not depend on f lives in a
-StepPlan, KineticState.plan: the three relaxation decay factors, the
-courant row split by the sign of v into two (n_cells, n_nodes) tiles, eqs
-as a (3, n_cells, n_nodes) tile, the nodes as an (n_cells, n_nodes) tile
-for the bias gain, chi0 * sum_j w_j v_j, dt * eps^(p-q1-1) and 2*dx. The
-tiles make every full-size operation a contiguous one; broadcasting a row
-of n_nodes values makes numpy's inner loop run over the nodes alone. A
-step reuses the plan of the state it is given when the plan was built for
-the same dt, eps, grid, velocity nodes and weights, params, eqs (by value:
-an eqs changed in place is a new key) and shape of f, and builds a new one
-otherwise; it leaves a new plan on a state that has none and hands the
-plan on to the state it returns, so a run builds one per distinct dt. A
-plan built for a new dt keeps the M and nodes tiles of the one it
-replaces when they still fit. A plan's arrays are read-only, and one plan
-is shared by every state of a run. The dt, CFL and negativity checks run
-on every step.
+Buffers and step plan: a step allocates one array, the f of the state it
+returns. Transport writes into it from the old f, which a step never
+changes, and every later sub-step updates it in place. All else a step
+uses lives in a StepPlan, KineticState.plan: the work array, one
+(5, n_cells, n_nodes) array whose rows 0-2 are a scratch of f's shape and
+rows 3-4 the reaction law's two rows, and what does not depend on f: the
+three relaxation decay factors, the courant row split by the sign of v
+into two (n_cells, n_nodes) tiles, eqs as a (3, n_cells, n_nodes) tile,
+the nodes as an (n_cells, n_nodes) tile for the bias gain,
+chi0 * sum_j w_j v_j, dt * eps^(p-q1-1) and 2*dx. The tiles make every
+full-size operation a contiguous one; broadcasting a row of n_nodes values
+makes numpy's inner loop run over the nodes alone. A step reuses the plan
+of the state it is given when the plan was built for the same dt, eps,
+grid, velocity nodes and weights, params, eqs (by value: an eqs changed in
+place is a new key) and shape of f, and builds a new one otherwise; it
+leaves a new plan on a state that has none and hands the plan on to the
+state it returns, so a run builds one per distinct dt. A plan built for a
+new dt keeps the work array and the M and nodes tiles of the one it
+replaces when they still fit, so a run allocates each of them once. Every
+array of a plan but work is read-only. Every sub-step writes the work
+array before it reads it, so nothing passes through it from one sub-step
+or step to the next, and states that share it (two steps taken from one
+state) stay independent; steps that share a plan must not run
+concurrently. The dt, CFL and negativity checks run on every step.
 
 transport_substep, relaxation_substep, infected_gradient,
 perturbation_apply and interaction_terms allocate their own buffers, pass
@@ -65,8 +61,8 @@ MAX_CFL = 0.9  # transport number bound: dt <= MAX_CFL * eps * dx / vmax
 
 @dataclass(eq=False)
 class StepPlan:
-    """The f-independent part of a kinetic step for one key (see the module
-    docstring); every array is read-only."""
+    """The work array and the f-independent part of a kinetic step for one
+    key (see the module docstring); every array but work is read-only."""
 
     key: tuple
     decay: np.ndarray  # (3, 1, 1) relaxation factors
@@ -77,6 +73,7 @@ class StepPlan:
     bias_loss: float  # chi0 * sum_j w_j v_j
     bias_scale: float  # dt * eps**(p - q1 - 1)
     two_dx: float
+    work: np.ndarray  # (5, n_cells, n_nodes): f's shape, then the law's rows
 
 
 @dataclass
@@ -89,10 +86,7 @@ class KineticState:
     time: float
     grid: object
     vgrid: object
-    # kinetic_step's work array, (5, n_cells, n_nodes), and its StepPlan,
-    # both handed on from state to state
-    scratch: np.ndarray = field(default=None, init=False, repr=False,
-                                compare=False)
+    # kinetic_step's StepPlan, handed on from state to state
     plan: StepPlan = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -228,9 +222,10 @@ def step_plan(state, params, eqs, dt):
     """The state's StepPlan when it was built for this step, else a new one.
 
     The key holds the velocity grid and eqs by their bytes, since their
-    arrays can change in place; its last item is all that the M and nodes
-    tiles depend on, and a new plan keeps those two of the state's plan
-    when they still fit, so that a run whose dt changes builds them once.
+    arrays can change in place; its last item is all that the work array
+    and the M and nodes tiles depend on, and a new plan keeps those three
+    of the state's plan when they still fit, so that a run whose dt
+    changes allocates them once.
     """
     eps, grid, vgrid = state.epsilon, state.grid, state.vgrid
     key = (dt, eps, grid, params,
@@ -241,15 +236,16 @@ def step_plan(state, params, eqs, dt):
         return old
     cells = state.f.shape[1:]
     if old is not None and old.key[-1] == key[-1]:
-        M, nodes = old.M, old.nodes
+        M, nodes, work = old.M, old.nodes, old.work
     else:
         M, nodes = _tile(eqs[:, None, :], state.f.shape), _tile(vgrid.nodes, cells)
+        work = np.empty((5,) + cells)
     decay = _decay_factors(eqs[:, None, :], (params.sigma1, params.sigma2, params.sigma3),
                            (params.q1, params.q2, params.q3), eps, dt)
     c_up, c_dn = (_tile(row, cells) for row in _courant_rows(vgrid, grid, eps, dt))
     return StepPlan(key, _tile(decay, decay.shape), c_up, c_dn, M, nodes,
                     bias_loss_rate(params.chi0, vgrid),
-                    dt * eps ** (params.p - params.q1 - 1), 2.0 * grid.dx)
+                    dt * eps ** (params.p - params.q1 - 1), 2.0 * grid.dx, work)
 
 
 def kinetic_step(state, params, eqs, dt):
@@ -269,9 +265,7 @@ def kinetic_step(state, params, eqs, dt):
         state.plan = plan
     vgrid = state.vgrid
     f = np.empty(state.f.shape)
-    if state.scratch is None:
-        state.scratch = np.empty((5,) + f.shape[1:])
-    scratch, law_rows = state.scratch[:3], state.scratch[3:]
+    scratch, law_rows = plan.work[:3], plan.work[3:]
 
     # (a) transport, then (b) stiff relaxation, exact with one factor per row
     _transport(state.f, f, scratch, plan.c_up, plan.c_dn)
@@ -293,7 +287,7 @@ def kinetic_step(state, params, eqs, dt):
         for i, row in enumerate(f, start=1):
             clamp_nonnegative(row, f"kinetic distribution f{i}")
     new = KineticState(f, state.epsilon, state.time + dt, state.grid, vgrid)
-    new.scratch, new.plan = state.scratch, plan
+    new.plan = plan
     return new
 
 

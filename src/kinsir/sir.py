@@ -105,8 +105,13 @@ def integrate_sir(initial, params, t_final, dt):
     if not all(0 <= x < math.inf for x in (initial.u, initial.v, initial.w)):
         raise ValidationError("initial state must be finite and >= 0")
 
+    # the trajectory's (n_steps + 1, 3) doubles must fit in one numpy array
+    steps = t_final / dt
+    if not 24 * (steps + 1) <= np.iinfo(np.intp).max:
+        raise ValidationError(f"t_final / dt = {steps:.3e} steps is more than "
+                              "a trajectory array can hold")
     # at least one step whenever t_final > 0, however large dt is
-    n_steps = max(int(t_final > 0), math.ceil(t_final / dt - 1e-12))
+    n_steps = max(int(t_final > 0), math.ceil(steps - 1e-12))
     times = np.linspace(0.0, t_final, n_steps + 1)
     states = np.empty((n_steps + 1, 3))
     states[0] = (initial.u, initial.v, initial.w)

@@ -418,6 +418,13 @@ def test_ode_rejects_a_negative_start_from_a_file_profile_config(tmp_path, capsy
     assert "initial state must be finite and >= 0" in capsys.readouterr().err
 
 
+def test_ode_step_counts_beyond_an_array_exit_three(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "ode", ODE_CFG.replace("dt = 0.01", "dt = 1e-300"))
+    assert code == 3
+    assert "t_final / dt = 1.000e+299 steps" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("subcommand", ["ode", "macro", "kinetic", "converge",
                                         "coeffs"])
 def test_snapshot_times_beyond_t_final_exit_three_at_parse_time(tmp_path, capsys,

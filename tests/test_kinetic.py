@@ -244,15 +244,16 @@ def test_a_step_leaves_its_state_untouched_and_repeats_bit_for_bit():
     params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0, chi0=0.5)
     state = bump_state(0.2)
     dt = kin.max_step(state, 0.8)
-    state = kin.kinetic_step(state, params, EQS, dt)  # now holds a scratch
+    state = kin.kinetic_step(state, params, EQS, dt)  # now holds a plan
     before = state.f.copy()
     first = kin.kinetic_step(state, params, EQS, dt)
     assert state.f.tobytes() == before.tobytes()
     second = kin.kinetic_step(state, params, EQS, dt)
     assert state.f.tobytes() == before.tobytes()
-    assert first.scratch is second.scratch is state.scratch
+    assert first.plan is second.plan is state.plan
     assert first.f.tobytes() == second.f.tobytes()
-    # two runs that share one scratch, stepped in turn, stay identical
+    # two runs that share one plan and its work array, stepped in turn,
+    # stay identical
     for _ in range(5):
         first = kin.kinetic_step(first, params, EQS, dt)
         second = kin.kinetic_step(second, params, EQS, dt)
@@ -265,17 +266,17 @@ def test_hand_built_and_marched_states_step_alike():
     dt = kin.max_step(state, 0.8)
     marched = kin.kinetic_step(state, params, EQS, dt)
     hand = kin.KineticState(marched.f.copy(), 0.2, marched.time, GRID, VGRID)
-    assert hand.scratch is None and marched.scratch is not None
-    marched.scratch.fill(math.nan)  # a stale scratch value must never be read
+    assert hand.plan is None and marched.plan is not None
+    marched.plan.work.fill(math.nan)  # a stale work value must never be read
     from_hand = kin.kinetic_step(hand, params, EQS, dt)
     from_marched = kin.kinetic_step(marched, params, EQS, dt)
-    assert from_hand.scratch is hand.scratch is not marched.scratch
+    assert from_hand.plan is hand.plan is not marched.plan
     assert from_hand.f.tobytes() == from_marched.f.tobytes()
     assert from_hand.time == from_marched.time
 
 
 def fresh_step(state, params, eqs, dt):
-    """The step from a hand-built copy of state: no scratch and no plan."""
+    """The step from a hand-built copy of state: no plan."""
     hand = kin.KineticState(state.f.copy(), state.epsilon, state.time,
                             state.grid, state.vgrid)
     return kin.kinetic_step(hand, params, eqs.copy(), dt)
@@ -288,11 +289,14 @@ def test_a_plan_never_goes_stale():
     dt = kin.max_step(state, 0.8)
     state = kin.kinetic_step(state, params, eqs, dt)  # now holds a plan
     plan = state.plan
-    for array in (plan.decay, plan.c_up, plan.c_dn, plan.M, plan.nodes):
-        assert not array.flags.writeable
+    writeable = [name for name, value in vars(plan).items()
+                 if isinstance(value, np.ndarray) and value.flags.writeable]
+    assert writeable == ["work"]
     assert kin.kinetic_step(state, params, eqs, dt).plan is plan
-    # a new dt alone keeps the tiles that do not depend on it
-    assert kin.kinetic_step(state, params, eqs, 0.6 * dt).plan.M is plan.M
+    # a new dt alone keeps the arrays that do not depend on it
+    new_dt = kin.kinetic_step(state, params, eqs, 0.6 * dt).plan
+    assert new_dt.M is plan.M and new_dt.nodes is plan.nodes
+    assert new_dt.work is plan.work
 
     vgrid4 = build_velocity_grid(1.0, 4)
     narrow = kin.init_local_equilibrium(kin.moments(state), species_equilibria(vgrid4),
@@ -366,10 +370,10 @@ def test_sign_split_transport_is_the_masked_upwind_form_bit_for_bit(
 
 
 def test_a_step_allocates_one_full_size_array():
-    # the new state's f and nothing of its size: the scratch comes from the
-    # state that is stepped, and the rest of the peak is small arrays and
-    # numpy's ufunc buffers (8192 doubles each, 0.4 of this f in all); one
-    # row-sized temporary would add another 1/3
+    # the new state's f and nothing of its size: the work array comes with
+    # the plan of the state that is stepped, and the rest of the peak is
+    # small arrays and numpy's ufunc buffers (8192 doubles each, 0.4 of this
+    # f in all); one row-sized temporary would add another 1/3
     grid, vgrid = SpatialGrid(1.0, 1024), build_velocity_grid(1.0, 16)
     eqs = species_equilibria(vgrid)
     params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2.0, chi0=0.5)

@@ -210,6 +210,14 @@ class TestIntegrator:
         with pytest.raises(ValidationError, match="t_final must be finite"):
             integrate_sir(SirState(1.0, 0.0, 0.0), p, t_final, 0.1)
 
+    # step counts that numpy rejects before it allocates; the last overflows
+    @pytest.mark.parametrize("t_final, dt", [(1.0, 1e-300), (1e300, 1.0),
+                                             (2.0 ** 60, 1.0), (1e300, 1e-300)])
+    def test_rejects_more_steps_than_an_array_can_hold(self, t_final, dt):
+        p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
+        with pytest.raises(ValidationError, match="steps is more than"):
+            integrate_sir(SirState(1.0, 0.0, 0.0), p, t_final, dt)
+
     @pytest.mark.parametrize("start", [(1.0, -1e-3, 0.0), (math.nan, 0.0, 0.0),
                                        (1.0, 0.0, math.inf)])
     def test_rejects_a_negative_or_nonfinite_start(self, start):

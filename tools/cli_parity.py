@@ -76,7 +76,7 @@ CONFIGS = [
                                           "epsilon = 0.2\nt_final = 0.02\n"
                                           "snapshot_times = 0.005 0.01 0.02\n"),
     # the kinetic benchmark's size: 256 steps between its two snapshots,
-    # each handing the step's scratch array on to the next
+    # each handing the step plan and its work array on to the next
     ("kinetic_512", "kinetic", _COSINE + "n_cells = 512\nn_nodes = 16\n"
                                          "epsilon = 0.05\nt_final = 0.04\n"
                                          "snapshot_times = 0.02\n"),

@@ -31,9 +31,9 @@ def compiled_tree(label, slot):
     """Replace slot with src/ of the working tree (label WORKING_TREE) or of
     the git revision label, byte-compiled; returns the path of its src/.
 
-    The tools that time or count a step put each tree in turn at one slot,
-    so that both run from the same path string: the allocator's state in a
-    child process also depends on its import paths.
+    tools/step_cost.py puts each tree in turn at one slot, so that both run
+    from the same path string: the allocator's state in a child process
+    also depends on its import paths.
     """
     shutil.rmtree(slot, ignore_errors=True)
     if label == WORKING_TREE:

@@ -1,0 +1,177 @@
+"""Microseconds and minor page faults per step of the kinetic and macro steps.
+
+    python3 tools/step_cost.py [REV]
+
+Five cases, on criterion 7's model and profile (chemotaxis and reactions
+on, so every kinetic sub-step runs):
+
+* `kinetic_step 16x8`, `kinetic_step 128x16` and `kinetic_step 512x16`:
+  `kinetic_step` at eps = 0.05 and 0.8 of the CFL bound;
+* `macro_step 512`: `macro_step` at 0.8 of `stable_dt`;
+* `run_kinetic kinetic_chemotaxis`: one `run_kinetic` on the config of the
+  benchmark's kinetic_chemotaxis workload, divided by its steps.
+
+Each call advances the state it is given, as a run does, so a step pays
+for whatever it builds or hands on from one state to the next. A marching
+case runs WARMUP calls, then BATCHES timed batches of CALLS calls, and
+reports its best batch per call and the minor faults (`resource.getrusage`)
+of all its timed batches per call. A step whose freed temporaries make
+glibc unmap or trim memory and map it again on the next call shows up as
+faults per step; one whose temporaries the allocator recycles reads 0.
+
+Reports the working tree and, when REV is given, src/ at REV. Every case
+runs in a fresh process, because what ran earlier in a process changes
+its allocator's state and with it the count. Each tree is byte-compiled at
+one temporary path (see revtree.compiled_tree) and parked beside it, and is
+moved back to that path for each of its runs: the allocator's state also
+depends on the import paths, and on the source text when a process
+compiles kinsir at import (as under PYTHONDONTWRITEBYTECODE=1). The trees
+take turns on each case, ROUNDS times, in alternating order: the figures
+per tree and case are medians over the rounds, and the ratio of the trees
+is the median of the time ratios of the two runs of a round, which ran one
+after the other. That cancels load that other tenants of a shared machine
+put on it for seconds at a time, but not what differs from one process to
+the next; see the README for the resolution measured on a 2-core host.
+"""
+
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+from revtree import ROOT, WORKING_TREE, compiled_tree
+
+CASES = ("kinetic_step 16x8", "kinetic_step 128x16", "kinetic_step 512x16",
+         "macro_step 512", "run_kinetic kinetic_chemotaxis")
+ROUNDS = 9
+
+# run in a child process with PYTHONPATH pointing at the tree under test and
+# the case name as its one argument; prints microseconds and minor faults
+# per step
+MEASURE = """
+import math
+import resource
+import sys
+from time import perf_counter
+from kinsir import config, grids, kinetic, macro, params, velocity
+
+WARMUP, BATCHES, CALLS = 50, 20, 100
+MODEL = params.ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5)
+PROFILE = grids.InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5, amplitude=0.1)
+
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def marching(state, step):
+    for _ in range(WARMUP):
+        state = step(state)
+    best, faulted = math.inf, 0
+    for _ in range(BATCHES):
+        before = faults()
+        start = perf_counter()
+        for _ in range(CALLS):
+            state = step(state)
+        best = min(best, perf_counter() - start)
+        faulted += faults() - before
+    return best / CALLS * 1e6, faulted / (BATCHES * CALLS)
+
+
+def kinetic_case(n_cells, n_nodes):
+    grid = grids.SpatialGrid(1.0, n_cells)
+    vgrid = velocity.build_velocity_grid(MODEL.vmax, n_nodes)
+    eqs = velocity.species_equilibria(vgrid)
+    state = kinetic.init_local_equilibrium(PROFILE.build(grid), eqs, vgrid, 0.05)
+    dt = kinetic.max_step(state, 0.8)
+    return marching(state, lambda state: kinetic.kinetic_step(state, MODEL, eqs, dt))
+
+
+def macro_case(n_cells):
+    coeff = macro.build_macro_coefficients(
+        MODEL, velocity.build_velocity_grid(MODEL.vmax, 16))
+    state = PROFILE.build(grids.SpatialGrid(1.0, n_cells))
+    dt = 0.8 * macro.stable_dt(state, coeff)
+    return marching(state, lambda state: macro.macro_step(state, coeff, dt))
+
+
+def run_kinetic_case():
+    sys.path.append(%r)  # perfbench/, after the tree under test
+    from workloads import KINETIC  # the kinetic_chemotaxis workload's config
+
+    cfg = config.parse_config(KINETIC)
+    grid = grids.SpatialGrid(cfg.length, cfg.n_cells)
+    vgrid = velocity.build_velocity_grid(cfg.params.vmax, cfg.n_nodes)
+    eqs = velocity.species_equilibria(vgrid)
+    state = kinetic.init_local_equilibrium(cfg.profile.build(grid), eqs, vgrid,
+                                           cfg.epsilon)
+    steps, step = [], kinetic.kinetic_step
+    # run_kinetic looks the step up on every call
+    kinetic.kinetic_step = lambda *args: steps.append(1) or step(*args)
+    before = faults()
+    start = perf_counter()
+    kinetic.run_kinetic(state, cfg.params, eqs, cfg.t_final,
+                        snapshot_times=list(cfg.snapshot_times), cfl=cfg.cfl)
+    return ((perf_counter() - start) / len(steps) * 1e6,
+            (faults() - before) / len(steps))
+
+
+name, size = sys.argv[1].split()
+if name == "run_kinetic":
+    print(*run_kinetic_case())
+else:
+    case = kinetic_case if name == "kinetic_step" else macro_case
+    print(*case(*(int(n) for n in size.split("x"))))
+""" % os.path.join(ROOT, "perfbench")
+
+
+def measure(src, case):
+    """Microseconds and minor faults per step of one case, in a fresh child
+    process that imports kinsir from src."""
+    done = subprocess.run([sys.executable, "-c", MEASURE, case],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(1)
+    us, faults = done.stdout.split()
+    return float(us), float(faults)
+
+
+def main(argv):
+    if len(argv) > 1:
+        print("usage: python3 tools/step_cost.py [REV]", file=sys.stderr)
+        return 2
+    labels = [WORKING_TREE, *argv]
+    runs = {(label, case): [] for label in labels for case in CASES}
+    with tempfile.TemporaryDirectory(prefix="step-cost-") as tmp:
+        slot = os.path.join(tmp, "tree")
+        parked = {label: os.path.join(tmp, f"parked-{i}") for i, label in enumerate(labels)}
+        for label in labels:
+            compiled_tree(label, slot)
+            os.rename(slot, parked[label])
+        for turn in range(ROUNDS):
+            for case in CASES:
+                for label in labels[::-1] if turn % 2 else labels:
+                    os.rename(parked[label], slot)
+                    try:
+                        runs[label, case].append(measure(os.path.join(slot, "src"), case))
+                    finally:
+                        os.rename(slot, parked[label])
+    for case in CASES:
+        for label in labels:
+            times, faults = zip(*runs[label, case])
+            print(f"{label}: {case}: {statistics.median(times):.1f} us per step "
+                  f"(median of {ROUNDS}, {min(times):.1f}-{max(times):.1f}), "
+                  f"{statistics.median(faults):.3f} minor faults per step")
+        if argv:
+            ratios = [a[0] / b[0] for a, b in zip(*(runs[label, case] for label in labels))]
+            print(f"{case}: {WORKING_TREE} / {argv[0]} {statistics.median(ratios):.2f} "
+                  f"(median of {ROUNDS} adjacent pairs, "
+                  f"{min(ratios):.2f}-{max(ratios):.2f})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
