@@ -10,6 +10,10 @@ from .errors import NegativityError, ParseError, ValidationError
 
 NEGATIVITY_TOL = 1e-12
 
+# every tier holds its densities in one (3, n_cells) float array, which
+# numpy can make only while its size in bytes fits an intp
+_MAX_CELLS = np.iinfo(np.intp).max // 24
+
 
 def clamp_nonnegative(field, what):
     """Round tiny negative values (rounding noise) up to zero, in place.
@@ -46,6 +50,9 @@ class SpatialGrid:
             raise ValidationError("length must be > 0")
         if not isinstance(self.n_cells, int) or self.n_cells < 2:
             raise ValidationError("n_cells must be an integer >= 2")
+        if self.n_cells > _MAX_CELLS:
+            raise ValidationError(f"n_cells = {self.n_cells:.3e} is more cells "
+                                  "than a density array can hold")
 
     @property
     def dx(self):

@@ -120,44 +120,57 @@ def integrate_sir(initial, params, t_final, dt):
         return SirTrajectory(times, states)
 
     h = t_final / n_steps
-    d1, d2, d3 = params.d1, params.d2, params.d3
+    half = 0.5 * h
+    m1, m2, m3 = -params.d1, -params.d2, -params.d3
     beta, k, r = params.beta, params.k, params.r
     u, v, w = float(initial.u), float(initial.v), float(initial.w)
+    # a float stored through a flat memoryview of states builds no array
+    flat = memoryview(states.reshape(-1))
 
     for i in range(1, n_steps + 1):
-        # RK4 stages of ModelParams.reactions, unrolled on scalars: the loop
-        # dominates runtime for the long threshold integrations.
-        au = -d1 * u - beta * u * w + r
-        av = -d2 * v + beta * u * w
-        aw = -d3 * w + k * v
+        # RK4 stages of ModelParams.reactions on scalars, each stage with
+        # its one infection product, as reactions computes it: the same
+        # operations in the same order, so the same bits
+        infection = beta * u * w
+        au = m1 * u - infection + r
+        av = m2 * v + infection
+        aw = m3 * w + k * v
 
-        u2, v2, w2 = u + 0.5 * h * au, v + 0.5 * h * av, w + 0.5 * h * aw
-        bu = -d1 * u2 - beta * u2 * w2 + r
-        bv = -d2 * v2 + beta * u2 * w2
-        bw = -d3 * w2 + k * v2
+        u2, v2, w2 = u + half * au, v + half * av, w + half * aw
+        infection = beta * u2 * w2
+        bu = m1 * u2 - infection + r
+        bv = m2 * v2 + infection
+        bw = m3 * w2 + k * v2
 
-        u3, v3, w3 = u + 0.5 * h * bu, v + 0.5 * h * bv, w + 0.5 * h * bw
-        cu = -d1 * u3 - beta * u3 * w3 + r
-        cv = -d2 * v3 + beta * u3 * w3
-        cw = -d3 * w3 + k * v3
+        u3, v3, w3 = u + half * bu, v + half * bv, w + half * bw
+        infection = beta * u3 * w3
+        cu = m1 * u3 - infection + r
+        cv = m2 * v3 + infection
+        cw = m3 * w3 + k * v3
 
         u4, v4, w4 = u + h * cu, v + h * cv, w + h * cw
-        du = -d1 * u4 - beta * u4 * w4 + r
-        dv = -d2 * v4 + beta * u4 * w4
-        dw = -d3 * w4 + k * v4
+        infection = beta * u4 * w4
+        du = m1 * u4 - infection + r
+        dv = m2 * v4 + infection
+        dw = m3 * w4 + k * v4
 
         u += h * (au + 2.0 * bu + 2.0 * cu + du) / 6.0
         v += h * (av + 2.0 * bv + 2.0 * cv + dv) / 6.0
         w += h * (aw + 2.0 * bw + 2.0 * cw + dw) / 6.0
 
-        low = min(u, v, w)
-        if low < 0.0:
-            if low < -NEGATIVITY_TOL:
-                raise NegativeStateError(
-                    f"state component {low:.3e} < -{NEGATIVITY_TOL:.1e} at "
-                    f"t = {i * h:.6g}; reduce dt"
-                )
-            u, v, w = max(u, 0.0), max(v, 0.0), max(w, 0.0)
-        states[i] = (u, v, w)
+        # min(u, v, w) < 0 only if one of them is; a nan passes as before
+        if u < 0.0 or v < 0.0 or w < 0.0:
+            low = min(u, v, w)
+            if low < 0.0:
+                if low < -NEGATIVITY_TOL:
+                    raise NegativeStateError(
+                        f"state component {low:.3e} < -{NEGATIVITY_TOL:.1e} at "
+                        f"t = {i * h:.6g}; reduce dt"
+                    )
+                u, v, w = max(u, 0.0), max(v, 0.0), max(w, 0.0)
+        row = 3 * i
+        flat[row] = u
+        flat[row + 1] = v
+        flat[row + 2] = w
 
     return SirTrajectory(times, states)

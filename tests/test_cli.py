@@ -425,6 +425,18 @@ def test_ode_step_counts_beyond_an_array_exit_three(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+# cell counts that numpy rejects before it allocates: the first does not
+# fit an intp, a row of the second does not fit the address space
+@pytest.mark.parametrize("n_cells", [10 ** 19, 2 ** 61])
+@pytest.mark.parametrize("subcommand", ["macro", "kinetic", "converge"])
+def test_cell_counts_beyond_an_array_exit_three(tmp_path, capsys, subcommand,
+                                                 n_cells):
+    code, out = run_cli(tmp_path, subcommand, f"n_cells = {n_cells}\nt_final = 0.01\n")
+    assert code == 3
+    assert f"n_cells = {n_cells:.3e} is more cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["ode", "macro", "kinetic", "converge",
                                         "coeffs"])
 def test_snapshot_times_beyond_t_final_exit_three_at_parse_time(tmp_path, capsys,

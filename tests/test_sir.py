@@ -17,6 +17,7 @@ from kinsir import (
     integrate_sir,
     sir_rhs,
 )
+from kinsir.grids import NEGATIVITY_TOL
 
 
 def random_params(rng, r0_range=None):
@@ -126,21 +127,74 @@ class TestIntegrator:
         # integrate_sir writes ModelParams.reactions out on scalars; each of
         # its steps must equal RK4 written with reactions on an array state
         rng = np.random.default_rng(23)
-        h = 0.01
         for _ in range(200):
             p = random_params(rng)
             y = rng.uniform(0.1, 2.0, 3)
+            want, _ = self.rk4_of_the_shared_law(y, p, 0.01, 1)
+            got = integrate_sir(SirState(*y), p, 0.01, 0.01)
+            assert got.states.tobytes() == want.tobytes()
 
-            def f(state):
-                return np.array(p.reactions(*state))
+    @staticmethod
+    def rk4_of_the_shared_law(y, p, t_final, n_steps):
+        """integrate_sir's trajectory and clamp count, written with
+        ModelParams.reactions on an array state."""
+        def f(state):
+            return np.array(p.reactions(*state))
 
+        h = t_final / n_steps
+        states, clamps = [y], 0
+        for _ in range(n_steps):
             a = f(y)
             b = f(y + 0.5 * h * a)
             c = f(y + 0.5 * h * b)
             d = f(y + h * c)
-            expected = y + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
-            got = integrate_sir(SirState(*y), p, h, h).states[-1]
-            assert np.array_equal(got, expected)
+            y = y + h * (a + 2.0 * b + 2.0 * c + d) / 6.0
+            if y.min() < 0.0:
+                assert y.min() >= -NEGATIVITY_TOL
+                y = np.array([max(x, 0.0) for x in y.tolist()])
+                clamps += 1
+            states.append(y)
+        return np.array(states), clamps
+
+    # counts on both sides of 1024, where a store that buffered 1024 rows
+    # would flush
+    @pytest.mark.parametrize("n_steps", [1023, 1024, 1025, 2048])
+    def test_whole_trajectories_are_rk4_of_the_shared_reaction_law(self, n_steps):
+        rng = np.random.default_rng(n_steps)
+        for _ in range(2):
+            p = random_params(rng)
+            y = rng.uniform(0.1, 2.0, 3)
+            t_final = n_steps * 0.01
+            got = integrate_sir(SirState(*y), p, t_final, 0.01)
+            want, clamps = self.rk4_of_the_shared_law(y, p, t_final, n_steps)
+            assert clamps == 0
+            assert got.states.tobytes() == want.tobytes()
+            times = np.linspace(0.0, t_final, n_steps + 1)
+            assert got.times.tobytes() == times.tobytes()
+
+    def test_clamped_trajectories_are_rk4_of_the_shared_reaction_law(self):
+        # with d2*h = d3*h = 2, one RK4 step turns infected cells v into
+        # virus w with the weight 1 - 2 + 2 - 4/3 < 0: w from a trace of v
+        # comes out just below zero, and is rounded up to zero, every step
+        p = ModelParams(d1=1.0, d2=20.0, d3=20.0, beta=1.0, k=1.0, r=1.0)
+        y = np.array([1.0, 1e-11, 0.0])
+        got = integrate_sir(SirState(*y), p, 30.0, 0.1)
+        want, clamps = self.rk4_of_the_shared_law(y, p, 30.0, 300)
+        assert clamps == 300
+        assert got.states.tobytes() == want.tobytes()
+
+    def test_a_run_allocates_only_its_trajectory(self):
+        # a store that held the whole trajectory as Python floats would
+        # cost about five times the arrays
+        p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=2.0)
+        tracemalloc.start()
+        try:
+            tr = integrate_sir(SirState(3.0, 0.01, 0.0), p, 10.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.states.shape == (10_001, 3)
+        assert peak < 1.1 * (tr.states.nbytes + tr.times.nbytes)
 
     def test_trajectory_shape_and_times(self):
         p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)

@@ -1,15 +1,18 @@
-"""Microseconds and minor page faults per step of the kinetic and macro steps.
+"""Microseconds and minor page faults per step of the kinetic and macro steps
+and of the ODE tier's RK4 loop.
 
     python3 tools/step_cost.py [REV]
 
-Five cases, on criterion 7's model and profile (chemotaxis and reactions
+Six cases, on criterion 7's model and profile (chemotaxis and reactions
 on, so every kinetic sub-step runs):
 
 * `kinetic_step 16x8`, `kinetic_step 128x16` and `kinetic_step 512x16`:
   `kinetic_step` at eps = 0.05 and 0.8 of the CFL bound;
 * `macro_step 512`: `macro_step` at 0.8 of `stable_dt`;
 * `run_kinetic kinetic_chemotaxis`: one `run_kinetic` on the config of the
-  benchmark's kinetic_chemotaxis workload, divided by its steps.
+  benchmark's kinetic_chemotaxis workload, divided by its steps;
+* `integrate_sir 50000`: RK4 runs of 50,000 steps of the model's ODE,
+  best of RUNS, divided by the steps.
 
 Each call advances the state it is given, as a run does, so a step pays
 for whatever it builds or hands on from one state to the next. A marching
@@ -43,7 +46,7 @@ import tempfile
 from revtree import ROOT, WORKING_TREE, compiled_tree
 
 CASES = ("kinetic_step 16x8", "kinetic_step 128x16", "kinetic_step 512x16",
-         "macro_step 512", "run_kinetic kinetic_chemotaxis")
+         "macro_step 512", "run_kinetic kinetic_chemotaxis", "integrate_sir 50000")
 ROUNDS = 9
 
 # run in a child process with PYTHONPATH pointing at the tree under test and
@@ -54,9 +57,9 @@ import math
 import resource
 import sys
 from time import perf_counter
-from kinsir import config, grids, kinetic, macro, params, velocity
+from kinsir import config, grids, kinetic, macro, params, sir, velocity
 
-WARMUP, BATCHES, CALLS = 50, 20, 100
+WARMUP, BATCHES, CALLS, RUNS = 50, 20, 100, 5
 MODEL = params.ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5)
 PROFILE = grids.InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5, amplitude=0.1)
 
@@ -117,11 +120,26 @@ def run_kinetic_case():
             (faults() - before) / len(steps))
 
 
+def rk4_case(n_steps):
+    # a step is too short to time alone: time whole runs, each with its own
+    # trajectory array
+    start = sir.SirState(1.0, 0.1, 0.1)
+    best, faulted = math.inf, 0
+    for _ in range(RUNS):
+        before = faults()
+        started = perf_counter()
+        sir.integrate_sir(start, MODEL, n_steps * 1e-3, 1e-3)
+        best = min(best, perf_counter() - started)
+        faulted += faults() - before
+    return best / n_steps * 1e6, faulted / (RUNS * n_steps)
+
+
 name, size = sys.argv[1].split()
 if name == "run_kinetic":
     print(*run_kinetic_case())
 else:
-    case = kinetic_case if name == "kinetic_step" else macro_case
+    case = {"kinetic_step": kinetic_case, "macro_step": macro_case,
+            "integrate_sir": rk4_case}[name]
     print(*case(*(int(n) for n in size.split("x"))))
 """ % os.path.join(ROOT, "perfbench")
 
