@@ -2,10 +2,11 @@
 
     kinsir {ode|macro|kinetic|converge|coeffs} --config FILE [--out DIR]
 
-Each run writes headered CSV files into the output directory. The header
-records the toolkit version, the subcommand, and the fully resolved
-configuration, so identical configs yield byte-identical files. An error
-exits with its class's exit_code (1 if it has none) and one stderr line.
+Each run writes headered CSV files into the output directory, made when
+its first file is opened. The header records the toolkit version, the
+subcommand, and the fully resolved configuration, so identical configs
+yield byte-identical files. An error exits with its class's exit_code (1
+if it has none) and one stderr line.
 """
 
 import argparse
@@ -37,13 +38,16 @@ def _header(subcommand, config):
     return ["# " + line for line in lines]
 
 
-def _write_csv(path, header, lines):
-    """Write the header comment lines, then the table lines.
+def _write_csv(out_dir, name, header, lines):
+    """Write the header comment lines, then the table lines, to out_dir/name.
 
-    Each item gets one trailing newline; a table item may hold several
-    lines already joined by newlines.
+    out_dir is made here, so a run that fails before it writes leaves
+    nothing behind. Each item gets one trailing newline; a table item may
+    hold several lines already joined by newlines.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+              newline="\n") as handle:
         for line in chain(header, lines):
             handle.write(line + "\n")
 
@@ -72,10 +76,10 @@ def _named(columns, pairs):
         yield f"{name},{value:.17g}"
 
 
-def _write_snapshots(path, header, snapshots, grid):
+def _write_snapshots(out_dir, name, header, snapshots, grid):
     blocks = [(np.full(grid.n_cells, snap.time), grid.centers, *snap.rho)
               for snap in snapshots]
-    _write_csv(path, header, _numbers("time,x,c,s,u", blocks))
+    _write_csv(out_dir, name, header, _numbers("time,x,c,s,u", blocks))
 
 
 def _cmd_ode(config, out_dir):
@@ -86,8 +90,7 @@ def _cmd_ode(config, out_dir):
         config.params, config.t_final, config.dt,
     )
     blocks = [(trajectory.times, *trajectory.states.T)]
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), header,
-               _numbers("t,c,s,u", blocks))
+    _write_csv(out_dir, "trajectory.csv", header, _numbers("t,c,s,u", blocks))
 
     report = equilibria(config.params)
     quantities = [("r0", report.r0)]
@@ -96,7 +99,7 @@ def _cmd_ode(config, out_dir):
     if report.qstar is not None:
         quantities += [(f"qstar_{f}", v) for f, v in
                        zip("csu", (report.qstar.u, report.qstar.v, report.qstar.w))]
-    _write_csv(os.path.join(out_dir, "equilibrium.csv"), header,
+    _write_csv(out_dir, "equilibrium.csv", header,
                _named("quantity,value", quantities))
     return ["trajectory.csv", "equilibrium.csv"]
 
@@ -112,8 +115,7 @@ def _cmd_macro(config, out_dir):
         snapshot_times=config.snapshot_times,
         dt_max=config.dt_max or None,
     )
-    _write_snapshots(os.path.join(out_dir, "macro_snapshots.csv"),
-                     header, snapshots, grid)
+    _write_snapshots(out_dir, "macro_snapshots.csv", header, snapshots, grid)
     return ["macro_snapshots.csv"]
 
 
@@ -130,8 +132,7 @@ def _cmd_kinetic(config, out_dir):
         state, config.params, eqs, config.t_final,
         snapshot_times=config.snapshot_times, cfl=config.cfl,
     )
-    _write_snapshots(os.path.join(out_dir, "kinetic_moments.csv"),
-                     header, snapshots, grid)
+    _write_snapshots(out_dir, "kinetic_moments.csv", header, snapshots, grid)
     return ["kinetic_moments.csv"]
 
 
@@ -144,8 +145,7 @@ def _cmd_converge(config, out_dir):
         length=config.length, n_cells=config.n_cells, n_nodes=config.n_nodes,
         ref_refine=config.ref_refine, cfl=config.cfl,
     )
-    _write_csv(os.path.join(out_dir, "convergence.csv"), header,
-               report.to_lines())
+    _write_csv(out_dir, "convergence.csv", header, report.to_lines())
     orders = " ".join(f"{f}={report.orders[f]:.3f}" for f in ("c", "s", "u"))
     print(f"converge: regime={report.regime} orders {orders} "
           f"estimated={report.estimated_order:.3f}")
@@ -159,8 +159,7 @@ def _cmd_coeffs(config, out_dir):
     coeff = build_macro_coefficients(config.params, vgrid)
     rows = [("Dc", coeff.Dc), ("Ds", coeff.Ds), ("Du", coeff.Du),
             ("chi", coeff.chi)]
-    _write_csv(os.path.join(out_dir, "coefficients.csv"), header,
-               _named("name,value", rows))
+    _write_csv(out_dir, "coefficients.csv", header, _named("name,value", rows))
     return ["coefficients.csv"]
 
 
@@ -175,7 +174,6 @@ _COMMANDS = {
 
 def dispatch(subcommand, config, out_dir):
     """Run one subcommand; returns the list of files written."""
-    os.makedirs(out_dir, exist_ok=True)
     return _COMMANDS[subcommand](config, out_dir)
 
 

@@ -12,7 +12,8 @@ from collections import namedtuple
 from dataclasses import fields
 
 from .errors import ParseError, ValidationError
-from .grids import InitialProfile, SpatialGrid, snapshot_schedule
+from .convergence import check_ref_refine
+from .grids import InitialProfile, SpatialGrid, check_dt, snapshot_schedule
 from .kinetic import MAX_CFL, check_cfl, check_epsilon
 from .params import ModelParams
 
@@ -166,11 +167,9 @@ def _build_profile(values, base_dir):
 def _check_run_values(values):
     SpatialGrid(values["length"], values["n_cells"])
     snapshot_schedule(values["snapshot_times"], 0.0, values["t_final"])
-    if values["dt"] <= 0:
-        raise ValidationError("dt must be > 0")
+    check_dt(values["dt"])
     if values["dt_max"] < 0:
         raise ValidationError("dt_max must be >= 0 (0 means automatic)")
     check_cfl(values["cfl"])
     check_epsilon(values["epsilon"])
-    if values["ref_refine"] < 2:
-        raise ValidationError("ref_refine must be >= 2")
+    check_ref_refine(values["ref_refine"])

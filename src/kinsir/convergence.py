@@ -82,6 +82,12 @@ class ConvergenceReport:
         return lines
 
 
+def check_ref_refine(ref_refine):
+    """Reject a reference grid refinement factor below 2."""
+    if ref_refine < 2:
+        raise ValidationError("ref_refine must be >= 2")
+
+
 def _species_max(errors):
     """Per-eps maximum error across species."""
     return tuple(map(max, zip(*(errors[f] for f in _FIELDS))))
@@ -169,8 +175,7 @@ def run_convergence_study(params, profile, epsilons, t_final,
     kinetic.check_cfl(cfl)
     if len(epsilons) < 3:
         raise DegenerateFitError("a convergence study needs at least three epsilons")
-    if ref_refine < 2:
-        raise ValidationError("ref_refine must be >= 2")
+    check_ref_refine(ref_refine)
     regime, exponents = _detect_regime(params)
     epsilons = tuple(sorted(epsilons, reverse=True))
     times = snapshot_schedule(snapshot_times, 0.0, t_final)

@@ -32,9 +32,24 @@ def clamp_nonnegative(field, what):
     return field
 
 
+def clamp_rows_nonnegative(stack, labels):
+    """clamp_nonnegative on each row of a stack, naming the row by its
+    label; one min() over the whole stack when no value is negative."""
+    if stack.min() < 0.0:
+        for row, label in zip(stack, labels):
+            clamp_nonnegative(row, label)
+    return stack
+
+
+def check_dt(dt):
+    """Reject a step size that is not finite and > 0."""
+    if not 0 < dt < math.inf:
+        raise ValidationError("dt must be finite and > 0")
+
+
 def shifted(row, k):
-    """row[(i + k) % n] of a 1-D row, for k = 1 or -1: the macro tier's
-    periodic neighbour, a roll by -k without the cost of numpy's."""
+    """row[(i + k) % n] of a 1-D row, for k = 1 or -1: the periodic
+    neighbour of both tiers, a roll by -k without the cost of numpy's."""
     return np.concatenate((row[k:], row[:k]))
 
 

@@ -25,7 +25,7 @@ rows 3-4 the reaction law's two rows, and what does not depend on f: the
 three relaxation decay factors, the courant row split by the sign of v
 into two (n_cells, n_nodes) tiles, eqs as a (3, n_cells, n_nodes) tile,
 the nodes as an (n_cells, n_nodes) tile for the bias gain,
-chi0 * sum_j w_j v_j, dt * eps^(p-q1-1) and 2*dx. The tiles make every
+chi0 * sum_j w_j v_j and dt * eps^(p-q1-1). The tiles make every
 full-size operation a contiguous one; broadcasting a row of n_nodes values
 makes numpy's inner loop run over the nodes alone. A step reuses the plan
 of the state it is given when the plan was built for the same dt, eps,
@@ -53,7 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CflViolationError, ValidationError
-from .grids import MacroState, clamp_nonnegative, march, snapshot_schedule
+from .grids import (MacroState, check_dt, clamp_rows_nonnegative, march, shifted,
+                    snapshot_schedule)
 from .velocity import bias_loss_rate, interaction_terms_into, perturbation_into
 
 MAX_CFL = 0.9  # transport number bound: dt <= MAX_CFL * eps * dx / vmax
@@ -72,7 +73,6 @@ class StepPlan:
     nodes: np.ndarray  # the nodes tiled to (n_cells, n_nodes)
     bias_loss: float  # chi0 * sum_j w_j v_j
     bias_scale: float  # dt * eps**(p - q1 - 1)
-    two_dx: float
     work: np.ndarray  # (5, n_cells, n_nodes): f's shape, then the law's rows
 
 
@@ -196,18 +196,10 @@ def _relax(f, M, decay, vgrid, work):
 
 
 def infected_gradient(f2, vgrid, grid):
-    """Centered-difference gradient of the infected-cell moment."""
-    return _centered_gradient(f2 @ vgrid.weights, 2.0 * grid.dx)
-
-
-def _centered_gradient(s, two_dx):
-    """(s[i+1] - s[i-1]) / two_dx, periodic in i."""
-    grad = np.empty(s.shape)
-    np.subtract(s[2:], s[:-2], out=grad[1:-1])
-    np.subtract(s[1:2], s[-1:], out=grad[:1])
-    np.subtract(s[:1], s[-2:-1], out=grad[-1:])
-    grad /= two_dx
-    return grad
+    """Centered-difference gradient of the infected-cell moment, periodic
+    in the cells."""
+    s = f2 @ vgrid.weights
+    return (shifted(s, 1) - shifted(s, -1)) / (2.0 * grid.dx)
 
 
 def _tile(values, shape):
@@ -245,7 +237,7 @@ def step_plan(state, params, eqs, dt):
     c_up, c_dn = (_tile(row, cells) for row in _courant_rows(vgrid, grid, eps, dt))
     return StepPlan(key, _tile(decay, decay.shape), c_up, c_dn, M, nodes,
                     bias_loss_rate(params.chi0, vgrid),
-                    dt * eps ** (params.p - params.q1 - 1), 2.0 * grid.dx, work)
+                    dt * eps ** (params.p - params.q1 - 1), work)
 
 
 def kinetic_step(state, params, eqs, dt):
@@ -254,8 +246,7 @@ def kinetic_step(state, params, eqs, dt):
     Preconditions: dt finite and > 0 (ValidationError), and
     dt <= MAX_CFL * eps * dx / vmax (CflViolationError).
     """
-    if not 0 < dt < math.inf:
-        raise ValidationError("dt must be finite and > 0")
+    check_dt(dt)
     if dt > max_step(state) * (1.0 + 1e-12):
         raise CflViolationError(
             f"dt = {dt:.3e} exceeds the transport bound {max_step(state):.3e}"
@@ -273,7 +264,7 @@ def kinetic_step(state, params, eqs, dt):
 
     # (c) infected-gradient bias on the healthy population
     if params.chi0 != 0.0:
-        grad_s = _centered_gradient(f[1] @ vgrid.weights, plan.two_dx)
+        grad_s = infected_gradient(f[1], vgrid, state.grid)
         bias = perturbation_into(f[0], grad_s, params.chi0, vgrid, plan.nodes,
                                  plan.bias_loss, *scratch[:2])
         bias *= plan.bias_scale
@@ -283,9 +274,8 @@ def kinetic_step(state, params, eqs, dt):
     gains = interaction_terms_into(f, plan.M, params, vgrid, scratch, law_rows)
     gains *= dt
     f += gains
-    if f.min() < 0.0:
-        for i, row in enumerate(f, start=1):
-            clamp_nonnegative(row, f"kinetic distribution f{i}")
+    clamp_rows_nonnegative(f, ("kinetic distribution f1", "kinetic distribution f2",
+                               "kinetic distribution f3"))
     new = KineticState(f, state.epsilon, state.time + dt, state.grid, vgrid)
     new.plan = plan
     return new

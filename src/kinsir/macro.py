@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from .errors import StepSizeError, ValidationError
-from .grids import MacroState, clamp_nonnegative, march, shifted, snapshot_schedule
+from .grids import (MacroState, check_dt, clamp_rows_nonnegative, march, shifted,
+                    snapshot_schedule)
 from .velocity import MacroCoefficients, transport_coefficients  # noqa: F401
 
 DRIFT_CFL = 0.9  # Euler stage of size h: h <= DRIFT_CFL * dx / max|chi * ds/dx|
@@ -42,10 +43,8 @@ def _euler_stage(rho, coeff, h, dx):
             raise StepSizeError(f"dt/2 = {h:.3e} exceeds the drift bound {bound:.3e}")
         flux = w * np.where(w > 0, rho[0], shifted(rho[0], 1))
         new[0] -= h / dx * (flux - shifted(flux, -1))
-    if new.min() < 0.0:
-        for name, field in zip("csu", new):
-            clamp_nonnegative(field, f"macro field {name}")
-    return new
+    return clamp_rows_nonnegative(new, ("macro field c", "macro field s",
+                                         "macro field u"))
 
 
 def _heun(rho, coeff, h, dx):
@@ -68,8 +67,7 @@ def macro_step(state, coeff, dt):
     dt. Each Euler stage stays within the drift bound 0.9*dx/max|chi*ds/dx|
     (StepSizeError) and no density below -1e-12 (NegativityError).
     """
-    if not 0 < dt < math.inf:
-        raise ValidationError("dt must be finite and > 0")
+    check_dt(dt)
     dx, n = state.grid.dx, state.grid.n_cells
     rho = _heun(state.rho, coeff, 0.5 * dt, dx)
     if coeff.max_diffusivity > 0:

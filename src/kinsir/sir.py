@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeStateError, ValidationError
-from .grids import NEGATIVITY_TOL
+from .grids import NEGATIVITY_TOL, check_dt
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def integrate_sir(initial, params, t_final, dt):
     (dt too large). dt must be finite and > 0; t_final and every component
     of the initial state must be finite and >= 0.
     """
-    if not 0 < dt < math.inf:
-        raise ValidationError("dt must be finite and > 0")
+    check_dt(dt)
     if not 0 <= t_final < math.inf:
         raise ValidationError("t_final must be finite and >= 0")
     if not all(0 <= x < math.inf for x in (initial.u, initial.v, initial.w)):

@@ -114,16 +114,6 @@ def relaxation_kernel(M, sigma, grid):
     return np.broadcast_to(sigma * M[:, None], (n, n)).copy()
 
 
-def turning_apply(kernel, g, grid):
-    """Gain/loss application of a general turning kernel:
-
-        (T g)_j = sum_k w_k kernel[j,k] g_k  -  (sum_k w_k kernel[k,j]) g_j
-    """
-    gain = kernel @ (grid.weights * g)
-    loss = (grid.weights @ kernel) * g
-    return gain - loss
-
-
 def invert_relaxation(f, M, sigma, grid):
     """Solve L(g) = f for the unique g with <g> = 0.
 

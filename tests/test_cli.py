@@ -301,7 +301,7 @@ def test_unreadable_input_files_exit_with_parse_code(tmp_path, capsys, config,
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError: cannot read")
     assert str(tmp_path / unreadable) in err
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 def test_parabolic_study_runs_from_a_file_profile(tmp_path):
@@ -378,7 +378,7 @@ def test_non_finite_profile_values_exit_with_parse_code(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError:")
     assert "cells.csv:7: non-finite value" in err
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand, cfg", [
@@ -390,7 +390,7 @@ def test_non_finite_list_values_exit_with_parse_code(tmp_path, capsys,
     code, out = run_cli(tmp_path, subcommand, cfg)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ParseError:")
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("profile, code, message", [
@@ -405,7 +405,7 @@ def test_malformed_profile_files_are_reported(tmp_path, capsys, profile, code,
     exit_code, out = run_cli(tmp_path, "macro", FILE_PROFILE_CFG.decode())
     assert exit_code == code
     assert re.search(message, capsys.readouterr().err)
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 def test_ode_rejects_a_negative_start_from_a_file_profile_config(tmp_path, capsys):
@@ -422,7 +422,7 @@ def test_ode_step_counts_beyond_an_array_exit_three(tmp_path, capsys):
     code, out = run_cli(tmp_path, "ode", ODE_CFG.replace("dt = 0.01", "dt = 1e-300"))
     assert code == 3
     assert "t_final / dt = 1.000e+299 steps" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
+    assert not out.exists()
 
 
 # cell counts that numpy rejects before it allocates: the first does not
@@ -435,6 +435,29 @@ def test_cell_counts_beyond_an_array_exit_three(tmp_path, capsys, subcommand,
     assert code == 3
     assert f"n_cells = {n_cells:.3e} is more cells" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the node count is checked when a run builds its velocity grid, after
+# parsing; a run that stops there has written nothing and made no directory
+@pytest.mark.parametrize("n_nodes, code, message", [
+    (7, 5, "OddNodeCountError: n_nodes must be an even integer"),
+    (2, 3, "ValidationError: n_nodes must be >= 4"),
+])
+@pytest.mark.parametrize("subcommand", ["macro", "kinetic", "converge", "coeffs"])
+def test_bad_node_counts_exit_with_their_code_and_leave_no_directory(
+        tmp_path, capsys, subcommand, n_nodes, code, message):
+    exit_code, out = run_cli(tmp_path, subcommand,
+                             f"n_nodes = {n_nodes}\nn_cells = 8\nt_final = 0.01\n")
+    assert exit_code == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_nodes", [7, 2])
+def test_ode_ignores_the_node_count(tmp_path, n_nodes):
+    code, out = run_cli(tmp_path, "ode", ODE_CFG + f"n_nodes = {n_nodes}\n")
+    assert code == 0
+    assert sorted(os.listdir(out)) == ["equilibrium.csv", "trajectory.csv"]
 
 
 @pytest.mark.parametrize("subcommand", ["ode", "macro", "kinetic", "converge",

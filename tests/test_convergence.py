@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import kinsir.convergence as convergence
 import kinsir.kinetic as kin
 from kinsir import ModelParams, SirState, equilibria, integrate_sir, macro
+from kinsir.config import parse_config
 from kinsir.convergence import (
     ConvergenceReport,
     estimate_order,
@@ -158,6 +159,9 @@ def test_reference_refinement_must_be_at_least_two():
     with pytest.raises(ValidationError, match="ref_refine must be >= 2"):
         run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1), 0.01,
                               n_cells=16, n_nodes=8, ref_refine=1)
+    # the config checks the same rule at parse time
+    with pytest.raises(ValidationError, match="^ref_refine must be >= 2$"):
+        parse_config("ref_refine = 1\n")
 
 
 def test_parabolic_study_converges_to_the_macro_limit():

@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kinsir import ModelParams, SirState, equilibria, integrate_sir
+from kinsir.config import parse_config
 from kinsir.errors import NegativityError, StepSizeError, ValidationError
 from kinsir.grids import (
     InitialProfile,
     MacroState,
     SpatialGrid,
+    check_dt,
     clamp_nonnegative,
+    clamp_rows_nonnegative,
     march,
     shifted,
     snapshot_schedule,
@@ -34,7 +37,12 @@ from kinsir.macro import (
     run_macro,
     stable_dt,
 )
-from kinsir.velocity import build_velocity_grid, transport_coefficients
+from kinsir.kinetic import init_local_equilibrium, kinetic_step
+from kinsir.velocity import (
+    build_velocity_grid,
+    species_equilibria,
+    transport_coefficients,
+)
 
 VGRID = build_velocity_grid(1.0, 16)
 
@@ -371,6 +379,34 @@ def test_clamp_rounds_noise_level_negatives_up_in_place(low):
     field = np.array([low, 0.0, 2.0])
     assert clamp_nonnegative(field, "test field") is field
     assert field.tolist() == [0.0, 0.0, 2.0]
+
+
+def test_stacked_clamp_names_the_first_row_below_tolerance():
+    stack = np.array([[1.0, -1e-13], [0.5, 0.0], [-1e-13, 2.0]])
+    labels = ("row a", "row b", "row c")
+    assert clamp_rows_nonnegative(stack, labels) is stack
+    assert stack.tolist() == [[1.0, 0.0], [0.5, 0.0], [0.0, 2.0]]
+    stack[1, 0] = -1e-3
+    stack[2, 1] = -1.0
+    with pytest.raises(NegativityError, match="^row b reached -1.000e-03"):
+        clamp_rows_nonnegative(stack, labels)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_every_tier_rejects_a_bad_step_with_one_message(dt):
+    params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
+    state = constant_state((1.0, 0.5, 0.5), SpatialGrid(1.0, 8))
+    eqs = species_equilibria(VGRID)
+    kinetic_state = init_local_equilibrium(state, eqs, VGRID, 0.5)
+    calls = [lambda: check_dt(dt),
+             lambda: macro_step(state, build_macro_coefficients(params, VGRID), dt),
+             lambda: kinetic_step(kinetic_state, params, eqs, dt),
+             lambda: integrate_sir(SirState(1.0, 0.0, 0.0), params, 1.0, dt)]
+    if math.isfinite(dt):  # a config cannot hold nan or inf
+        calls.append(lambda: parse_config(f"dt = {dt}\n"))
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"^dt must be finite and > 0$"):
+            call()
 
 
 def test_snapshot_times_are_hit_exactly_and_final_time_is_appended():

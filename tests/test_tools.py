@@ -1,4 +1,5 @@
-"""Smoke test of the step-cost tool against the working tree's kinsir."""
+"""Smoke tests of the step-cost tool against the working tree's kinsir, and
+tests of the file comparison behind tools/cli_parity.py."""
 
 import importlib
 import math
@@ -24,3 +25,37 @@ def test_step_cost_measures_a_short_rk4_run(monkeypatch):
     us, faults = step_cost.measure(str(ROOT / "src"), "integrate_sir 2000")
     assert 0.0 < us < math.inf
     assert 0.0 <= faults < math.inf
+
+
+def parity_compare(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    return importlib.import_module("cli_parity").compare
+
+
+def test_parity_reports_identical_texts(monkeypatch):
+    compare = parity_compare(monkeypatch)
+    text = "# dt = 0.01\nt,c\n0,1.5\n"
+    assert compare(text, text, "REV") == "identical"
+
+
+def test_parity_reports_the_largest_numeric_differences(monkeypatch):
+    compare = parity_compare(monkeypatch)
+    old = "# dt = 0.01\nt,c\n0,1.5\n1,-4\n"
+    new = "# dt = 0.02\nt,c\n0,1.25\n1,-4.5\n"
+    assert compare(old, new, "REV") == "max abs diff 5.000e-01, max rel diff 5.000e-01"
+
+
+def test_parity_lists_a_text_change(monkeypatch):
+    compare = parity_compare(monkeypatch)
+    verdict = compare("t,c\n0,1.5\n", "t,u\n0,1.5\n", "REV")
+    assert verdict == ("max abs diff 0.000e+00, max rel diff 0.000e+00; "
+                       "'t,c' against 't,u'")
+
+
+def test_parity_lists_lines_that_one_tree_wrote(monkeypatch):
+    compare = parity_compare(monkeypatch)
+    verdict = compare("t,c\n0,1\n1,2\n", "t,c\n0,1\n2,3\n3,4\n", "REV")
+    assert verdict == ("max abs diff 1.000e+00, max rel diff 5.000e-01; "
+                       "only in the working tree: '3,4'")
+    verdict = compare("t,c\n0,1\n9,9\n", "t,c\n0,1\n", "REV")
+    assert verdict.endswith("; only in REV: '9,9'")

@@ -21,7 +21,6 @@ from kinsir.velocity import (
     solve_theta,
     species_equilibria,
     transport_coefficients,
-    turning_apply,
     uniform_equilibrium,
 )
 
@@ -111,14 +110,16 @@ class TestRelaxation:
         assert np.max(np.abs(out)) < 1e-14
 
     def test_matches_kernel_form(self):
-        # dual route: closed-form relaxation vs gain/loss kernel quadrature
+        # dual route: closed-form relaxation vs the gain/loss quadrature of
+        # its kernel, sum_k w_k K[j,k] f_k - (sum_k w_k K[k,j]) f_j
         g = build_velocity_grid(1.0, 24)
         M = uniform_equilibrium(g)
         K = relaxation_kernel(M, 0.8, g)
         rng = np.random.default_rng(11)
         f = rng.uniform(0.0, 1.0, g.n_nodes)
+        gain_loss = K @ (g.weights * f) - (g.weights @ K) * f
         np.testing.assert_allclose(
-            turning_apply(K, f, g), relaxation_apply(f, M, 0.8, g), atol=1e-12
+            gain_loss, relaxation_apply(f, M, 0.8, g), atol=1e-12
         )
 
     def test_detailed_balance_and_lower_bound(self):
