@@ -38,6 +38,7 @@ from .sir import (
     basic_reproduction_number,
     equilibria,
     integrate_sir,
+    integrate_sir_blocks,
     sir_rhs,
 )
 from .velocity import (
@@ -77,6 +78,7 @@ __all__ = [
     "estimate_order",
     "init_local_equilibrium",
     "integrate_sir",
+    "integrate_sir_blocks",
     "kinetic_step",
     "macro_step",
     "moments",

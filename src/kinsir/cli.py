@@ -3,15 +3,17 @@
     kinsir {ode|macro|kinetic|converge|coeffs} --config FILE [--out DIR]
 
 Each run writes headered CSV files into the output directory, made when
-its first file is opened. The header records the toolkit version, the
-subcommand, and the fully resolved configuration, so identical configs
-yield byte-identical files. An error exits with its class's exit_code (1
-if it has none) and one stderr line.
+its first file is opened; each file is written whole or not at all. The
+header records the toolkit version, the subcommand, and the fully
+resolved configuration, so identical configs yield byte-identical files.
+An error exits with its class's exit_code (1 if it has none) and one
+stderr line.
 """
 
 import argparse
 import os
 import sys
+from contextlib import suppress
 from itertools import chain
 
 import numpy as np
@@ -23,7 +25,7 @@ from .errors import KinsirError
 from .grids import SpatialGrid
 from .kinetic import init_local_equilibrium, run_kinetic
 from .macro import build_macro_coefficients, run_macro
-from .sir import SirState, equilibria, integrate_sir
+from .sir import SirState, equilibria, integrate_sir_blocks
 from .velocity import build_velocity_grid, species_equilibria
 
 
@@ -41,15 +43,29 @@ def _header(subcommand, config):
 def _write_csv(out_dir, name, header, lines):
     """Write the header comment lines, then the table lines, to out_dir/name.
 
-    out_dir is made here, so a run that fails before it writes leaves
-    nothing behind. Each item gets one trailing newline; a table item may
-    hold several lines already joined by newlines.
+    The lines go to a temporary sibling that replaces out_dir/name after
+    the last one, so the file is written whole or not at all: on an error
+    the temporary file is deleted, and out_dir too if this call made it
+    and nothing else is in it. out_dir is made here, so a run that fails
+    before it writes leaves nothing behind. Each item gets one trailing
+    newline; a table item may hold several lines already joined by
+    newlines.
     """
+    made = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
-              newline="\n") as handle:
-        for line in chain(header, lines):
-            handle.write(line + "\n")
+    path = os.path.join(out_dir, name)
+    partial = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as handle:
+            for line in chain(header, lines):
+                handle.write(line + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(partial)
+        if made and not os.listdir(out_dir):
+            os.rmdir(out_dir)
+        raise
 
 
 def _numbers(columns, blocks):
@@ -85,13 +101,12 @@ def _write_snapshots(out_dir, name, header, snapshots, grid):
 def _cmd_ode(config, out_dir):
     """integrate the virus ODE system and report its equilibria"""
     header = _header("ode", config)
-    trajectory = integrate_sir(
+    # both checks run before the first file is opened; the trajectory is
+    # then integrated block by block as its lines are written
+    trajectory = integrate_sir_blocks(
         SirState(config.c0, config.s0, config.u0),
         config.params, config.t_final, config.dt,
     )
-    blocks = [(trajectory.times, *trajectory.states.T)]
-    _write_csv(out_dir, "trajectory.csv", header, _numbers("t,c,s,u", blocks))
-
     report = equilibria(config.params)
     quantities = [("r0", report.r0)]
     quantities += [(f"q0_{f}", v) for f, v in
@@ -99,6 +114,9 @@ def _cmd_ode(config, out_dir):
     if report.qstar is not None:
         quantities += [(f"qstar_{f}", v) for f, v in
                        zip("csu", (report.qstar.u, report.qstar.v, report.qstar.w))]
+
+    blocks = ((times, *states.T) for times, states in trajectory)
+    _write_csv(out_dir, "trajectory.csv", header, _numbers("t,c,s,u", blocks))
     _write_csv(out_dir, "equilibrium.csv", header,
                _named("quantity,value", quantities))
     return ["trajectory.csv", "equilibrium.csv"]

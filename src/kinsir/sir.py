@@ -88,16 +88,13 @@ def equilibria(params):
     return EquilibriumReport(r0, q0, qstar)
 
 
-def integrate_sir(initial, params, t_final, dt):
-    """Integrate with classical RK4 at a fixed step.
+# rows per block of a streamed trajectory: 1,024 writer chunks of 64 rows,
+# about 2 MB of states and times
+_BLOCK_ROWS = 65_536
 
-    The actual step is t_final/ceil(t_final/dt), the largest step <= dt that
-    lands exactly on t_final; the trajectory has ceil(t_final/dt)+1 states.
-    Components in [-NEGATIVITY_TOL, 0) are rounded up to zero after each
-    step; a component below -NEGATIVITY_TOL raises NegativeStateError
-    (dt too large). dt must be finite and > 0; t_final and every component
-    of the initial state must be finite and >= 0.
-    """
+
+def _step_count(initial, t_final, dt):
+    """Check integrate_sir's arguments; returns its step count and step."""
     check_dt(dt)
     if not 0 <= t_final < math.inf:
         raise ValidationError("t_final must be finite and >= 0")
@@ -111,22 +108,34 @@ def integrate_sir(initial, params, t_final, dt):
                               "a trajectory array can hold")
     # at least one step whenever t_final > 0, however large dt is
     n_steps = max(int(t_final > 0), math.ceil(steps - 1e-12))
-    times = np.linspace(0.0, t_final, n_steps + 1)
-    states = np.empty((n_steps + 1, 3))
-    states[0] = (initial.u, initial.v, initial.w)
+    return n_steps, t_final / max(n_steps, 1)
 
-    if n_steps == 0:
-        return SirTrajectory(times, states)
 
-    h = t_final / n_steps
+def _times(start, stop, h, t_final, n_steps):
+    """Times of steps start, ..., stop - 1: bit for bit the same slice of
+    np.linspace(0, t_final, n_steps + 1), which also computes i*h and sets
+    its last time to t_final."""
+    times = np.arange(start, stop, dtype=float)
+    times *= h
+    if stop == n_steps + 1:
+        times[-1] = t_final
+    return times
+
+
+def _rk4_into(rows, start, params, h, first):
+    """Fill the (k, 3) array rows with the RK4 steps first, ..., first + k - 1
+    from the state start = (u, v, w) at step first - 1; returns the state
+    at the last step. The step index i names the time i*h in the
+    NegativeStateError message."""
     half = 0.5 * h
     m1, m2, m3 = -params.d1, -params.d2, -params.d3
     beta, k, r = params.beta, params.k, params.r
-    u, v, w = float(initial.u), float(initial.v), float(initial.w)
-    # a float stored through a flat memoryview of states builds no array
-    flat = memoryview(states.reshape(-1))
+    u, v, w = start
+    # a float stored through a flat memoryview of rows builds no array
+    flat = memoryview(rows.reshape(-1))
+    offset = 3 * first
 
-    for i in range(1, n_steps + 1):
+    for i in range(first, first + len(rows)):
         # RK4 stages of ModelParams.reactions on scalars, each stage with
         # its one infection product, as reactions computes it: the same
         # operations in the same order, so the same bits
@@ -167,9 +176,51 @@ def integrate_sir(initial, params, t_final, dt):
                         f"t = {i * h:.6g}; reduce dt"
                     )
                 u, v, w = max(u, 0.0), max(v, 0.0), max(w, 0.0)
-        row = 3 * i
+        row = 3 * i - offset
         flat[row] = u
         flat[row + 1] = v
         flat[row + 2] = w
 
+    return u, v, w
+
+
+def integrate_sir(initial, params, t_final, dt):
+    """Integrate with classical RK4 at a fixed step.
+
+    The actual step is t_final/ceil(t_final/dt), the largest step <= dt that
+    lands exactly on t_final; the trajectory has ceil(t_final/dt)+1 states.
+    Components in [-NEGATIVITY_TOL, 0) are rounded up to zero after each
+    step; a component below -NEGATIVITY_TOL raises NegativeStateError
+    (dt too large). dt must be finite and > 0; t_final and every component
+    of the initial state must be finite and >= 0.
+    """
+    n_steps, h = _step_count(initial, t_final, dt)
+    [(times, states)] = _blocks(initial, params, h, t_final, n_steps, n_steps + 1)
     return SirTrajectory(times, states)
+
+
+def integrate_sir_blocks(initial, params, t_final, dt):
+    """integrate_sir's trajectory as an iterator of (times, states) blocks.
+
+    The arguments are checked here, before the first block is asked for,
+    with integrate_sir's checks and messages. Each block holds the next
+    rows of times and states, at most _BLOCK_ROWS of them, in arrays of
+    its own; concatenated, the blocks are integrate_sir's arrays bit for
+    bit. A NegativeStateError comes from the block that meets it.
+    """
+    n_steps, h = _step_count(initial, t_final, dt)
+    return _blocks(initial, params, h, t_final, n_steps, _BLOCK_ROWS)
+
+
+def _blocks(initial, params, h, t_final, n_steps, size):
+    """The trajectory's rows in blocks of size rows, each in new arrays;
+    integrate_sir takes them as one block."""
+    state = float(initial.u), float(initial.v), float(initial.w)
+    for start in range(0, n_steps + 1, size):
+        stop = min(start + size, n_steps + 1)
+        states = np.empty((stop - start, 3))
+        if start == 0:
+            states[0] = state
+        first = max(start, 1)
+        state = _rk4_into(states[first - start:], state, params, h, first)
+        yield _times(start, stop, h, t_final, n_steps), states

@@ -7,6 +7,7 @@ inspects the files it leaves behind.
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from kinsir import __version__
 from kinsir.cli import _header, _numbers, main
 from kinsir.config import load_config
 from kinsir.convergence import run_convergence_study
+from kinsir.errors import NegativeStateError
 
 
 def run_cli(tmp_path, subcommand, config_text, out="out", name="run.cfg"):
@@ -174,6 +176,9 @@ def test_exit_codes_by_failure_class(tmp_path):
         ("ode", "betaa = 2\n", 2),                      # ParseError
         ("ode", "q1 = 0\n", 3),                         # ValidationError
         ("ode", "beta = 40\nc0 = 1\nu0 = 1\ndt = 1\nt_final = 2\n", 4),
+        # the equilibrium report needs every death rate > 0
+        ("ode", "d1 = 0\n", 3),
+        ("ode", "d3 = 0\n", 3),
         ("kinetic", "n_nodes = 7\nt_final = 0.01\n", 5),  # OddNodeCountError
         ("kinetic",
          "d1 = 100\nepsilon = 0.5\nn_cells = 8\nn_nodes = 8\nt_final = 0.1\n",
@@ -185,11 +190,79 @@ def test_exit_codes_by_failure_class(tmp_path):
          12),                                           # DegenerateFitError
     ]
     for i, (subcommand, cfg, expected) in enumerate(cases):
-        code, _ = run_cli(tmp_path, subcommand, cfg, out=f"e{i}",
-                          name=f"case{i}.cfg")
+        code, out = run_cli(tmp_path, subcommand, cfg, out=f"e{i}",
+                            name=f"case{i}.cfg")
         assert code == expected, f"{subcommand} case {i}"
-    header, _, _ = read_table(tmp_path / "e5" / "convergence.csv")
+        # a failed run leaves no file or directory behind
+        assert out.exists() == (expected == 0), f"{subcommand} case {i}"
+    header, _, _ = read_table(tmp_path / "e7" / "convergence.csv")
     assert "# regime = mixed" in header
+
+
+def fail_in_the_second_block(monkeypatch):
+    """Blocks of 7 rows, and a NegativeStateError from the RK4 loop when it
+    fills the second one: ODE_CFG's 11 rows stop after the first block."""
+    import kinsir.sir as sir
+
+    loop = sir._rk4_into
+    calls = []
+
+    def second_block_fails(rows, start, params, h, first):
+        calls.append(first)
+        if len(calls) == 2:
+            raise NegativeStateError("injected")
+        return loop(rows, start, params, h, first)
+
+    monkeypatch.setattr(sir, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(sir, "_rk4_into", second_block_fails)
+    return calls
+
+
+def test_ode_failing_in_the_middle_of_a_stream_leaves_nothing(tmp_path,
+                                                              monkeypatch):
+    calls = fail_in_the_second_block(monkeypatch)
+    code, out = run_cli(tmp_path, "ode", ODE_CFG)
+    assert code == 4
+    assert calls == [1, 7]
+    assert not out.exists()
+
+
+def test_ode_failing_in_the_middle_of_a_stream_keeps_an_earlier_run(tmp_path,
+                                                                    monkeypatch):
+    code, out = run_cli(tmp_path, "ode", ODE_CFG)
+    assert code == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    calls = fail_in_the_second_block(monkeypatch)
+    code, _ = run_cli(tmp_path, "ode", ODE_CFG)
+    assert code == 4
+    assert calls == [1, 7]
+    # the complete files are untouched and no temporary file is left
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+    assert sorted(before) == ["equilibrium.csv", "trajectory.csv"]
+
+
+def test_ode_peak_memory_does_not_grow_with_the_step_count(tmp_path,
+                                                          monkeypatch):
+    # a whole trajectory in memory costs 32 bytes a step (three states and
+    # a time), 288 KB more at 12,000 steps than at 3,000; a streamed run
+    # holds a block or two of 1,024 rows (32 KB each) at any step count
+    import kinsir.sir as sir
+
+    monkeypatch.setattr(sir, "_BLOCK_ROWS", 1024)
+    base = "r = 2\nc0 = 1.2\ns0 = 0.4\nu0 = 0.9\ndt = 1e-3\n"
+    peaks = []
+    for i, t_final in enumerate([3, 3, 12]):  # the first run warms up
+        cfg = tmp_path / f"run{i}.cfg"
+        cfg.write_text(base + f"t_final = {t_final}\n")
+        tracemalloc.start()
+        try:
+            code = main(["ode", "--config", str(cfg),
+                         "--out", str(tmp_path / f"out{i}")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[2] < peaks[1] + 1024 * 32
 
 
 def test_every_failure_class_has_its_own_exit_code(tmp_path, monkeypatch):

@@ -15,6 +15,8 @@ from kinsir import (
     basic_reproduction_number,
     equilibria,
     integrate_sir,
+    integrate_sir_blocks,
+    sir,
     sir_rhs,
 )
 from kinsir.grids import NEGATIVITY_TOL
@@ -278,6 +280,91 @@ class TestIntegrator:
         p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
         with pytest.raises(ValidationError, match="initial state"):
             integrate_sir(SirState(*start), p, 1.0, 0.1)
+
+
+class TestBlocks:
+    """integrate_sir_blocks: the trajectory in blocks of at most _BLOCK_ROWS
+    rows, each block's first step continuing the previous block's last."""
+
+    @staticmethod
+    def joined(blocks):
+        times, states = zip(*blocks)
+        return np.concatenate(times), np.concatenate(states)
+
+    # 2, 7, 8, 9 and 20 rows: less than a block, one block exactly, one
+    # and two rows past it, and a partial third block
+    @pytest.mark.parametrize("n_steps", [1, 6, 7, 8, 19])
+    def test_blocks_join_to_the_whole_trajectory_bit_for_bit(self, monkeypatch,
+                                                             n_steps):
+        monkeypatch.setattr(sir, "_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(n_steps)
+        # a random run, and one whose w is rounded up to zero every step
+        # (see test_clamped_trajectories_are_rk4_of_the_shared_reaction_law)
+        runs = [(random_params(rng), rng.uniform(0.1, 2.0, 3), 0.01),
+                (ModelParams(d1=1.0, d2=20.0, d3=20.0, beta=1.0, k=1.0, r=1.0),
+                 np.array([1.0, 1e-11, 0.0]), 0.1)]
+        for p, y, dt in runs:
+            blocks = list(integrate_sir_blocks(SirState(*y), p, n_steps * dt, dt))
+            assert [len(t) for t, _ in blocks[:-1]] == [7] * (len(blocks) - 1)
+            assert all(len(t) == len(s) for t, s in blocks)
+            times, states = self.joined(blocks)
+            whole = integrate_sir(SirState(*y), p, n_steps * dt, dt)
+            assert times.tobytes() == whole.times.tobytes()
+            assert states.tobytes() == whole.states.tobytes()
+        assert whole.states[1:, 2].tolist() == [0.0] * n_steps
+
+    def test_times_are_linspace_bit_for_bit(self):
+        # integrate_sir's times were np.linspace(0, t_final, n + 1) up to
+        # this formula; each block computes its own slice of it
+        for t_final in (1e-3, 0.1, 1 / 3, 0.5, 1.0, 2.5, 7.0, 70.0, 123.456,
+                        500.0):
+            for n in (1, 2, 3, 7, 10, 99, 1000, 4096, 65_536, 70_000, 500_000):
+                want = np.linspace(0.0, t_final, n + 1)
+                h = t_final / n
+                got = sir._times(0, n + 1, h, t_final, n)
+                assert got.tobytes() == want.tobytes(), (t_final, n)
+                split = n // 2
+                head = sir._times(0, split, h, t_final, n)
+                tail = sir._times(split, n + 1, h, t_final, n)
+                assert np.concatenate([head, tail]).tobytes() == want.tobytes()
+
+    def test_a_zero_horizon_is_one_block_of_the_start(self):
+        p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
+        [(times, states)] = integrate_sir_blocks(SirState(0.5, 0.25, 0.125),
+                                                 p, 0.0, 0.1)
+        assert times.tolist() == [0.0]
+        assert states.tolist() == [[0.5, 0.25, 0.125]]
+
+    @pytest.mark.parametrize("start, t_final, dt, message", [
+        ((1.0, 0.0, 0.0), 1.0, 0.0, "dt must be finite"),
+        ((1.0, 0.0, 0.0), math.nan, 0.1, "t_final must be finite"),
+        ((1.0, -1e-3, 0.0), 1.0, 0.1, "initial state"),
+        ((1.0, 0.0, 0.0), 1e300, 1e-300, "steps is more than"),
+    ])
+    def test_arguments_are_checked_before_the_first_block(self, start, t_final,
+                                                          dt, message):
+        # the call itself raises, with integrate_sir's error and message
+        p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
+        with pytest.raises(ValidationError, match=message) as whole:
+            integrate_sir(SirState(*start), p, t_final, dt)
+        with pytest.raises(ValidationError) as blocks:
+            integrate_sir_blocks(SirState(*start), p, t_final, dt)
+        assert str(blocks.value) == str(whole.value)
+
+    def test_a_negative_state_in_a_later_block_names_its_time(self, monkeypatch):
+        # h*d1 = 3 is beyond RK4's stability interval: the start's deficit
+        # below r/d1 = 1 grows by 1.375 a step, and u goes below zero at
+        # step 15, in the third block of 7 rows
+        monkeypatch.setattr(sir, "_BLOCK_ROWS", 7)
+        p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
+        start = SirState(0.99, 0.0, 0.0)
+        with pytest.raises(NegativeStateError, match="at t = 45;") as whole:
+            integrate_sir(start, p, 57.0, 3.0)
+        blocks = integrate_sir_blocks(start, p, 57.0, 3.0)
+        assert len(next(blocks)[0]) == len(next(blocks)[0]) == 7
+        with pytest.raises(NegativeStateError) as streamed:
+            next(blocks)
+        assert str(streamed.value) == str(whole.value)
 
 
 class TestThresholdDynamics:

@@ -72,6 +72,10 @@ CONFIGS = [
     # last chunk: 1,001 trajectory rows, and three snapshots of 100 cells
     ("ode_long", "ode", "r = 2\nc0 = 1.2\ns0 = 0.4\nu0 = 0.9\nt_final = 1\n"
                         "dt = 1e-3\n"),
+    # a trajectory streamed in more than one block (65,536 rows): 70,001
+    # rows, one full block and a partial one
+    ("ode_blocks", "ode", "r = 2\nc0 = 1.2\ns0 = 0.4\nu0 = 0.9\nt_final = 70\n"
+                          "dt = 1e-3\n"),
     ("kinetic_n100", "kinetic", _COSINE + "n_cells = 100\nn_nodes = 8\n"
                                           "epsilon = 0.2\nt_final = 0.02\n"
                                           "snapshot_times = 0.005 0.01 0.02\n"),
