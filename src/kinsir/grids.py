@@ -61,8 +61,9 @@ class SpatialGrid:
     n_cells: int
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValidationError("length must be > 0")
+        if not 0 < self.length < math.inf:
+            raise ValidationError("length must be > 0" if self.length <= 0
+                                  else "length must be finite")
         if not isinstance(self.n_cells, int) or self.n_cells < 2:
             raise ValidationError("n_cells must be an integer >= 2")
         if self.n_cells > _MAX_CELLS:
@@ -126,12 +127,15 @@ class InitialProfile:
         if self.kind not in ("constant", "cosine", "file"):
             raise ValidationError("profile must be constant, cosine or file")
         if self.kind != "file":
-            if min(self.c0, self.s0, self.u0) < 0:
-                raise ValidationError("initial densities must be >= 0")
+            for value in (self.c0, self.s0, self.u0):
+                if not 0 <= value < math.inf:
+                    raise ValidationError("initial densities must be >= 0" if value < 0
+                                          else "initial densities must be finite")
         if self.kind == "cosine" and not 0 <= self.amplitude <= 1:
             raise ValidationError("amplitude must be in [0, 1]")
-        if self.kind == "cosine" and self.mode < 1:
-            raise ValidationError("mode must be >= 1")
+        if self.kind == "cosine" and not 1 <= self.mode < math.inf:
+            raise ValidationError("mode must be >= 1" if self.mode < 1
+                                  else "mode must be finite")
         if self.kind == "file" and not self.path:
             raise ValidationError("file profile needs a path")
 

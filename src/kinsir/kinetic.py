@@ -18,33 +18,26 @@ moment node-for-node, so total mass moves only through the interactions.
 
 Buffers and step plan: a step allocates one array, the f of the state it
 returns. Transport writes into it from the old f, which a step never
-changes, and every later sub-step updates it in place. All else a step
-uses lives in a StepPlan, KineticState.plan: the work array, one
-(5, n_cells, n_nodes) array whose rows 0-2 are a scratch of f's shape and
-rows 3-4 the reaction law's two rows, and what does not depend on f: the
-three relaxation decay factors, the courant row split by the sign of v
-into two (n_cells, n_nodes) tiles, eqs as a (3, n_cells, n_nodes) tile,
-the nodes as an (n_cells, n_nodes) tile for the bias gain,
-chi0 * sum_j w_j v_j and dt * eps^(p-q1-1). The tiles make every
-full-size operation a contiguous one; broadcasting a row of n_nodes values
-makes numpy's inner loop run over the nodes alone. A step reuses the plan
-of the state it is given when the plan was built for the same dt, eps,
-grid, velocity nodes and weights, params, eqs (by value: an eqs changed in
-place is a new key) and shape of f, and builds a new one otherwise; it
-leaves a new plan on a state that has none and hands the plan on to the
-state it returns, so a run builds one per distinct dt. A plan built for a
-new dt keeps the work array and the M and nodes tiles of the one it
-replaces when they still fit, so a run allocates each of them once. Every
-array of a plan but work is read-only. Every sub-step writes the work
-array before it reads it, so nothing passes through it from one sub-step
-or step to the next, and states that share it (two steps taken from one
-state) stay independent; steps that share a plan must not run
-concurrently. The dt, CFL and negativity checks run on every step.
+changes, and every later sub-step updates it in place, with the work array
+of a StepPlan (KineticState.plan) as its scratch. The plan also holds what
+does not depend on f, tiled to full size where a sub-step reads it across
+f: broadcasting a row of n_nodes values makes numpy's inner loop run over
+the nodes alone, while a tile makes each operation one contiguous loop. A
+step reuses the plan of the state it is given when it was built for the
+same key (step_plan) and hands it on to the state it returns, so a run
+builds one per distinct dt and allocates the work array and the M and
+nodes tiles once. Every sub-step writes the work array before it reads
+it, so nothing passes through it from one sub-step or step to the next,
+and states that share it (two steps taken from one state) stay
+independent; steps that share a plan must not run concurrently. The dt,
+CFL and negativity checks run on every step.
 
-transport_substep, relaxation_substep, infected_gradient,
-perturbation_apply and interaction_terms allocate their own buffers, pass
-rows that broadcast in place of the tiles, and run the same bodies as the
-step.
+transport_substep and relaxation_substep run the step's own bodies on
+buffers of their own, with rows that broadcast in place of the tiles.
+velocity.perturbation_apply and velocity.interaction_terms are the
+formulas of the bias and the interactions; the step writes the same
+operations out in place, in its work array, and tests pin the two forms
+to each other bit for bit.
 """
 
 import math
@@ -55,7 +48,7 @@ import numpy as np
 from .errors import CflViolationError, ValidationError
 from .grids import (MacroState, check_dt, clamp_rows_nonnegative, march, shifted,
                     snapshot_schedule)
-from .velocity import bias_loss_rate, interaction_terms_into, perturbation_into
+from .velocity import bias_loss_rate
 
 MAX_CFL = 0.9  # transport number bound: dt <= MAX_CFL * eps * dx / vmax
 
@@ -167,20 +160,16 @@ def _transport(f, out, diff, c_up, c_dn):
     return np.subtract(f, out, out=out)
 
 
-def _decay_factors(M, sigma, q, epsilon, dt):
-    """exp(-sigma*dt/eps^(q+1)) on Python floats, shaped to broadcast
-    against M: one factor, or one per row for tuples sigma and q."""
-    rates = zip(sigma, q) if M.ndim > 1 else [(sigma, q)]
-    decay = np.array([math.exp(-s * dt / epsilon ** (e + 1)) for s, e in rates])
-    return decay.reshape(M.shape[:-1] + (1,))
+def _decay_factors(rates, epsilon, dt):
+    """exp(-sigma*dt/eps^(q+1)) on Python floats, one per (sigma, q) pair."""
+    return np.array([math.exp(-sigma * dt / epsilon ** (q + 1)) for sigma, q in rates])
 
 
 def relaxation_substep(f, M, sigma, epsilon, q, dt, vgrid):
-    """Exact relaxation toward M * <f>: the anisotropic part decays by the
-    factor exp(-sigma*dt/eps^(q+1)) while <f> is untouched. sigma and q are
-    scalars for one species, or one per row of the stack (M = eqs[:, None, :])."""
+    """Exact relaxation of one species toward M * <f>: the anisotropic part
+    decays by the factor exp(-sigma*dt/eps^(q+1)) while <f> is untouched."""
     f = np.array(f, dtype=float)
-    return _relax(f, M, _decay_factors(M, sigma, q, epsilon, dt), vgrid,
+    return _relax(f, M, _decay_factors([(sigma, q)], epsilon, dt), vgrid,
                   np.empty(f.shape))
 
 
@@ -232,12 +221,31 @@ def step_plan(state, params, eqs, dt):
     else:
         M, nodes = _tile(eqs[:, None, :], state.f.shape), _tile(vgrid.nodes, cells)
         work = np.empty((5,) + cells)
-    decay = _decay_factors(eqs[:, None, :], (params.sigma1, params.sigma2, params.sigma3),
-                           (params.q1, params.q2, params.q3), eps, dt)
+    decay = _decay_factors(zip((params.sigma1, params.sigma2, params.sigma3),
+                               (params.q1, params.q2, params.q3)), eps, dt)
     c_up, c_dn = (_tile(row, cells) for row in _courant_rows(vgrid, grid, eps, dt))
-    return StepPlan(key, _tile(decay, decay.shape), c_up, c_dn, M, nodes,
+    return StepPlan(key, _tile(decay[:, None, None], (3, 1, 1)), c_up, c_dn, M, nodes,
                     bias_loss_rate(params.chi0, vgrid),
                     dt * eps ** (params.p - params.q1 - 1), work)
+
+
+def _reactions_in_place(params, rho, work):
+    """params.reactions over the rows (c, s, u) of the float array rho,
+    written back into rho and returned; the same operations in the same
+    order, so equal to reactions bit for bit. work, two more rows of the
+    same shape, holds the infection and k*s while the rows are overwritten."""
+    c, s, u = rho
+    infection = np.multiply(params.beta, c, out=work[0])
+    infection *= u
+    virus_gain = np.multiply(params.k, s, out=work[1])
+    c *= -params.d1
+    c -= infection
+    c += params.r
+    s *= -params.d2
+    s += infection
+    u *= -params.d3
+    u += virus_gain
+    return rho
 
 
 def kinetic_step(state, params, eqs, dt):
@@ -262,18 +270,25 @@ def kinetic_step(state, params, eqs, dt):
     _transport(state.f, f, scratch, plan.c_up, plan.c_dn)
     _relax(f, plan.M, plan.decay, vgrid, scratch)
 
-    # (c) infected-gradient bias on the healthy population
+    # (c) infected-gradient bias on the healthy population, gain - loss
     if params.chi0 != 0.0:
         grad_s = infected_gradient(f[1], vgrid, state.grid)
-        bias = perturbation_into(f[0], grad_s, params.chi0, vgrid, plan.nodes,
-                                 plan.bias_loss, *scratch[:2])
-        bias *= plan.bias_scale
-        f[0] += bias
+        gain, loss = scratch[:2]
+        np.copyto(gain, (params.chi0 * (grad_s * vgrid.moment0(f[0])))[:, None])
+        gain *= plan.nodes
+        np.copyto(loss, (plan.bias_loss * grad_s)[:, None])
+        loss *= f[0]
+        gain -= loss
+        gain *= plan.bias_scale
+        f[0] += gain
 
-    # (d) interactions; a failing check names the row that went negative
-    gains = interaction_terms_into(f, plan.M, params, vgrid, scratch, law_rows)
-    gains *= dt
-    f += gains
+    # (d) interactions, the law at the ratios f/M over |V|; a failing check
+    # names the row that went negative
+    np.divide(f, plan.M, out=scratch)
+    _reactions_in_place(params, scratch, law_rows)
+    scratch /= vgrid.measure
+    scratch *= dt
+    f += scratch
     clamp_rows_nonnegative(f, ("kinetic distribution f1", "kinetic distribution f2",
                                "kinetic distribution f3"))
     new = KineticState(f, state.epsilon, state.time + dt, state.grid, vgrid)

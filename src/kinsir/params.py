@@ -1,8 +1,7 @@
 """Model parameters shared by all three tiers of the toolkit."""
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -25,8 +24,9 @@ class ModelParams:
     p            perturbation scaling exponent (integer >= 1)
     vmax         velocity domain half-width, V = [-vmax, vmax]
 
-    Reaction rates may be zero (pure transport/diffusion configurations);
-    relaxation rates and vmax must be positive.
+    Every rate is finite. Reaction rates may be zero (pure
+    transport/diffusion configurations); relaxation rates and vmax must be
+    positive.
     """
 
     d1: float
@@ -47,11 +47,15 @@ class ModelParams:
 
     def __post_init__(self):
         for name in _NONNEGATIVE:
-            if not getattr(self, name) >= 0:
-                raise ValidationError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{name} must be >= 0" if value < 0
+                                      else f"{name} must be finite")
         for name in _POSITIVE:
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be > 0" if value <= 0
+                                      else f"{name} must be finite")
         for name in _SCALING:
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
@@ -64,8 +68,9 @@ class ModelParams:
 
             (-d1*c - beta*c*u + r,  -d2*s + beta*c*u,  -d3*u + k*s).
 
-        The ODE right-hand side and the macro step's reactions; works on
-        floats and on arrays alike.
+        The ODE right-hand side, the macro step's reactions and, at the
+        ratios f_i/M_i, the kinetic interactions; works on floats and on
+        arrays alike.
         """
         infection = self.beta * c * u
         return (
@@ -73,21 +78,3 @@ class ModelParams:
             -self.d2 * s + infection,
             -self.d3 * u + self.k * s,
         )
-
-    def reactions_in_place(self, rho, work):
-        """reactions over the rows (c, s, u) of the float array rho, written
-        back into rho and returned; the same operations in the same order,
-        so equal to reactions bit for bit. work, two more rows of the same
-        shape, holds the infection and k*s while the rows are overwritten."""
-        c, s, u = rho
-        infection = np.multiply(self.beta, c, out=work[0])
-        infection *= u
-        virus_gain = np.multiply(self.k, s, out=work[1])
-        c *= -self.d1
-        c -= infection
-        c += self.r
-        s *= -self.d2
-        s += infection
-        u *= -self.d3
-        u += virus_gain
-        return rho

@@ -66,8 +66,8 @@ def build_velocity_grid(vmax, n_nodes):
     and at least 4. Nodes and weights are symmetrized so the pairing is exact
     in floating point.
     """
-    if vmax <= 0:
-        raise ValidationError("vmax must be > 0")
+    if not 0 < vmax < math.inf:
+        raise ValidationError("vmax must be > 0" if vmax <= 0 else "vmax must be finite")
     if not isinstance(n_nodes, int) or n_nodes % 2 != 0:
         raise OddNodeCountError("n_nodes must be an even integer")
     if n_nodes < 4:
@@ -159,26 +159,14 @@ def perturbation_apply(f1, grad_s, chi0, grid):
     cancellation of an omitted term. Accepts stacked f1 with node index last
     and grad_s broadcasting against the leading axes.
     """
-    shape = np.broadcast_shapes(np.shape(grad_s) + (grid.n_nodes,), np.shape(f1))
-    return perturbation_into(f1, grad_s, chi0, grid, grid.nodes, bias_loss_rate(chi0, grid),
-                             np.empty(shape), np.empty(shape))
+    grad = np.asarray(grad_s)
+    return ((chi0 * (grad * grid.moment0(f1)))[..., None] * grid.nodes
+            - (bias_loss_rate(chi0, grid) * grad)[..., None] * f1)
 
 
 def bias_loss_rate(chi0, grid):
     """The loss coefficient chi0 * sum_k w_k v_k of the bias operator."""
     return chi0 * grid.moment1(np.ones(grid.n_nodes))
-
-
-def perturbation_into(f1, grad_s, chi0, grid, nodes, loss, out, work):
-    """perturbation_apply written into the float array out, with work of
-    the same shape as scratch, the nodes broadcasting to out's shape and
-    loss = bias_loss_rate(chi0, grid); returns out."""
-    grad = np.asarray(grad_s)
-    np.copyto(out, (chi0 * (grad * grid.moment0(f1)))[..., None])
-    out *= nodes
-    np.copyto(work, (loss * grad)[..., None])
-    work *= f1
-    return np.subtract(out, work, out=out)
 
 
 def psi_profile(M2, chi0, grid):
@@ -232,23 +220,8 @@ def interaction_terms(f1, f2, f3, eqs, params, grid):
     Integrating over V at a local equilibrium f_i = M_i*(c, s, u) reproduces
     the ODE right-hand side at (c, s, u) exactly.
     """
-    f = np.stack((f1, f2, f3))
-    M = np.asarray(eqs)
-    return interaction_terms_into(f, M.reshape((3,) + (1,) * (f.ndim - 2) + M.shape[1:]),
-                                  params, grid, np.empty(f.shape),
-                                  np.empty((2,) + f.shape[1:]))
-
-
-def interaction_terms_into(f, M, params, grid, out, work):
-    """interaction_terms of the stack f = (f1, f2, f3), node index last,
-    with the equilibria M broadcasting to f's shape, written into the float
-    array out of f's shape and returned; the law runs in place on out
-    (ModelParams.reactions_in_place), with work, two rows of f's row
-    shape, as its scratch."""
-    np.divide(f, M, out=out)
-    params.reactions_in_place(out, work)
-    out /= grid.measure
-    return out
+    ratios = [f / M for f, M in zip((f1, f2, f3), eqs)]
+    return np.stack(params.reactions(*ratios)) / grid.measure
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,31 @@ def test_initial_profiles_match_the_per_species_formulas(tmp_path):
     assert from_file.rho.flags.c_contiguous
 
 
+@pytest.mark.parametrize("value, rule", [(math.nan, "finite"), (math.inf, "finite"),
+                                         (-math.inf, "> 0")])
+def test_grid_length_must_be_finite(value, rule):
+    # a nan length used to give run_macro nan densities without an error
+    with pytest.raises(ValidationError, match=f"^length must be {rule}$"):
+        SpatialGrid(value, 8)
+
+
+@pytest.mark.parametrize("value, rule", [(math.nan, "finite"), (math.inf, "finite"),
+                                         (-math.inf, ">= 0")])
+@pytest.mark.parametrize("kind", ["constant", "cosine"])
+@pytest.mark.parametrize("name", ["c0", "s0", "u0"])
+def test_initial_densities_must_be_finite(name, kind, value, rule):
+    # an infinite c0 or u0 used to end run_macro in a ZeroDivisionError
+    with pytest.raises(ValidationError, match=f"^initial densities must be {rule}$"):
+        InitialProfile(kind, **{name: value})
+
+
+@pytest.mark.parametrize("mode, rule", [(math.nan, "finite"), (math.inf, "finite"),
+                                        (-math.inf, ">= 1")])
+def test_cosine_mode_must_be_finite(mode, rule):
+    with pytest.raises(ValidationError, match=f"^mode must be {rule}$"):
+        InitialProfile("cosine", mode=mode)
+
+
 # ---------------------------------------------------------------------------
 # coefficients
 

@@ -1,5 +1,6 @@
-"""Smoke tests of the step-cost tool against the working tree's kinsir, and
-tests of the file comparison behind tools/cli_parity.py."""
+"""Smoke tests of the step-cost tool and of the benchmark's microbenchmark
+cases against the working tree's kinsir, and tests of the file comparison
+behind tools/cli_parity.py."""
 
 import importlib
 import math
@@ -25,6 +26,18 @@ def test_step_cost_measures_a_short_rk4_run(monkeypatch):
     us, faults = step_cost.measure(str(ROOT / "src"), "integrate_sir 2000")
     assert 0.0 < us < math.inf
     assert 0.0 <= faults < math.inf
+
+
+def test_every_microbenchmark_case_runs(monkeypatch):
+    # perfbench/micro.py times kinsir's public sub-step functions, so a
+    # renamed or re-signed one shows here rather than only in a benchmark
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    micro = importlib.import_module("micro")
+    cases = [*micro._kinetic_cases(16, 8), *micro._macro_cases(),
+             *micro._velocity_cases()]
+    for _, fn in cases:
+        fn()
+    micro._rk4_steps()
 
 
 def parity_compare(monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for velocity-space quadrature, turning operators and coefficients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,12 @@ class TestGrid:
             build_velocity_grid(1.0, 2)
         with pytest.raises(ValidationError):
             build_velocity_grid(-1.0, 8)
+
+    @pytest.mark.parametrize("vmax, rule", [(math.nan, "finite"), (math.inf, "finite"),
+                                            (-math.inf, "> 0")])
+    def test_vmax_must_be_finite(self, vmax, rule):
+        with pytest.raises(ValidationError, match=f"^vmax must be {rule}$"):
+            build_velocity_grid(vmax, 8)
 
 
 class TestEquilibrium:
@@ -278,8 +286,9 @@ class TestGradientBias:
             assert abs(g.moment0(perturbation_apply(f, grad, 1.7, g))) <= 1e-12
 
     def test_perturbation_is_the_gain_minus_loss_quadrature_bit_for_bit(self):
-        # the kinetic step and the per-species reference both run this body
-        # (perturbation_into), so pin it to the formula written out
+        # the per-species reference runs this operator and the kinetic step
+        # writes the same operations out in place, so pin it to the formula
+        # written out
         g = build_velocity_grid(1.3, 16)
         rng = np.random.default_rng(19)
         f1 = rng.uniform(0.0, 2.0, (32, g.n_nodes))

@@ -49,6 +49,11 @@ CONFIGS = [
     # the kinetic step without its bias sub-step
     ("kinetic_nochi", "kinetic", _COSINE.replace("chi0 = 0.5", "chi0 = 0")
      + "n_cells = 32\nn_nodes = 8\nepsilon = 0.2\nt_final = 0.02\n"),
+    # every reaction rate 0 and no virus: the in-place law runs on exact
+    # zeros
+    ("kinetic_norates", "kinetic", _COSINE.replace("u0 = 0.5", "u0 = 0")
+     + "d1 = 0\nd2 = 0\nd3 = 0\nbeta = 0\nk = 0\nr = 0\nn_cells = 32\n"
+       "n_nodes = 8\nepsilon = 0.2\nt_final = 0.02\n"),
     # every key at its default: a constant profile run to t_final = 1
     ("macro_default", "macro", ""),
     # a chemotactic drift that grows within its one snapshot segment
