@@ -34,10 +34,9 @@ from .velocity import build_velocity_grid, species_equilibria
 _CHUNK_ROWS = 64
 
 
-def _header(subcommand, config):
+def _header(subcommand, config, *extra):
     lines = [f"kinsir {__version__}", f"subcommand = {subcommand}"]
-    lines.extend(config.resolved_lines())
-    return ["# " + line for line in lines]
+    return ["# " + line for line in (*lines, *config.resolved_lines(), *extra)]
 
 
 def _write_csv(out_dir, name, header, lines):
@@ -156,15 +155,21 @@ def _cmd_kinetic(config, out_dir):
 
 def _cmd_converge(config, out_dir):
     """run a kinetic-to-limit convergence study"""
-    header = _header("converge", config)
     report = run_convergence_study(
         config.params, config.profile, config.eps_list, config.t_final,
         snapshot_times=config.snapshot_times,
         length=config.length, n_cells=config.n_cells, n_nodes=config.n_nodes,
         ref_refine=config.ref_refine, cfl=config.cfl,
     )
-    _write_csv(out_dir, "convergence.csv", header, report.to_lines())
-    orders = " ".join(f"{f}={report.orders[f]:.3f}" for f in ("c", "s", "u"))
+    header = _header("converge", config, f"regime = {report.regime}",
+                     "exponents = " + " ".join(map(str, report.exponents)),
+                     f"reference = {report.reference_descriptor}",
+                     *(f"order_{f} = {report.orders[f]:.17g}" for f in "csu"),
+                     f"estimated_order = {report.estimated_order:.17g}")
+    errors = [report.errors[f] for f in "csu"]
+    _write_csv(out_dir, "convergence.csv", header,
+               _numbers("epsilon,error_c,error_s,error_u", [(report.epsilons, *errors)]))
+    orders = " ".join(f"{f}={report.orders[f]:.3f}" for f in "csu")
     print(f"converge: regime={report.regime} orders {orders} "
           f"estimated={report.estimated_order:.3f}")
     return ["convergence.csv"]

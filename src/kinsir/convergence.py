@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kinetic
 from .errors import DegenerateFitError, ValidationError
-from .grids import MacroState, SpatialGrid, snapshot_schedule
+from .grids import MacroState, SpatialGrid, check_integer, snapshot_schedule
 from .macro import build_macro_coefficients, run_macro
 from .velocity import build_velocity_grid, species_equilibria
 
@@ -65,27 +65,10 @@ class ConvergenceReport:
     def max_errors(self):
         return _species_max(self.errors)
 
-    def to_lines(self):
-        """Serialized form: '#' metadata lines, a header row, data rows."""
-        lines = [
-            f"# regime = {self.regime}",
-            "# exponents = " + " ".join(str(e) for e in self.exponents),
-            f"# reference = {self.reference_descriptor}",
-        ]
-        for field in _FIELDS:
-            lines.append(f"# order_{field} = {self.orders[field]:.17g}")
-        lines.append(f"# estimated_order = {self.estimated_order:.17g}")
-        lines.append("epsilon," + ",".join(f"error_{f}" for f in _FIELDS))
-        for i, eps in enumerate(self.epsilons):
-            row = [f"{eps:.17g}"] + [f"{self.errors[f][i]:.17g}" for f in _FIELDS]
-            lines.append(",".join(row))
-        return lines
-
 
 def check_ref_refine(ref_refine):
-    """Reject a reference grid refinement factor below 2."""
-    if ref_refine < 2:
-        raise ValidationError("ref_refine must be >= 2")
+    """Reject a reference grid refinement factor that is not an integer >= 2."""
+    check_integer("ref_refine", (ref_refine,), 2)
 
 
 def _species_max(errors):

@@ -47,6 +47,34 @@ def check_dt(dt):
         raise ValidationError("dt must be finite and > 0")
 
 
+def check_bounded(names, values, low, strict=False):
+    """Reject the first of values that is not finite and >= low (> low when
+    strict) with "<name> must be >= low" ("> low") when it lies below, else
+    "<name> must be finite"; names is one name, or a name per value."""
+    for value in values:
+        if (value <= low) if strict else (value < low):
+            rule = f"must be {'>' if strict else '>='} {low}"
+            raise _broken(names, values, value, rule)
+        if not value < math.inf:  # inf or nan
+            raise _broken(names, values, value, "must be finite")
+
+
+def check_integer(names, values, low):
+    """check_bounded, for the rule "<name> must be an integer >= low"."""
+    for value in values:
+        if not (isinstance(value, int) and value >= low):
+            raise _broken(names, values, value, f"must be an integer >= {low}")
+
+
+def _broken(names, values, value, rule):
+    """ValidationError("<name> <rule>") for value, the first of values to
+    break the rule, found by identity (the same object earlier would have
+    broken it first), so that the checks' loops carry no index."""
+    if not isinstance(names, str):
+        names = names[next(i for i, v in enumerate(values) if v is value)]
+    return ValidationError(f"{names} {rule}")
+
+
 def shifted(row, k):
     """row[(i + k) % n] of a 1-D row, for k = 1 or -1: the periodic
     neighbour of both tiers, a roll by -k without the cost of numpy's."""
@@ -61,11 +89,8 @@ class SpatialGrid:
     n_cells: int
 
     def __post_init__(self):
-        if not 0 < self.length < math.inf:
-            raise ValidationError("length must be > 0" if self.length <= 0
-                                  else "length must be finite")
-        if not isinstance(self.n_cells, int) or self.n_cells < 2:
-            raise ValidationError("n_cells must be an integer >= 2")
+        check_bounded("length", (self.length,), 0, strict=True)
+        check_integer("n_cells", (self.n_cells,), 2)
         if self.n_cells > _MAX_CELLS:
             raise ValidationError(f"n_cells = {self.n_cells:.3e} is more cells "
                                   "than a density array can hold")
@@ -127,15 +152,12 @@ class InitialProfile:
         if self.kind not in ("constant", "cosine", "file"):
             raise ValidationError("profile must be constant, cosine or file")
         if self.kind != "file":
-            for value in (self.c0, self.s0, self.u0):
-                if not 0 <= value < math.inf:
-                    raise ValidationError("initial densities must be >= 0" if value < 0
-                                          else "initial densities must be finite")
-        if self.kind == "cosine" and not 0 <= self.amplitude <= 1:
-            raise ValidationError("amplitude must be in [0, 1]")
-        if self.kind == "cosine" and not 1 <= self.mode < math.inf:
-            raise ValidationError("mode must be >= 1" if self.mode < 1
-                                  else "mode must be finite")
+            check_bounded("initial densities", (self.c0, self.s0, self.u0), 0)
+        if self.kind == "cosine":
+            if not 0 <= self.amplitude <= 1:
+                raise ValidationError("amplitude must be in [0, 1]")
+            check_bounded("mode", (self.mode,), 1)
+            check_integer("mode", (self.mode,), 1)
         if self.kind == "file" and not self.path:
             raise ValidationError("file profile needs a path")
 
@@ -159,10 +181,9 @@ class InitialProfile:
 def snapshot_schedule(snapshot_times, start, t_final):
     """Sorted distinct snapshot times in [start, t_final], ending at t_final.
 
-    None or empty asks for the final time only; every time must be finite.
+    None or empty asks for the final time only; all times must be finite.
     """
-    if t_final < 0:
-        raise ValidationError("t_final must be >= 0")
+    check_bounded("t_final", (t_final,), 0)
     times = sorted(set(snapshot_times if snapshot_times is not None else [t_final]))
     if not all(map(math.isfinite, times)):
         raise ValidationError("snapshot times must be finite")
@@ -173,10 +194,17 @@ def snapshot_schedule(snapshot_times, start, t_final):
     return times
 
 
-def _split(segment, limit):
-    """(count, dt): the fewest equal steps no longer than limit in segment."""
-    count = max(1, math.ceil(segment / limit - 1e-12))
-    return count, segment / count
+def step_ratio(span, limit):
+    """span / limit less the slack of 1e-12 that every step rule forgives for
+    rounding: above 1 only when span outgrows limit by more than that."""
+    return span / limit - 1e-12
+
+
+def split(span, limit):
+    """(count, step): the fewest equal steps no longer than limit in a span
+    >= 0, at least one when span > 0; a zero span is zero steps of 0."""
+    count = max(int(span > 0), math.ceil(step_ratio(span, limit)))
+    return count, span / max(count, 1)
 
 
 def march(state, step, bound, times, snapshot):
@@ -190,13 +218,13 @@ def march(state, step, bound, times, snapshot):
     snapshots = []
     for target in times:
         if target > state.time:
-            left, dt = _split(target - state.time, bound(state))
+            left, dt = split(target - state.time, bound(state))
             while left:
                 state = step(state, dt)
                 left -= 1
                 limit = bound(state) if left else math.inf
-                if dt / limit - 1e-12 > 1:  # the bound shrank below dt
-                    left, dt = _split(target - state.time, limit)
+                if step_ratio(dt, limit) > 1:  # the bound shrank below dt
+                    left, dt = split(target - state.time, limit)
             state.time = target  # cancel accumulated rounding in the sum
         snapshots.append(snapshot(state))
     return snapshots, state

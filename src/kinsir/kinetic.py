@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import CflViolationError, ValidationError
 from .grids import (MacroState, check_dt, clamp_rows_nonnegative, march, shifted,
-                    snapshot_schedule)
+                    snapshot_schedule, step_ratio)
 from .velocity import bias_loss_rate
 
 MAX_CFL = 0.9  # transport number bound: dt <= MAX_CFL * eps * dx / vmax
@@ -255,7 +255,7 @@ def kinetic_step(state, params, eqs, dt):
     dt <= MAX_CFL * eps * dx / vmax (CflViolationError).
     """
     check_dt(dt)
-    if dt > max_step(state) * (1.0 + 1e-12):
+    if step_ratio(dt, max_step(state)) > 1:
         raise CflViolationError(
             f"dt = {dt:.3e} exceeds the transport bound {max_step(state):.3e}"
         )

@@ -1,13 +1,16 @@
 """Model parameters shared by all three tiers of the toolkit."""
 
-import math
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .errors import ValidationError
+from .grids import check_bounded, check_integer
 
 _NONNEGATIVE = ("d1", "d2", "d3", "beta", "k", "r", "chi0")
 _POSITIVE = ("sigma1", "sigma2", "sigma3", "vmax")
 _SCALING = ("q1", "q2", "q3", "p")
+# a group's values as one tuple, checked in one call
+_nonnegative, _positive, _scaling = (attrgetter(*names) for names in
+                                     (_NONNEGATIVE, _POSITIVE, _SCALING))
 
 
 @dataclass(frozen=True)
@@ -46,22 +49,9 @@ class ModelParams:
     vmax: float = 1.0
 
     def __post_init__(self):
-        for name in _NONNEGATIVE:
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValidationError(f"{name} must be >= 0" if value < 0
-                                      else f"{name} must be finite")
-        for name in _POSITIVE:
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValidationError(f"{name} must be > 0" if value <= 0
-                                      else f"{name} must be finite")
-        for name in _SCALING:
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
-                raise ValidationError(
-                    f"{name} must be an integer >= 1 (q_i >= 1, p >= 1)"
-                )
+        check_bounded(_NONNEGATIVE, _nonnegative(self), 0)
+        check_bounded(_POSITIVE, _positive(self), 0, strict=True)
+        check_integer(_SCALING, _scaling(self), 1)
 
     def reactions(self, c, s, u):
         """Reaction terms of the virus dynamics at densities (c, s, u):

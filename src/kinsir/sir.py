@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeStateError, ValidationError
-from .grids import NEGATIVITY_TOL, check_dt
+from .grids import NEGATIVITY_TOL, check_bounded, check_dt, split
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ _BLOCK_ROWS = 65_536
 def _step_count(initial, t_final, dt):
     """Check integrate_sir's arguments; returns its step count and step."""
     check_dt(dt)
-    if not 0 <= t_final < math.inf:
-        raise ValidationError("t_final must be finite and >= 0")
+    check_bounded("t_final", (t_final,), 0)
     if not all(0 <= x < math.inf for x in (initial.u, initial.v, initial.w)):
         raise ValidationError("initial state must be finite and >= 0")
 
@@ -106,9 +105,7 @@ def _step_count(initial, t_final, dt):
     if not 24 * (steps + 1) <= np.iinfo(np.intp).max:
         raise ValidationError(f"t_final / dt = {steps:.3e} steps is more than "
                               "a trajectory array can hold")
-    # at least one step whenever t_final > 0, however large dt is
-    n_steps = max(int(t_final > 0), math.ceil(steps - 1e-12))
-    return n_steps, t_final / max(n_steps, 1)
+    return split(t_final, dt)
 
 
 def _times(start, stop, h, t_final, n_steps):

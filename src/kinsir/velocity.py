@@ -14,13 +14,13 @@ rule, never hard-coded, so the macro tier inherits exactly what the kinetic
 tier integrates.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConsistencyError, OddNodeCountError, ResidualError, ValidationError
+from .grids import check_bounded
 
 # relative tolerance within which two routes to one coefficient must agree
 CONSISTENCY_RTOL = 1e-12
@@ -66,8 +66,7 @@ def build_velocity_grid(vmax, n_nodes):
     and at least 4. Nodes and weights are symmetrized so the pairing is exact
     in floating point.
     """
-    if not 0 < vmax < math.inf:
-        raise ValidationError("vmax must be > 0" if vmax <= 0 else "vmax must be finite")
+    check_bounded("vmax", (vmax,), 0, strict=True)
     if not isinstance(n_nodes, int) or n_nodes % 2 != 0:
         raise OddNodeCountError("n_nodes must be an even integer")
     if n_nodes < 4:
@@ -235,12 +234,8 @@ class MacroCoefficients:
     params: object
 
     def __post_init__(self):
-        for name in ("Dc", "Ds", "Du"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be finite and >= 0")
-        if not math.isfinite(self.chi):
-            raise ValidationError("chi must be finite")
+        check_bounded(("Dc", "Ds", "Du"), (self.Dc, self.Ds, self.Du), 0)
+        check_bounded("chi", (abs(self.chi),), 0)  # chi may take either sign
 
     @property
     def max_diffusivity(self):

@@ -7,10 +7,13 @@ inspects the files it leaves behind.
 import math
 import os
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinsir import __version__
 from kinsir.cli import _header, _numbers, main
@@ -138,8 +141,20 @@ def test_converge_writes_a_loadable_report_and_a_summary(tmp_path, capsys):
         length=config.length, n_cells=config.n_cells, n_nodes=config.n_nodes,
         ref_refine=config.ref_refine, cfl=config.cfl,
     )
-    lines = _header("converge", config) + report.to_lines()
-    assert (out / "convergence.csv").read_text() == "\n".join(lines) + "\n"
+    # the file holds the report's numbers, each to the last bit
+    header, columns, rows = read_table(out / "convergence.csv")
+    run_header = _header("converge", config)
+    assert header[:len(run_header)] == run_header
+    metadata = [line[2:].split(" = ", 1) for line in header[len(run_header):]]
+    assert metadata[:3] == [["regime", report.regime], ["exponents", "1 1 1 1"],
+                            ["reference", report.reference_descriptor]]
+    assert [(key, float(value)) for key, value in metadata[3:]] == [
+        *((f"order_{f}", report.orders[f]) for f in "csu"),
+        ("estimated_order", report.estimated_order)]
+    assert columns == "epsilon,error_c,error_s,error_u"
+    assert [[float(x) for x in row] for row in rows] == [
+        [eps, *(report.errors[f][i] for f in "csu")]
+        for i, eps in enumerate(report.epsilons)]
     assert report.regime == "parabolic"
     assert report.epsilons == (0.4, 0.2, 0.1)
     assert all(e > 0 for e in report.max_errors())
@@ -553,6 +568,35 @@ def test_identically_zero_errors_report_a_flat_order(tmp_path, capsys):
     header, _, rows = read_table(out / "convergence.csv")
     assert "# estimated_order = 0" in header
     assert all(float(cell) == 0.0 for row in rows for cell in row[1:])
+
+
+# README's exit codes other than 1, an unexpected internal error
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}
+
+_RATE = st.floats(0.0, 2.0)
+_DENSITY = st.floats(0.0, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subcommand=st.sampled_from(["ode", "macro", "kinetic", "converge", "coeffs"]),
+       values=st.fixed_dictionaries({
+           "n_cells": st.integers(2, 16), "n_nodes": st.sampled_from([4, 6, 8]),
+           "t_final": st.floats(0.0, 0.05), "chi0": st.floats(0.0, 1.0),
+           "epsilon": st.floats(0.1, 1.0), "profile": st.sampled_from(["constant", "cosine"]),
+           "c0": _DENSITY, "s0": _DENSITY, "u0": _DENSITY,
+           "amplitude": st.floats(0.0, 1.0), "mode": st.integers(1, 4),
+           "d1": _RATE, "beta": _RATE, "k": _RATE, "r": _RATE,
+           "sigma1": st.floats(0.1, 10.0), "q3": st.integers(1, 2),
+       }))
+def test_in_range_configs_exit_zero_or_with_a_documented_code(subcommand, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.cfg")
+        with open(config, "w") as handle:
+            handle.writelines(f"{key} = {value}\n" for key, value in values.items())
+        out = os.path.join(tmp, "out")
+        code = main([subcommand, "--config", config, "--out", out])
+        assert code in DOCUMENTED_EXIT_CODES
+        assert code == 0 or not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_type_errors_carry_line_context():
 
 
 def test_scaling_exponent_bound_is_cited():
-    with pytest.raises(ValidationError, match="q_i >= 1"):
+    with pytest.raises(ValidationError, match="^q1 must be an integer >= 1$"):
         parse_config("q1 = 0\n")
 
 

@@ -2,7 +2,7 @@
 
 The order fitter is checked on exact power laws, the limit reference on its
 coefficient rule, the study on the scaling regimes with measured error
-levels, and the report format on its serialized lines.
+levels, and the report format in the file that `kinsir converge` writes.
 """
 
 import dataclasses
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinsir.cli as cli
 import kinsir.convergence as convergence
 import kinsir.kinetic as kin
 from kinsir import ModelParams, SirState, equilibria, integrate_sir, macro
@@ -155,12 +156,24 @@ def test_cfl_is_checked_before_the_reference_is_built(monkeypatch):
         run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1), 0.1, cfl=2.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_horizon_is_checked_before_the_reference_is_built(monkeypatch, bad):
+    def reference_built(*args, **kwargs):
+        raise RuntimeError("the reference was built")
+
+    monkeypatch.setattr(convergence, "run_macro", reference_built)
+    with pytest.raises(ValidationError, match="^t_final must be finite$"):
+        run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1), bad)
+
+
 def test_reference_refinement_must_be_at_least_two():
-    with pytest.raises(ValidationError, match="ref_refine must be >= 2"):
-        run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1), 0.01,
-                              n_cells=16, n_nodes=8, ref_refine=1)
+    # 2.5 used to pass this check and fail later, naming n_cells
+    for ref_refine in (1, 2.5):
+        with pytest.raises(ValidationError, match="^ref_refine must be an integer >= 2$"):
+            run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2, 0.1), 0.01,
+                                  n_cells=16, n_nodes=8, ref_refine=ref_refine)
     # the config checks the same rule at parse time
-    with pytest.raises(ValidationError, match="^ref_refine must be >= 2$"):
+    with pytest.raises(ValidationError, match="^ref_refine must be an integer >= 2$"):
         parse_config("ref_refine = 1\n")
 
 
@@ -368,7 +381,7 @@ def test_both_steps_hold_the_endemic_equilibrium(params):
 # report serialization
 
 
-def test_report_csv_is_plain_text_with_seventeen_digit_floats():
+def test_report_csv_is_plain_text_with_seventeen_digit_floats(tmp_path, monkeypatch):
     report = ConvergenceReport(
         regime="parabolic",
         exponents=(1, 1, 1, 1),
@@ -379,7 +392,13 @@ def test_report_csv_is_plain_text_with_seventeen_digit_floats():
         orders={"c": 1.0, "s": 1.0, "u": 1.0},
         estimated_order=1.0,
     )
-    text = "\n".join(report.to_lines())
+    # the CLI formats the report: write this one through it
+    monkeypatch.setattr(cli, "run_convergence_study", lambda *args, **kwargs: report)
+    (tmp_path / "run.cfg").write_text("")
+    out = tmp_path / "out"
+    assert cli.main(["converge", "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(out)]) == 0
+    text = (out / "convergence.csv").read_text()
     assert "epsilon,error_c,error_s,error_u" in text
     assert "0.40000000000000002" in text
 

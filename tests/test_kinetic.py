@@ -538,6 +538,13 @@ def test_run_validation():
         kin.run_kinetic(state, params, EQS, 0.1, snapshot_times=[0.2])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_kinetic_horizon_must_be_finite(bad):
+    params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
+    with pytest.raises(ValidationError, match="^t_final must be finite$"):
+        kin.run_kinetic(bump_state(0.2), params, EQS, bad)
+
+
 def test_run_kinetic_looks_up_the_step_at_call_time(monkeypatch):
     # a wrapper on the module attribute (as a tracer installs) sees each step
     calls = []

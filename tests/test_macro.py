@@ -29,6 +29,7 @@ from kinsir.grids import (
     march,
     shifted,
     snapshot_schedule,
+    split,
 )
 from kinsir.macro import (
     MacroCoefficients,
@@ -120,7 +121,11 @@ def test_initial_densities_must_be_finite(name, kind, value, rule):
 
 
 @pytest.mark.parametrize("mode, rule", [(math.nan, "finite"), (math.inf, "finite"),
-                                        (-math.inf, ">= 1")])
+                                        (-math.inf, ">= 1"),
+                                        # a fractional mode used to pass and
+                                        # give a ripple that jumps at the wrap
+                                        (1.5, "an integer >= 1"),
+                                        (2.0, "an integer >= 1")])
 def test_cosine_mode_must_be_finite(mode, rule):
     with pytest.raises(ValidationError, match=f"^mode must be {rule}$"):
         InitialProfile("cosine", mode=mode)
@@ -542,6 +547,16 @@ def test_snapshot_times_must_be_finite(bad):
                   snapshot_times=[bad])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_macro_horizon_must_be_finite(bad):
+    # an infinite horizon used to be reported as a snapshot time
+    grid = SpatialGrid(1.0, 8)
+    coeff = build_macro_coefficients(ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2),
+                                     VGRID)
+    with pytest.raises(ValidationError, match="^t_final must be finite$"):
+        run_macro(constant_state([1.0, 0.5, 0.5], grid), coeff, bad)
+
+
 def test_dt_max_must_be_none_or_positive():
     grid = SpatialGrid(1.0, 8)
     coeff = build_macro_coefficients(ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2),
@@ -591,6 +606,14 @@ def test_march_splits_the_rest_of_a_segment_again_when_the_bound_shrinks():
     # 3 steps of 0.1, then the remaining 0.2 in 7 equal steps, then 0.5 in 17
     assert [round(dt, 12) for _, dt in taken] == (
         [0.1] * 3 + [round(0.2 / 7, 12)] * 7 + [round(0.5 / 17, 12)] * 17)
+
+
+def test_split_takes_the_fewest_equal_steps_and_none_for_a_zero_span():
+    assert split(0.5, 0.1) == (5, 0.1)  # 0.5 / 0.1 is 5 to within rounding
+    assert split(0.2, 0.03) == (7, 0.2 / 7)
+    assert split(0.2, math.inf) == (1, 0.2)
+    assert split(1e-9, 1.0) == (1, 1e-9)
+    assert split(0.0, 0.1) == (0, 0.0)
 
 
 def test_run_macro_looks_up_the_step_at_call_time(monkeypatch):

@@ -407,6 +407,18 @@ class TestParamValidation:
         with pytest.raises(ValidationError, match=f"^{name} must be {rule}"):
             ModelParams(**{**rates, name: value})
 
+    @pytest.mark.parametrize("fields, message", [
+        # 2.0 == 2, yet only q2 is not an integer
+        (dict(q1=2, q2=2.0), "q2 must be an integer >= 1"),
+        # one value in two fields: the first of them is named
+        (dict(d2=-0.5, d3=-0.5), "d2 must be >= 0"),
+        (dict(sigma2=2.0, sigma3=math.nan), "sigma3 must be finite"),
+    ])
+    def test_the_first_field_to_break_its_rule_is_named(self, fields, message):
+        rates = dict(d1=1, d2=1, d3=1, beta=1, k=1, r=1)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ModelParams(**{**rates, **fields})
+
     def test_replace_revalidates(self):
         p = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=1)
         assert dataclasses.replace(p, r=3.0).r == 3.0

@@ -28,6 +28,17 @@ def test_step_cost_measures_a_short_rk4_run(monkeypatch):
     assert 0.0 <= faults < math.inf
 
 
+def test_step_cost_measures_the_benchmark_kinetic_run(monkeypatch):
+    # this case patches kinetic.kinetic_step and reads the kinetic_chemotaxis
+    # workload's config from perfbench/workloads.py
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    step_cost = importlib.import_module("step_cost")
+    assert "run_kinetic kinetic_chemotaxis" in step_cost.CASES
+    us, faults = step_cost.measure(str(ROOT / "src"), "run_kinetic kinetic_chemotaxis")
+    assert 0.0 < us < math.inf
+    assert 0.0 <= faults < math.inf
+
+
 def test_every_microbenchmark_case_runs(monkeypatch):
     # perfbench/micro.py times kinsir's public sub-step functions, so a
     # renamed or re-signed one shows here rather than only in a benchmark

@@ -94,6 +94,13 @@ CONFIGS = [
     ("kinetic_uneven", "kinetic", _COSINE + "n_cells = 32\nn_nodes = 8\n"
                                             "epsilon = 0.2\nt_final = 0.02\n"
                                             "snapshot_times = 0.003 0.01 0.02\n"),
+    # zero horizons: the zero-step branch of the step-count rule in each
+    # marching tier
+    ("ode_zero", "ode", "r = 2\nc0 = 1.2\ns0 = 0.4\nu0 = 0.9\nt_final = 0\n"
+                        "dt = 0.01\n"),
+    ("macro_zero", "macro", _COSINE + "n_cells = 32\nt_final = 0\n"),
+    ("kinetic_zero", "kinetic", _COSINE + "n_cells = 32\nn_nodes = 8\n"
+                                          "epsilon = 0.2\nt_final = 0\n"),
     # flat data: every upwind difference is exactly 0, and f3 starts at
     # exact zeros
     ("kinetic_flat", "kinetic", "chi0 = 0.5\nprofile = constant\nc0 = 1\ns0 = 0.5\n"
