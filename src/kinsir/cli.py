@@ -12,8 +12,10 @@ stderr line.
 
 import argparse
 import os
+import pickle
+import signal
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from itertools import chain
 
 import numpy as np
@@ -97,25 +99,108 @@ def _write_snapshots(out_dir, name, header, snapshots, grid):
     _write_csv(out_dir, name, header, _numbers("time,x,c,s,u", blocks))
 
 
+def _stream(blocks, sink):
+    """In a forked child: write each (times, states) block to the pipe
+    sink, then the end of the stream. Leaves the process only through
+    os._exit, so it flushes no buffer it inherited and runs no exit
+    handler. The blocks take only float arithmetic, np.empty and
+    np.arange, no BLAS call and no lock that another thread of the parent
+    may have held at the fork."""
+    status = 1
+    try:
+        try:
+            for times, states in blocks:
+                sink.write(np.int64(len(times)).tobytes())
+                sink.write(times)
+                sink.write(states)
+                # the whole block goes out now: the parent formats it while
+                # this process computes the next one
+                sink.flush()
+            sink.write(np.int64(0).tobytes())
+        except BaseException as exc:
+            sink.write(np.int64(-1).tobytes() + pickle.dumps(exc))
+        sink.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextmanager
+def _computed_ahead(blocks):
+    """The (times, states) blocks of an iterator, computed in a forked child
+    while the caller consumes the blocks before them.
+
+    The child sends each block through a pipe as an int64 row count, then
+    the raw float64 bytes of its times and states, and ends the stream with
+    0, or with -1 and the pickled exception that stopped it, which the
+    caller's iteration raises again. A stream that ends without either
+    raises a RuntimeError that names the child's exit status. The child is
+    killed and reaped when the with block exits, however it exits. Without
+    os.fork the blocks are iterated in this process.
+    """
+    if not hasattr(os, "fork"):
+        yield blocks
+        return
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
+        pid = os.fork()
+        if pid == 0:
+            pipe.close()
+            _stream(blocks, sink)
+        waited = []
+
+        def reap():
+            if not waited:
+                waited.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            return waited[0]
+
+        def fill(array):
+            if pipe.readinto(array) != array.nbytes:
+                code = reap()
+                how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise RuntimeError("the process integrating the trajectory "
+                                   f"ended early, with {how}")
+            return array
+
+        def received():
+            count = np.empty(1, np.int64)
+            while (rows := int(fill(count)[0])) > 0:
+                yield fill(np.empty(rows)), fill(np.empty((rows, 3)))
+            if rows < 0:
+                raise pickle.load(pipe)
+
+        try:
+            sink.close()
+            yield received()
+        finally:
+            if not waited:
+                os.kill(pid, signal.SIGKILL)
+                reap()
+
+
 def _cmd_ode(config, out_dir):
     """integrate the virus ODE system and report its equilibria"""
     header = _header("ode", config)
-    # both checks run before the first file is opened; the trajectory is
-    # then integrated block by block as its lines are written
+    # the arguments and the equilibrium report are checked before a child
+    # integrates the trajectory block by block, as the parent writes them
     trajectory = integrate_sir_blocks(
         SirState(config.c0, config.s0, config.u0),
         config.params, config.t_final, config.dt,
     )
-    report = equilibria(config.params)
-    quantities = [("r0", report.r0)]
-    quantities += [(f"q0_{f}", v) for f, v in
-                   zip("csu", (report.q0.u, report.q0.v, report.q0.w))]
-    if report.qstar is not None:
-        quantities += [(f"qstar_{f}", v) for f, v in
-                       zip("csu", (report.qstar.u, report.qstar.v, report.qstar.w))]
-
-    blocks = ((times, *states.T) for times, states in trajectory)
-    _write_csv(out_dir, "trajectory.csv", header, _numbers("t,c,s,u", blocks))
+    params = config.params
+    quantities = []
+    # R0 and the equilibria are undefined when a death rate is zero
+    if 0.0 not in (params.d1, params.d2, params.d3):
+        report = equilibria(params)
+        quantities += [("r0", report.r0)]
+        quantities += [(f"q0_{f}", v) for f, v in
+                       zip("csu", (report.q0.u, report.q0.v, report.q0.w))]
+        if report.qstar is not None:
+            quantities += [(f"qstar_{f}", v) for f, v in
+                           zip("csu", (report.qstar.u, report.qstar.v, report.qstar.w))]
+    with _computed_ahead(trajectory) as received:
+        blocks = ((times, *states.T) for times, states in received)
+        _write_csv(out_dir, "trajectory.csv", header, _numbers("t,c,s,u", blocks))
     _write_csv(out_dir, "equilibrium.csv", header,
                _named("quantity,value", quantities))
     return ["trajectory.csv", "equilibrium.csv"]

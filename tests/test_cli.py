@@ -191,9 +191,9 @@ def test_exit_codes_by_failure_class(tmp_path):
         ("ode", "betaa = 2\n", 2),                      # ParseError
         ("ode", "q1 = 0\n", 3),                         # ValidationError
         ("ode", "beta = 40\nc0 = 1\nu0 = 1\ndt = 1\nt_final = 2\n", 4),
-        # the equilibrium report needs every death rate > 0
-        ("ode", "d1 = 0\n", 3),
-        ("ode", "d3 = 0\n", 3),
+        # a zero death rate leaves R0 undefined, not the trajectory
+        ("ode", "d1 = 0\n", 0),
+        ("ode", "d3 = 0\n", 0),
         ("kinetic", "n_nodes = 7\nt_final = 0.01\n", 5),  # OddNodeCountError
         ("kinetic",
          "d1 = 100\nepsilon = 0.5\nn_cells = 8\nn_nodes = 8\nt_final = 0.1\n",
@@ -214,30 +214,35 @@ def test_exit_codes_by_failure_class(tmp_path):
     assert "# regime = mixed" in header
 
 
-def fail_in_the_second_block(monkeypatch):
+def fail_in_the_second_block(monkeypatch, tmp_path):
     """Blocks of 7 rows, and a NegativeStateError from the RK4 loop when it
-    fills the second one: ODE_CFG's 11 rows stop after the first block."""
+    fills the second one: ODE_CFG's 11 rows stop after the first block.
+    Returns a function that reads the first step of each call, which the
+    loop appends to a file, since it runs in a child process."""
     import kinsir.sir as sir
 
     loop = sir._rk4_into
-    calls = []
+    log = tmp_path / "rk4_calls.txt"
+    log.write_text("")
 
     def second_block_fails(rows, start, params, h, first):
-        calls.append(first)
-        if len(calls) == 2:
+        with open(log, "a") as handle:
+            handle.write(f"{first}\n")
+        if len(log.read_text().split()) == 2:
             raise NegativeStateError("injected")
         return loop(rows, start, params, h, first)
 
     monkeypatch.setattr(sir, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(sir, "_rk4_into", second_block_fails)
-    return calls
+    return lambda: [int(first) for first in log.read_text().split()]
 
 
 def test_ode_failing_in_the_middle_of_a_stream_leaves_nothing(tmp_path,
                                                               monkeypatch):
-    calls = fail_in_the_second_block(monkeypatch)
+    read_calls = fail_in_the_second_block(monkeypatch, tmp_path)
     code, out = run_cli(tmp_path, "ode", ODE_CFG)
     assert code == 4
+    calls = read_calls()
     assert calls == [1, 7]
     assert not out.exists()
 
@@ -247,13 +252,114 @@ def test_ode_failing_in_the_middle_of_a_stream_keeps_an_earlier_run(tmp_path,
     code, out = run_cli(tmp_path, "ode", ODE_CFG)
     assert code == 0
     before = {name: (out / name).read_bytes() for name in os.listdir(out)}
-    calls = fail_in_the_second_block(monkeypatch)
+    read_calls = fail_in_the_second_block(monkeypatch, tmp_path)
     code, _ = run_cli(tmp_path, "ode", ODE_CFG)
     assert code == 4
+    calls = read_calls()
     assert calls == [1, 7]
     # the complete files are untouched and no temporary file is left
     assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
     assert sorted(before) == ["equilibrium.csv", "trajectory.csv"]
+
+
+def assert_no_child_is_left():
+    # waitpid(-1) finds no child, not even a finished one left unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_ode_reaps_its_child_after_a_success_and_after_a_child_error(
+        tmp_path, monkeypatch):
+    code, _ = run_cli(tmp_path, "ode", ODE_CFG, out="done")
+    assert code == 0
+    assert_no_child_is_left()
+    fail_in_the_second_block(monkeypatch, tmp_path)
+    code, _ = run_cli(tmp_path, "ode", ODE_CFG, out="failed")
+    assert code == 4
+    assert_no_child_is_left()
+
+
+def test_ode_kills_and_reaps_its_child_after_a_writer_error(tmp_path,
+                                                           monkeypatch):
+    # 100,001 rows: the child is still integrating when the writer fails
+    import kinsir.cli as cli
+
+    numbers = cli._numbers
+    errors = [OSError("injected"), KeyboardInterrupt()]
+    long_run = ODE_CFG.replace("t_final = 0.1\ndt = 0.01", "t_final = 100\ndt = 1e-3")
+
+    def second_chunk_fails(columns, blocks):
+        lines = numbers(columns, blocks)
+        yield next(lines)  # the column line
+        yield next(lines)
+        raise errors.pop(0)
+
+    monkeypatch.setattr(cli, "_numbers", second_chunk_fails)
+    code, out = run_cli(tmp_path, "ode", long_run)
+    assert code == 1
+    assert not out.exists()
+    assert_no_child_is_left()
+    # the CLI does not catch an interrupt, but its child is gone all the same
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(tmp_path, "ode", long_run)
+    assert not out.exists()
+    assert_no_child_is_left()
+
+
+def test_ode_child_ending_without_the_end_of_its_stream_exits_one(
+        tmp_path, monkeypatch, capsys):
+    import kinsir.sir as sir
+
+    parent = os.getpid()
+    loop = sir._rk4_into
+
+    def second_block_exits(rows, start, params, h, first):
+        assert os.getpid() != parent  # os._exit below ends the child only
+        if first > 1:
+            os._exit(3)
+        return loop(rows, start, params, h, first)
+
+    monkeypatch.setattr(sir, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(sir, "_rk4_into", second_block_exits)
+    code, out = run_cli(tmp_path, "ode", ODE_CFG)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exit status 3" in err
+    assert not out.exists()
+    assert_no_child_is_left()
+
+
+def test_ode_without_fork_writes_the_same_files_in_process(tmp_path,
+                                                          monkeypatch):
+    import kinsir.sir as sir
+
+    monkeypatch.setattr(sir, "_BLOCK_ROWS", 7)
+    code, forked = run_cli(tmp_path, "ode", ODE_CFG, out="forked")
+    assert code == 0
+    monkeypatch.delattr(os, "fork")
+    code, in_process = run_cli(tmp_path, "ode", ODE_CFG, out="in_process")
+    assert code == 0
+    assert sorted(os.listdir(in_process)) == ["equilibrium.csv", "trajectory.csv"]
+    for name in os.listdir(forked):
+        assert (in_process / name).read_bytes() == (forked / name).read_bytes()
+    # a failing block fails the same way in this process
+    read_calls = fail_in_the_second_block(monkeypatch, tmp_path)
+    code, out = run_cli(tmp_path, "ode", ODE_CFG, out="failed")
+    assert code == 4
+    assert read_calls() == [1, 7]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["d1", "d2", "d3"])
+def test_ode_with_a_zero_death_rate_writes_the_trajectory_without_a_report(
+        tmp_path, rate):
+    code, out = run_cli(tmp_path, "ode", ODE_CFG + f"{rate} = 0\n")
+    assert code == 0
+    _, _, rows = read_table(out / "trajectory.csv")
+    assert len(rows) == 11  # steps + 1
+    # R0 and the equilibria are undefined: only the column line
+    _, columns, rows = read_table(out / "equilibrium.csv")
+    assert columns == "quantity,value" and rows == []
 
 
 def test_ode_peak_memory_does_not_grow_with_the_step_count(tmp_path,

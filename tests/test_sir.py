@@ -174,6 +174,24 @@ class TestIntegrator:
         assert tr.states.shape == (10_001, 3)
         assert peak < 1.1 * (tr.states.nbytes + tr.times.nbytes)
 
+    def test_numpy_scalar_arguments_give_the_python_float_run_bit_for_bit(self):
+        # criterion 2 draws its rates with rng.uniform and derives t_final
+        # and dt from them: numpy float64 scalars throughout
+        rng = np.random.default_rng(202)
+        for _ in range(4):
+            p = random_params(rng, (1.2, 5.0))
+            assert isinstance(p.d1, np.float64) and isinstance(p.r, np.float64)
+            floats = ModelParams(**{name: float(getattr(p, name)) for name in
+                                    ("d1", "d2", "d3", "beta", "k", "r")})
+            init = SirState(*equilibria(p).qstar.as_array() * rng.uniform(0.5, 1.5, 3))
+            t_final = 50.0 * max(1 / p.d1, 1 / p.d2, 1 / p.d3)
+            dt = 0.1 / max(p.d1, p.d2, p.d3, p.k)
+            assert isinstance(t_final, np.float64) and isinstance(dt, np.float64)
+            scalars = integrate_sir(init, p, t_final, dt)
+            plain = integrate_sir(init, floats, float(t_final), float(dt))
+            assert scalars.times.tobytes() == plain.times.tobytes()
+            assert scalars.states.tobytes() == plain.states.tobytes()
+
     def test_trajectory_shape_and_times(self):
         p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
         tr = integrate_sir(SirState(1.0, 0.1, 0.1), p, 1.0, 0.3)
@@ -326,6 +344,25 @@ class TestBlocks:
         with pytest.raises(ValidationError) as blocks:
             integrate_sir_blocks(SirState(*start), p, t_final, dt)
         assert str(blocks.value) == str(whole.value)
+
+    def test_peak_memory_of_the_blocks_does_not_grow_with_the_step_count(
+            self, monkeypatch):
+        # the RK4 side of the CLI's memory bound: the consumer holds a block
+        # or two of 1,024 rows (32 KB each) at any step count, where a whole
+        # trajectory costs 288 KB more at 12,000 steps than at 3,000
+        monkeypatch.setattr(sir, "_BLOCK_ROWS", 1024)
+        p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=2.0)
+        peaks = []
+        for n_steps in (3_000, 3_000, 12_000):  # the first run warms up
+            tracemalloc.start()
+            try:
+                for _ in integrate_sir_blocks(SirState(1.2, 0.4, 0.9), p,
+                                              n_steps * 1e-3, 1e-3):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] < peaks[1] + 1024 * 32
 
     def test_a_negative_state_in_a_later_block_names_its_time(self, monkeypatch):
         # h*d1 = 3 is beyond RK4's stability interval: the start's deficit

@@ -28,6 +28,16 @@ def test_step_cost_measures_a_short_rk4_run(monkeypatch):
     assert 0.0 <= faults < math.inf
 
 
+def test_step_cost_measures_a_short_rk4_run_on_numpy_scalars(monkeypatch):
+    # criterion 2's rates, t_final and dt are numpy float64 scalars
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    step_cost = importlib.import_module("step_cost")
+    assert "integrate_sir 50000 float64" in step_cost.CASES
+    us, faults = step_cost.measure(str(ROOT / "src"), "integrate_sir 2000 float64")
+    assert 0.0 < us < math.inf
+    assert 0.0 <= faults < math.inf
+
+
 def test_step_cost_measures_the_benchmark_kinetic_run(monkeypatch):
     # this case patches kinetic.kinetic_step and reads the kinetic_chemotaxis
     # workload's config from perfbench/workloads.py

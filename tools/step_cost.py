@@ -3,7 +3,7 @@ and of the ODE tier's RK4 loop.
 
     python3 tools/step_cost.py [REV]
 
-Six cases, on criterion 7's model and profile (chemotaxis and reactions
+Seven cases, on criterion 7's model and profile (chemotaxis and reactions
 on, so every kinetic sub-step runs):
 
 * `kinetic_step 16x8`, `kinetic_step 128x16` and `kinetic_step 512x16`:
@@ -12,7 +12,9 @@ on, so every kinetic sub-step runs):
 * `run_kinetic kinetic_chemotaxis`: one `run_kinetic` on the config of the
   benchmark's kinetic_chemotaxis workload, divided by its steps;
 * `integrate_sir 50000`: RK4 runs of 50,000 steps of the model's ODE,
-  best of RUNS, divided by the steps.
+  best of RUNS, divided by the steps;
+* `integrate_sir 50000 float64`: the same runs with the rates, t_final
+  and dt as numpy float64 scalars, as criterion 2 draws them.
 
 Each call advances the state it is given, as a run does, so a step pays
 for whatever it builds or hands on from one state to the next. A marching
@@ -46,7 +48,8 @@ import tempfile
 from revtree import ROOT, WORKING_TREE, compiled_tree
 
 CASES = ("kinetic_step 16x8", "kinetic_step 128x16", "kinetic_step 512x16",
-         "macro_step 512", "run_kinetic kinetic_chemotaxis", "integrate_sir 50000")
+         "macro_step 512", "run_kinetic kinetic_chemotaxis", "integrate_sir 50000",
+         "integrate_sir 50000 float64")
 ROUNDS = 9
 
 # run in a child process with PYTHONPATH pointing at the tree under test and
@@ -57,6 +60,7 @@ import math
 import resource
 import sys
 from time import perf_counter
+import numpy as np
 from kinsir import config, grids, kinetic, macro, params, sir, velocity
 
 WARMUP, BATCHES, CALLS, RUNS = 50, 20, 100, 5
@@ -120,27 +124,32 @@ def run_kinetic_case():
             (faults() - before) / len(steps))
 
 
-def rk4_case(n_steps):
+def rk4_case(n_steps, scalars=None):
     # a step is too short to time alone: time whole runs, each with its own
     # trajectory array
     start = sir.SirState(1.0, 0.1, 0.1)
+    model, dt = MODEL, 1e-3
+    if scalars == "float64":
+        model = params.ModelParams(**{name: np.float64(getattr(MODEL, name))
+                                      for name in ("d1", "d2", "d3", "beta", "k", "r")})
+        dt = np.float64(dt)
     best, faulted = math.inf, 0
     for _ in range(RUNS):
         before = faults()
         started = perf_counter()
-        sir.integrate_sir(start, MODEL, n_steps * 1e-3, 1e-3)
+        sir.integrate_sir(start, model, n_steps * dt, dt)
         best = min(best, perf_counter() - started)
         faulted += faults() - before
     return best / n_steps * 1e6, faulted / (RUNS * n_steps)
 
 
-name, size = sys.argv[1].split()
+name, size, *scalars = sys.argv[1].split()
 if name == "run_kinetic":
     print(*run_kinetic_case())
 else:
     case = {"kinetic_step": kinetic_case, "macro_step": macro_case,
             "integrate_sir": rk4_case}[name]
-    print(*case(*(int(n) for n in size.split("x"))))
+    print(*case(*(int(n) for n in size.split("x")), *scalars))
 """ % os.path.join(ROOT, "perfbench")
 
 
