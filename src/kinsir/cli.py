@@ -12,19 +12,18 @@ stderr line.
 
 import argparse
 import os
-import pickle
-import signal
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import nullcontext, suppress
 from itertools import chain
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sir
+from .ahead import computed_ahead
 from .config import load_config
 from .convergence import run_convergence_study
 from .errors import KinsirError
-from .grids import SpatialGrid
+from .grids import SpatialGrid, split
 from .kinetic import init_local_equilibrium, run_kinetic
 from .macro import build_macro_coefficients, run_macro
 from .sir import SirState, equilibria, integrate_sir_blocks
@@ -99,85 +98,6 @@ def _write_snapshots(out_dir, name, header, snapshots, grid):
     _write_csv(out_dir, name, header, _numbers("time,x,c,s,u", blocks))
 
 
-def _stream(blocks, sink):
-    """In a forked child: write each (times, states) block to the pipe
-    sink, then the end of the stream. Leaves the process only through
-    os._exit, so it flushes no buffer it inherited and runs no exit
-    handler. The blocks take only float arithmetic, np.empty and
-    np.arange, no BLAS call and no lock that another thread of the parent
-    may have held at the fork."""
-    status = 1
-    try:
-        try:
-            for times, states in blocks:
-                sink.write(np.int64(len(times)).tobytes())
-                sink.write(times)
-                sink.write(states)
-                # the whole block goes out now: the parent formats it while
-                # this process computes the next one
-                sink.flush()
-            sink.write(np.int64(0).tobytes())
-        except BaseException as exc:
-            sink.write(np.int64(-1).tobytes() + pickle.dumps(exc))
-        sink.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-@contextmanager
-def _computed_ahead(blocks):
-    """The (times, states) blocks of an iterator, computed in a forked child
-    while the caller consumes the blocks before them.
-
-    The child sends each block through a pipe as an int64 row count, then
-    the raw float64 bytes of its times and states, and ends the stream with
-    0, or with -1 and the pickled exception that stopped it, which the
-    caller's iteration raises again. A stream that ends without either
-    raises a RuntimeError that names the child's exit status. The child is
-    killed and reaped when the with block exits, however it exits. Without
-    os.fork the blocks are iterated in this process.
-    """
-    if not hasattr(os, "fork"):
-        yield blocks
-        return
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
-        pid = os.fork()
-        if pid == 0:
-            pipe.close()
-            _stream(blocks, sink)
-        waited = []
-
-        def reap():
-            if not waited:
-                waited.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-            return waited[0]
-
-        def fill(array):
-            if pipe.readinto(array) != array.nbytes:
-                code = reap()
-                how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-                raise RuntimeError("the process integrating the trajectory "
-                                   f"ended early, with {how}")
-            return array
-
-        def received():
-            count = np.empty(1, np.int64)
-            while (rows := int(fill(count)[0])) > 0:
-                yield fill(np.empty(rows)), fill(np.empty((rows, 3)))
-            if rows < 0:
-                raise pickle.load(pipe)
-
-        try:
-            sink.close()
-            yield received()
-        finally:
-            if not waited:
-                os.kill(pid, signal.SIGKILL)
-                reap()
-
-
 def _cmd_ode(config, out_dir):
     """integrate the virus ODE system and report its equilibria"""
     header = _header("ode", config)
@@ -198,7 +118,11 @@ def _cmd_ode(config, out_dir):
         if report.qstar is not None:
             quantities += [(f"qstar_{f}", v) for f, v in
                            zip("csu", (report.qstar.u, report.qstar.v, report.qstar.w))]
-    with _computed_ahead(trajectory) as received:
+    # a trajectory of one block has nothing to overlap, so it is not
+    # worth a fork
+    n_steps, _ = split(config.t_final, config.dt)
+    ahead = computed_ahead if n_steps + 1 > sir._BLOCK_ROWS else nullcontext
+    with ahead(trajectory) as received:
         blocks = ((times, *states.T) for times, states in received)
         _write_csv(out_dir, "trajectory.csv", header, _numbers("t,c,s,u", blocks))
     _write_csv(out_dir, "equilibrium.csv", header,

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kinetic
+from .ahead import computed_ahead
 from .errors import DegenerateFitError, ValidationError
 from .grids import MacroState, SpatialGrid, check_integer, snapshot_schedule
 from .macro import build_macro_coefficients, run_macro
@@ -149,6 +150,10 @@ def run_convergence_study(params, profile, epsilons, t_final,
     Returns a ConvergenceReport with the epsilons sorted largest first.
     Orders are fit per species, and estimated_order on the per-eps maximum
     across species; identically zero errors report a flat order of 0.0.
+    The smallest eps runs in this process and the others in a forked child
+    (ahead.computed_ahead); the report, and the error raised if a run
+    fails, are those of running the epsilons one after another, largest
+    first.
     """
     message = "epsilons must be distinct and in (0, 1]"
     if len(set(epsilons)) != len(epsilons):
@@ -171,13 +176,24 @@ def run_convergence_study(params, profile, epsilons, t_final,
         profile, initial, params, vgrid, t_final, times, ref_refine
     )
 
-    table = []
-    for eps in epsilons:
+    def errors_at(eps):
         state = kinetic.init_local_equilibrium(initial, eqs, vgrid, eps)
         snaps, _ = kinetic.run_kinetic(
             state, params, eqs, t_final, snapshot_times=times, cfl=cfl
         )
-        table.append(_error_norm(snaps, reference, grid.dx))
+        return _error_norm(snaps, reference, grid.dx)
+
+    # steps grow as 1/eps: this process runs the smallest eps, the costliest
+    # run, while a child runs the others, largest first
+    *larger, smallest = epsilons
+    with computed_ahead(map(errors_at, larger)) as rows:
+        try:
+            last = errors_at(smallest)
+        except Exception:
+            # an error at a larger eps comes first in eps order
+            list(rows)
+            raise
+        table = [*rows, last]
 
     errors = {f: tuple(col) for f, col in zip(_FIELDS, np.array(table).T.tolist())}
     orders = {f: _fit_or_flat(epsilons, errors[f]) for f in _FIELDS}

@@ -350,6 +350,53 @@ def test_ode_without_fork_writes_the_same_files_in_process(tmp_path,
     assert not out.exists()
 
 
+def test_ode_of_one_block_runs_without_a_fork(tmp_path, monkeypatch):
+    import kinsir.sir as sir
+
+    fork = os.fork
+
+    def no_fork():
+        raise AssertionError("a trajectory of one block forked")
+
+    # criterion 10's ode config: 51 rows, one block
+    cfg = ODE_CFG.replace("t_final = 0.1", "t_final = 0.5")
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, one_block = run_cli(tmp_path, "ode", cfg, out="one_block")
+    assert code == 0
+    assert sorted(os.listdir(one_block)) == ["equilibrium.csv", "trajectory.csv"]
+    # the same rows in blocks of 7, streamed from a child
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(sir, "_BLOCK_ROWS", 7)
+    code, forked = run_cli(tmp_path, "ode", cfg, out="forked")
+    assert code == 0
+    for name in os.listdir(forked):
+        assert (one_block / name).read_bytes() == (forked / name).read_bytes()
+
+
+def test_ode_of_more_than_one_block_forks(tmp_path, monkeypatch):
+    import kinsir.sir as sir
+
+    fork = os.fork
+    forks = []
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    # tools/cli_parity.py's ode_blocks: 70,001 rows, a full block and a
+    # partial one
+    code, _ = run_cli(tmp_path, "ode", ODE_CFG.replace(
+        "t_final = 0.1\ndt = 0.01", "t_final = 70\ndt = 1e-3"), out="blocks")
+    assert (code, len(forks)) == (0, 1)
+    # ODE_CFG's 11 rows: one block of 11 runs here, blocks of 10 fork
+    for rows, expected in [(11, 1), (10, 2)]:
+        monkeypatch.setattr(sir, "_BLOCK_ROWS", rows)
+        code, _ = run_cli(tmp_path, "ode", ODE_CFG, out=f"rows{rows}")
+        assert (code, len(forks)) == (0, expected)
+    assert_no_child_is_left()
+
+
 @pytest.mark.parametrize("rate", ["d1", "d2", "d3"])
 def test_ode_with_a_zero_death_rate_writes_the_trajectory_without_a_report(
         tmp_path, rate):

@@ -7,6 +7,10 @@ levels, and the report format in the file that `kinsir converge` writes.
 
 import dataclasses
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +27,12 @@ from kinsir.convergence import (
     estimate_order,
     run_convergence_study,
 )
-from kinsir.errors import DegenerateFitError, ValidationError
+from kinsir.errors import (
+    DegenerateFitError,
+    NegativityError,
+    StepSizeError,
+    ValidationError,
+)
 from kinsir.grids import InitialProfile, MacroState, SpatialGrid
 from kinsir.velocity import build_velocity_grid, species_equilibria
 
@@ -375,6 +384,135 @@ def test_both_steps_hold_the_endemic_equilibrium(params):
         kinetic = kin.kinetic_step(kinetic, params, eqs, dt)
     np.testing.assert_allclose(kin.moments(kinetic).rho, start.rho,
                                rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the study on two processes: the smallest eps here, the others in a child
+
+STUDIES = {
+    "parabolic": (PARABOLIC, RIPPLE, 0.05, 32),
+    "hyperbolic": (HYPERBOLIC, ENDEMIC, 0.25, 16),
+    "mixed": (dataclasses.replace(PARABOLIC, q3=2), RIPPLE, 0.05, 16),
+}
+
+
+def small_study(name, epsilons=(0.3, 0.4, 0.1, 0.25)):
+    params, profile, t_final, n_cells = STUDIES[name]
+    return run_convergence_study(params, profile, epsilons, t_final,
+                                 n_cells=n_cells, n_nodes=8)
+
+
+def assert_no_child_is_left():
+    # waitpid(-1) finds no child, not even a finished one left unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_at(monkeypatch, failures):
+    """run_kinetic raises failures[eps] at each eps in failures."""
+    run = kin.run_kinetic
+
+    def failing(state, *args, **kwargs):
+        if state.epsilon in failures:
+            raise failures[state.epsilon]
+        return run(state, *args, **kwargs)
+
+    monkeypatch.setattr(kin, "run_kinetic", failing)
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_a_study_in_one_process_reports_the_same_bits(monkeypatch, name):
+    forked = small_study(name)
+    assert forked.epsilons == (0.4, 0.3, 0.25, 0.1)
+    assert_no_child_is_left()
+    monkeypatch.delattr(os, "fork")
+    assert pickle.dumps(small_study(name)) == pickle.dumps(forked)
+
+
+def test_an_eps_has_the_same_errors_in_either_process():
+    # eps 0.25 runs in the child in a study of four eps, and in this
+    # process in a study of three
+    four = small_study("parabolic")
+    three = small_study("parabolic", (0.4, 0.3, 0.25))
+    for field in "csu":
+        assert four.errors[field][:3] == three.errors[field]
+
+
+CONVERGE_CFG = ("chi0 = 0.5\nprofile = cosine\nc0 = 1\ns0 = 0.5\nu0 = 0.5\n"
+                "n_cells = 32\nn_nodes = 8\nt_final = 0.05\n"
+                "eps_list = 0.2 0.4 0.1\n")
+
+
+@pytest.mark.parametrize("failures", [
+    {0.2: NegativityError("injected at eps 0.2")},
+    {0.1: StepSizeError("injected at eps 0.1")},
+    {0.2: NegativityError("injected at eps 0.2"),
+     0.1: StepSizeError("injected at eps 0.1")},
+    {0.4: StepSizeError("injected at eps 0.4"),
+     0.2: NegativityError("injected at eps 0.2")},
+], ids=["child", "parent", "both", "child_twice"])
+def test_a_failing_run_fails_the_study_as_the_serial_loop_does(
+        tmp_path, monkeypatch, capsys, failures):
+    # eps 0.1 runs in this process, 0.4 and 0.2 in the child; run one after
+    # another, largest first, the study stops at the largest failing eps
+    first = failures[max(failures)]
+    expected = (type(first).exit_code,
+                f"error: {type(first).__name__}: {first}\n", False)
+    fail_at(monkeypatch, failures)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONVERGE_CFG)
+    for tag in ("forked", "in_process"):
+        if tag == "in_process":
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / tag
+        code = cli.main(["converge", "--config", str(cfg), "--out", str(out)])
+        assert (code, capsys.readouterr().err, out.exists()) == expected, tag
+        assert_no_child_is_left()
+
+
+def test_a_study_reaps_its_child_however_it_ends(monkeypatch):
+    small_study("hyperbolic")
+    assert_no_child_is_left()
+    for eps in (0.4, 0.1):  # in the child, in this process
+        with monkeypatch.context() as patch:
+            fail_at(patch, {eps: NegativityError("injected")})
+            with pytest.raises(NegativityError):
+                small_study("hyperbolic")
+        assert_no_child_is_left()
+    # interrupted while the child is still running the larger eps
+    fail_at(monkeypatch, {0.1: KeyboardInterrupt()})
+    with pytest.raises(KeyboardInterrupt):
+        small_study("hyperbolic")
+    assert_no_child_is_left()
+
+
+_BLAS_THEN_STUDY = """
+import os, pickle
+import numpy as np
+from kinsir import ModelParams
+from kinsir.convergence import run_convergence_study
+from kinsir.grids import InitialProfile
+
+matrix = np.random.default_rng(0).random((400, 400))
+matrix @ matrix  # starts OpenBLAS's thread pool in this process
+args = (ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5),
+        InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5, amplitude=0.1),
+        (0.4, 0.2, 0.1), 0.05)
+forked = pickle.dumps(run_convergence_study(*args, n_cells=32, n_nodes=8))
+del os.fork
+print(forked == pickle.dumps(run_convergence_study(*args, n_cells=32, n_nodes=8)))
+"""
+
+
+def test_a_study_forks_safely_after_blas_has_started_its_threads():
+    # the child's kinetic steps call BLAS through `@`; a lock held by a BLAS
+    # thread at the fork would hang it, so the run has a timeout
+    src = os.path.dirname(os.path.dirname(convergence.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _BLAS_THEN_STUDY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
 
 
 # ---------------------------------------------------------------------------

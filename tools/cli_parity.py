@@ -61,6 +61,11 @@ CONFIGS = [
                                    "amplitude = 0.9\nn_cells = 64\nr = 50\nbeta = 5\n"
                                    "k = 5\nsigma2 = 100\nsigma3 = 100\n"
                                    "t_final = 0.05\n"),
+    # unsorted eps that do not halve: the study sorts them, and splits
+    # them between two processes
+    ("converge_unsorted", "converge", _COSINE + "n_cells = 32\nn_nodes = 8\n"
+                                                "t_final = 0.05\n"
+                                                "eps_list = 0.3 0.4 0.1 0.25\n"),
     ("converge_hyperbolic", "converge", _ENDEMIC + _HYPERBOLIC
      + "n_cells = 16\nn_nodes = 8\nt_final = 0.5\neps_list = 0.4 0.2 0.1\n"),
     # limit references that drop some (q3 = 2: Du) or all of the macro
