@@ -85,6 +85,10 @@ def stable_dt(state, coeff):
     at the largest densities plus sqrt(beta*k*max(s)), which keeps Euler
     stages nonnegative while u grows from k*s within the step; the factor
     16 is for accuracy. Diffusion is exact and sets no bound.
+
+    Infection steepens s, and so the drift, within the step: a face jump of
+    s grows at beta times the jump of c*u. With both on, the bound is taken
+    again with each |w| grown at that rate for dt0, the step above.
     """
     dx, p = state.grid.dx, coeff.params
     c, s, u = np.maximum(state.rho.max(axis=1), 0.0)
@@ -93,7 +97,13 @@ def stable_dt(state, coeff):
     w = coeff.chi / dx * (shifted(state.s, 1) - state.s)
     denom = np.abs(w).max() / dx + 16.0 * rate
     # a float divide: a subnormal denom overflows to inf without a numpy warning
-    return 0.9 / float(denom) if denom > 0 else math.inf
+    dt0 = 0.9 / float(denom) if denom > 0 else math.inf
+    if not (p.beta and coeff.chi) or math.isinf(dt0):
+        return dt0
+    cu = state.c * state.u
+    growth = abs(coeff.chi) / dx * p.beta * np.abs(shifted(cu, 1) - cu)
+    w = np.abs(w) + dt0 * growth
+    return 0.9 / float(w.max() / dx + 16.0 * rate)
 
 
 def run_macro(initial, coeff, t_final, snapshot_times=None, dt_max=None):

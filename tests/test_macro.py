@@ -473,18 +473,34 @@ def test_snapshot_times_outside_the_horizon_are_rejected():
 
 def test_stable_dt_matches_the_combined_bound():
     params = ModelParams(d1=0.7, d2=1.3, d3=0.9, beta=1.1, k=1.7, r=2, chi0=0.5)
-    coeff = build_macro_coefficients(params, VGRID)
     grid = SpatialGrid(1.0, 64)
     state = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5,
                            amplitude=0.3).build(grid)
-    drift = coeff.chi * (np.roll(state.s, -1) - state.s) / grid.dx
     c, s, u = state.c.max(), state.s.max(), state.u.max()
-    jacobian = np.array([[-params.d1 - params.beta * u, 0.0, -params.beta * c],
-                         [params.beta * u, -params.d2, params.beta * c],
-                         [0.0, params.k, -params.d3]])
-    rate = np.abs(jacobian).sum(axis=1).max() + math.sqrt(params.beta * params.k * s)
-    expected = 0.9 / (np.max(np.abs(drift)) / grid.dx + 16.0 * rate)
+
+    def combined(params):
+        coeff = build_macro_coefficients(params, VGRID)
+        drift = coeff.chi * (np.roll(state.s, -1) - state.s) / grid.dx
+        jacobian = np.array([[-params.d1 - params.beta * u, 0.0, -params.beta * c],
+                             [params.beta * u, -params.d2, params.beta * c],
+                             [0.0, params.k, -params.d3]])
+        rate = (np.abs(jacobian).sum(axis=1).max()
+                + math.sqrt(params.beta * params.k * s))
+        return coeff, np.abs(drift), rate
+
+    # without infection the drift cannot steepen within the step
+    coeff, drift, rate = combined(dataclasses.replace(params, beta=0.0))
+    expected = 0.9 / (np.max(drift) / grid.dx + 16.0 * rate)
     assert stable_dt(state, coeff) == pytest.approx(expected, rel=1e-14)
+    # with it, |w| grows by chi/dx*dt0*beta times the jump of c*u
+    coeff, drift, rate = combined(params)
+    dt0 = 0.9 / (np.max(drift) / grid.dx + 16.0 * rate)
+    cu = state.c * state.u
+    growth = coeff.chi / grid.dx * params.beta * np.abs(np.roll(cu, -1) - cu)
+    steep = drift + dt0 * growth
+    expected = 0.9 / (np.max(steep) / grid.dx + 16.0 * rate)
+    assert stable_dt(state, coeff) == pytest.approx(expected, rel=1e-14)
+    assert expected < dt0
     # diffusion is exact and sets no bound
     faster = build_macro_coefficients(
         dataclasses.replace(params, sigma2=1e-3, sigma3=1e-3), VGRID)
@@ -646,6 +662,13 @@ _DENSITIES = st.integers(4, 64).flatmap(
 )
 
 
+def _emptied(row, n_cells):
+    """Unit densities, with one species at zero in the first cell."""
+    rho = np.ones((3, n_cells))
+    rho[row, 0] = 0.0
+    return rho
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     rho=_DENSITIES,
@@ -656,6 +679,11 @@ _DENSITIES = st.integers(4, 64).flatmap(
 # a subnormal density: the FFT diffusion moves its mass by one ulp (5e-324)
 @example(rho=np.array([[2.2e-313, 0, 0, 0], [0.0] * 4, [0.0] * 4]),
          rates=(0.0,) * 6, sigmas=(2.0, 1.0, 1.0), chi0=0.0)
+# infection alone makes s steep next to the empty cell within one step
+@example(rho=_emptied(0, 52), rates=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+         sigmas=(0.25, 1.0, 1.0), chi0=1.0)
+@example(rho=_emptied(2, 55), rates=(0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+         sigmas=(0.5, 1.0, 1.0), chi0=1.0)
 def test_steps_stay_finite_nonnegative_and_conserve_mass_without_reactions(
     rho, rates, sigmas, chi0
 ):
