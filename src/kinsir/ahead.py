@@ -1,9 +1,10 @@
 """Iterate in a second process: the toolkit's one fork.
 
-`kinsir ode` integrates its trajectory blocks in a forked child while the
-parent writes the blocks before them, and a convergence study runs all
-but its smallest eps in a forked child while the parent runs that one.
-Both go through computed_ahead.
+`kinsir ode` integrates its trajectory blocks in a forked child, which
+formats each block's times and sends them, as text, with the block's
+states, while the parent writes the rows before them; a convergence study
+runs all but its smallest eps in a forked child while the parent runs
+that one. Both go through computed_ahead.
 """
 
 import os

@@ -85,6 +85,38 @@ def _numbers(columns, blocks):
             yield "\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
+def _time_texts(blocks):
+    """The trajectory's (times, states) blocks as (time texts, states): a
+    block's times formatted with %.17g, one newline-joined string per
+    chunk of _CHUNK_ROWS rows.
+
+    The time column needs no RK4, so the process that integrates the
+    states formats it too, and the writer fills in the states alone.
+    """
+    for times, states in blocks:
+        chunks = (times[start:start + _CHUNK_ROWS]
+                  for start in range(0, len(times), _CHUNK_ROWS))
+        yield ["\n".join(["%.17g"] * len(chunk)) % tuple(chunk.tolist())
+               for chunk in chunks], states
+
+
+def _trajectory_lines(blocks):
+    """Table lines of the trajectory: the column names, then the rows of each
+    (time texts, states) block of _time_texts.
+
+    Each chunk's time text becomes its rows' format, the states' three
+    %.17g fields after each time (%.17g output holds no %), and one %
+    call fills in the chunk's states, which are C-contiguous (rows, 3).
+    """
+    yield "t,c,s,u"
+    fields = ",%.17g,%.17g,%.17g"
+    for texts, states in blocks:
+        for start, text in zip(range(0, len(states), _CHUNK_ROWS), texts):
+            chunk = states[start:start + _CHUNK_ROWS]
+            rows = text.replace("\n", fields + "\n") + fields
+            yield rows % tuple(chunk.ravel().tolist())
+
+
 def _named(columns, pairs):
     """Table lines: the column names, then one `name,value` line per pair."""
     yield columns
@@ -102,7 +134,8 @@ def _cmd_ode(config, out_dir):
     """integrate the virus ODE system and report its equilibria"""
     header = _header("ode", config)
     # the arguments and the equilibrium report are checked before a child
-    # integrates the trajectory block by block, as the parent writes them
+    # integrates the trajectory block by block and formats its times, as
+    # the parent writes the rows before them
     trajectory = integrate_sir_blocks(
         SirState(config.c0, config.s0, config.u0),
         config.params, config.t_final, config.dt,
@@ -122,9 +155,8 @@ def _cmd_ode(config, out_dir):
     # worth a fork
     n_steps, _ = split(config.t_final, config.dt)
     ahead = computed_ahead if n_steps + 1 > sir._BLOCK_ROWS else nullcontext
-    with ahead(trajectory) as received:
-        blocks = ((times, *states.T) for times, states in received)
-        _write_csv(out_dir, "trajectory.csv", header, _numbers("t,c,s,u", blocks))
+    with ahead(_time_texts(trajectory)) as received:
+        _write_csv(out_dir, "trajectory.csv", header, _trajectory_lines(received))
     _write_csv(out_dir, "equilibrium.csv", header,
                _named("quantity,value", quantities))
     return ["trajectory.csv", "equilibrium.csv"]

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinsir import __version__
-from kinsir.cli import _header, _numbers, main
+from kinsir.cli import _header, _numbers, _time_texts, _trajectory_lines, main
 from kinsir.config import load_config
 from kinsir.convergence import run_convergence_study
 from kinsir.errors import NegativeStateError
+from kinsir.sir import SirState, integrate_sir
 
 
 def run_cli(tmp_path, subcommand, config_text, out="out", name="run.cfg"):
@@ -284,17 +285,17 @@ def test_ode_kills_and_reaps_its_child_after_a_writer_error(tmp_path,
     # 100,001 rows: the child is still integrating when the writer fails
     import kinsir.cli as cli
 
-    numbers = cli._numbers
+    trajectory_lines = cli._trajectory_lines
     errors = [OSError("injected"), KeyboardInterrupt()]
     long_run = ODE_CFG.replace("t_final = 0.1\ndt = 0.01", "t_final = 100\ndt = 1e-3")
 
-    def second_chunk_fails(columns, blocks):
-        lines = numbers(columns, blocks)
+    def second_chunk_fails(blocks):
+        lines = trajectory_lines(blocks)
         yield next(lines)  # the column line
         yield next(lines)
         raise errors.pop(0)
 
-    monkeypatch.setattr(cli, "_numbers", second_chunk_fails)
+    monkeypatch.setattr(cli, "_trajectory_lines", second_chunk_fails)
     code, out = run_cli(tmp_path, "ode", long_run)
     assert code == 1
     assert not out.exists()
@@ -730,18 +731,18 @@ _RATE = st.floats(0.0, 2.0)
 _DENSITY = st.floats(0.0, 2.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(subcommand=st.sampled_from(["ode", "macro", "kinetic", "converge", "coeffs"]),
-       values=st.fixed_dictionaries({
-           "n_cells": st.integers(2, 16), "n_nodes": st.sampled_from([4, 6, 8]),
-           "t_final": st.floats(0.0, 0.05), "chi0": st.floats(0.0, 1.0),
-           "epsilon": st.floats(0.1, 1.0), "profile": st.sampled_from(["constant", "cosine"]),
-           "c0": _DENSITY, "s0": _DENSITY, "u0": _DENSITY,
-           "amplitude": st.floats(0.0, 1.0), "mode": st.integers(1, 4),
-           "d1": _RATE, "beta": _RATE, "k": _RATE, "r": _RATE,
-           "sigma1": st.floats(0.1, 10.0), "q3": st.integers(1, 2),
-       }))
-def test_in_range_configs_exit_zero_or_with_a_documented_code(subcommand, values):
+_IN_RANGE = st.fixed_dictionaries({
+    "n_cells": st.integers(2, 16), "n_nodes": st.sampled_from([4, 6, 8]),
+    "t_final": st.floats(0.0, 0.05), "chi0": st.floats(0.0, 1.0),
+    "epsilon": st.floats(0.1, 1.0), "profile": st.sampled_from(["constant", "cosine"]),
+    "c0": _DENSITY, "s0": _DENSITY, "u0": _DENSITY,
+    "amplitude": st.floats(0.0, 1.0), "mode": st.integers(1, 4),
+    "d1": _RATE, "beta": _RATE, "k": _RATE, "r": _RATE,
+    "sigma1": st.floats(0.1, 10.0), "q3": st.integers(1, 2),
+})
+
+
+def assert_exits_zero_or_with_a_documented_code(subcommand, values):
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "run.cfg")
         with open(config, "w") as handle:
@@ -750,6 +751,30 @@ def test_in_range_configs_exit_zero_or_with_a_documented_code(subcommand, values
         code = main([subcommand, "--config", config, "--out", out])
         assert code in DOCUMENTED_EXIT_CODES
         assert code == 0 or not os.path.exists(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subcommand=st.sampled_from(["ode", "macro", "kinetic", "converge", "coeffs"]),
+       values=_IN_RANGE)
+def test_in_range_configs_exit_zero_or_with_a_documented_code(subcommand, values):
+    assert_exits_zero_or_with_a_documented_code(subcommand, values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(subcommand=st.sampled_from(["macro", "kinetic", "converge"]),
+       values=_IN_RANGE, data=st.data())
+def test_in_range_time_and_eps_lists_exit_zero_or_with_a_documented_code(
+        subcommand, values, data):
+    # snapshot times anywhere in [0, t_final], in any order and repeated,
+    # and three distinct eps in (0, 1], in any order; eps >= 0.1 as for
+    # epsilon above, since a study's steps grow as eps shrinks
+    times = data.draw(st.lists(st.floats(0.0, values["t_final"]), max_size=4))
+    eps = data.draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3,
+                             unique=True))
+    values = {**values, "eps_list": " ".join(map(str, eps))}
+    if times:
+        values["snapshot_times"] = " ".join(map(str, times))
+    assert_exits_zero_or_with_a_documented_code(subcommand, values)
 
 
 # ---------------------------------------------------------------------------
@@ -762,11 +787,52 @@ _SPECIAL = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e300,
 
 @pytest.mark.parametrize("n_blocks", [1, 3])
 @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 129])
+def test_trajectory_writer_matches_per_number_formatting(n_rows, n_blocks):
+    rng = np.random.default_rng(n_rows)
+    blocks = []
+    for b in range(n_blocks):
+        states = np.resize(_SPECIAL, (n_rows, 3))
+        scales = 10.0 ** rng.integers(-300, 300, n_rows)
+        states[:, 2] = rng.standard_normal(n_rows) * scales
+        times = np.resize(_SPECIAL[::-1], n_rows) + b
+        blocks.append((times, states))
+    lines = "\n".join(_trajectory_lines(_time_texts(blocks))).split("\n")
+    expected = [",".join(f"{x:.17g}" for x in (t, *state))
+                for times, states in blocks for t, state in zip(times, states)]
+    assert lines == ["t,c,s,u"] + expected
+
+
+@pytest.mark.parametrize("fork", [True, False])
+@pytest.mark.parametrize("t_final, n_rows", [("2.5", 251), ("0", 1)])
+def test_trajectory_file_matches_per_number_formatting(tmp_path, monkeypatch,
+                                                       fork, t_final, n_rows):
+    import kinsir.sir as sir
+
+    # blocks of 100 rows: chunks of 64 and 36 rows, and a last block of 51
+    monkeypatch.setattr(sir, "_BLOCK_ROWS", 100)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    code, out = run_cli(tmp_path, "ode", ODE_CFG.replace("t_final = 0.1",
+                                                         f"t_final = {t_final}"))
+    assert code == 0
+    config = load_config(str(tmp_path / "run.cfg"))
+    whole = integrate_sir(SirState(config.c0, config.s0, config.u0),
+                          config.params, config.t_final, config.dt)
+    lines = [line for line in (out / "trajectory.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    expected = [",".join(f"{x:.17g}" for x in (t, *state))
+                for t, state in zip(whole.times, whole.states)]
+    assert len(expected) == n_rows
+    assert lines == ["t,c,s,u"] + expected
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 129])
 def test_table_writer_matches_per_number_formatting(n_rows, n_blocks):
     rng = np.random.default_rng(n_rows)
     blocks = []
     for b in range(n_blocks):
-        # strided columns, as the trajectory's states.T are
+        # strided columns as well as contiguous ones
         states = np.resize(_SPECIAL, (n_rows, 3))
         scales = 10.0 ** rng.integers(-300, 300, n_rows)
         states[:, 2] = rng.standard_normal(n_rows) * scales

@@ -300,6 +300,35 @@ def test_hand_built_and_marched_states_step_alike():
     assert from_hand.time == from_marched.time
 
 
+def test_numpy_scalar_inputs_give_the_python_float_steps_and_run_bit_for_bit():
+    # criterion 2 draws its rates with rng.uniform: numpy float64 scalars
+    rng = np.random.default_rng(204)
+    names = ("d1", "d2", "d3", "beta", "k", "r", "chi0", "sigma1", "sigma2", "sigma3")
+    profile = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.25, amplitude=0.3)
+    for q1, p in ((1, 1), (2, 1), (1, 2)):
+        values = dict(zip(names, rng.uniform(0.3, 2.0, len(names))))
+        eps, cfl = rng.uniform(0.05, 0.5, 2)
+        runs = []
+        for cast in (np.float64, float):
+            params = ModelParams(**{name: cast(v) for name, v in values.items()},
+                                 vmax=cast(1.5), q1=q1, p=p)
+            vgrid = build_velocity_grid(params.vmax, 8)
+            eqs = species_equilibria(vgrid)
+            state = kin.init_local_equilibrium(profile.build(GRID), eqs, vgrid, cast(eps))
+            dt = kin.max_step(state, cast(cfl))
+            assert type(dt) is cast
+            marched = state
+            for _ in range(5):
+                marched = kin.kinetic_step(marched, params, eqs, dt)
+            # and a run, whose march takes the bound before every step
+            snaps, _ = kin.run_kinetic(state, params, eqs, 3.5 * dt,
+                                       snapshot_times=[1.5 * dt], cfl=cast(cfl))
+            runs.append((float(dt).hex(), float(marched.time).hex(), marched.f.tobytes(),
+                         [(float(snap.time).hex(), snap.rho.tobytes()) for snap in snaps]))
+        assert isinstance(eps, np.float64)
+        assert runs[0] == runs[1]
+
+
 def fresh_step(state, params, eqs, dt):
     """The step from a hand-built copy of state: no plan."""
     hand = kin.KineticState(state.f.copy(), state.epsilon, state.time,

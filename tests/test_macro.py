@@ -507,6 +507,28 @@ def test_stable_dt_matches_the_combined_bound():
     assert stable_dt(state, faster) == stable_dt(state, coeff)
 
 
+def test_numpy_scalar_rates_give_the_python_float_bound_and_run_bit_for_bit():
+    # criterion 2 draws its rates with rng.uniform: numpy float64 scalars
+    rng = np.random.default_rng(203)
+    names = ("d1", "d2", "d3", "beta", "k", "r", "chi0", "sigma1", "sigma2", "sigma3")
+    grid = SpatialGrid(1.0, 64)
+    for _ in range(4):
+        values = dict(zip(names, rng.uniform(0.3, 2.0, len(names))))
+        state = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5,
+                               amplitude=rng.uniform(0.1, 0.9)).build(grid)
+        runs = []
+        for cast in (np.float64, float):
+            params = ModelParams(**{name: cast(v) for name, v in values.items()},
+                                 vmax=cast(1.5))
+            coeff = build_macro_coefficients(params, build_velocity_grid(params.vmax, 16))
+            # and a run, whose march takes the bound before every step
+            snaps = run_macro(state, coeff, cast(0.02), snapshot_times=[cast(0.01)])
+            runs.append((float(stable_dt(state, coeff)).hex(),
+                         [(float(snap.time).hex(), snap.rho.tobytes()) for snap in snaps]))
+        assert isinstance(values["beta"], np.float64)
+        assert runs[0] == runs[1]
+
+
 def test_stable_dt_covers_virus_growth_within_the_step():
     # u = 0 at the start, so the healthy cells' loss d1 + beta*u is 1; the
     # virus made from s at rate k within the step raises it. k = 20 needs

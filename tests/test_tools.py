@@ -38,6 +38,29 @@ def test_step_cost_measures_a_short_rk4_run_on_numpy_scalars(monkeypatch):
     assert 0.0 <= faults < math.inf
 
 
+def test_step_cost_measures_the_step_bounds_and_a_float64_kinetic_step(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    step_cost = importlib.import_module("step_cost")
+    for case in ("kinetic_step 128x16 float64", "max_step 128x16",
+                 "max_step 128x16 float64", "stable_dt 512", "stable_dt 512 float64"):
+        assert case in step_cost.CASES
+    for case in ("kinetic_step 16x8 float64", "max_step 16x8", "max_step 16x8 float64",
+                 "stable_dt 64", "stable_dt 64 float64"):
+        us, faults = step_cost.measure(str(ROOT / "src"), case)
+        assert 0.0 < us < math.inf
+        assert 0.0 <= faults < math.inf
+
+
+def test_step_cost_measures_a_short_ode_run(monkeypatch):
+    # cli.main in-process, writing to a temporary directory
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    step_cost = importlib.import_module("step_cost")
+    assert "ode 65535" in step_cost.CASES
+    us, faults = step_cost.measure(str(ROOT / "src"), "ode 1000")
+    assert 0.0 < us < math.inf
+    assert 0.0 <= faults < math.inf
+
+
 def test_step_cost_measures_the_benchmark_kinetic_run(monkeypatch):
     # this case patches kinetic.kinetic_step and reads the kinetic_chemotaxis
     # workload's config from perfbench/workloads.py
