@@ -68,66 +68,45 @@ def _write_csv(out_dir, name, header, lines):
         raise
 
 
-def _numbers(columns, blocks):
-    """Table lines: the column names, then the rows of each block.
+def _texts(column, field="%.17g"):
+    """A table's first column as text: the column's items formatted with
+    field, one newline-joined string per chunk of _CHUNK_ROWS rows.
 
-    A block is a sequence of equal-length number columns; row i holds
-    element i of each column. Each chunk of up to _CHUNK_ROWS rows is
-    formatted by one % call with %.17g, and the chunk's lines come out
-    joined by newlines.
+    The text becomes its chunk's row format in _table, so it must hold no
+    % (%.17g output holds none).
+    """
+    return ["\n".join([field] * len(chunk)) % tuple(chunk)
+            for chunk in (column[start:start + _CHUNK_ROWS]
+                          for start in range(0, len(column), _CHUNK_ROWS))]
+
+
+def _table(columns, blocks):
+    """Table lines: the column names, then the rows of each (texts, values)
+    block, where texts is the first column's _texts and values holds the
+    other columns as a C-contiguous (rows, k) array.
+
+    Each chunk's text becomes its rows' format, with k %.17g fields after
+    each first field, and one % call fills in the chunk's values.
     """
     yield columns
-    for block in blocks:
-        row = ",".join(["%.17g"] * len(block))
-        for start in range(0, len(block[0]), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            chunk = np.column_stack([col[start:stop] for col in block])
-            yield "\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
-
-
-def _time_texts(blocks):
-    """The trajectory's (times, states) blocks as (time texts, states): a
-    block's times formatted with %.17g, one newline-joined string per
-    chunk of _CHUNK_ROWS rows.
-
-    The time column needs no RK4, so the process that integrates the
-    states formats it too, and the writer fills in the states alone.
-    """
-    for times, states in blocks:
-        chunks = (times[start:start + _CHUNK_ROWS]
-                  for start in range(0, len(times), _CHUNK_ROWS))
-        yield ["\n".join(["%.17g"] * len(chunk)) % tuple(chunk.tolist())
-               for chunk in chunks], states
-
-
-def _trajectory_lines(blocks):
-    """Table lines of the trajectory: the column names, then the rows of each
-    (time texts, states) block of _time_texts.
-
-    Each chunk's time text becomes its rows' format, the states' three
-    %.17g fields after each time (%.17g output holds no %), and one %
-    call fills in the chunk's states, which are C-contiguous (rows, 3).
-    """
-    yield "t,c,s,u"
-    fields = ",%.17g,%.17g,%.17g"
-    for texts, states in blocks:
-        for start, text in zip(range(0, len(states), _CHUNK_ROWS), texts):
-            chunk = states[start:start + _CHUNK_ROWS]
+    for texts, values in blocks:
+        fields = ",%.17g" * values.shape[1]
+        for start, text in zip(range(0, len(values), _CHUNK_ROWS), texts):
+            chunk = values[start:start + _CHUNK_ROWS]
             rows = text.replace("\n", fields + "\n") + fields
             yield rows % tuple(chunk.ravel().tolist())
 
 
-def _named(columns, pairs):
-    """Table lines: the column names, then one `name,value` line per pair."""
-    yield columns
-    for name, value in pairs:
-        yield f"{name},{value:.17g}"
+def _named(pairs):
+    """The (texts, values) block of a table of (name, number) pairs."""
+    values = np.array([value for _, value in pairs], dtype=float)
+    return _texts([name for name, _ in pairs], "%s"), values.reshape(-1, 1)
 
 
 def _write_snapshots(out_dir, name, header, snapshots, grid):
-    blocks = [(np.full(grid.n_cells, snap.time), grid.centers, *snap.rho)
-              for snap in snapshots]
-    _write_csv(out_dir, name, header, _numbers("time,x,c,s,u", blocks))
+    blocks = ((_texts([snap.time] * grid.n_cells),
+               np.column_stack((grid.centers, *snap.rho))) for snap in snapshots)
+    _write_csv(out_dir, name, header, _table("time,x,c,s,u", blocks))
 
 
 def _cmd_ode(config, out_dir):
@@ -155,10 +134,11 @@ def _cmd_ode(config, out_dir):
     # worth a fork
     n_steps, _ = split(config.t_final, config.dt)
     ahead = computed_ahead if n_steps + 1 > sir._BLOCK_ROWS else nullcontext
-    with ahead(_time_texts(trajectory)) as received:
-        _write_csv(out_dir, "trajectory.csv", header, _trajectory_lines(received))
+    blocks = ((_texts(times.tolist()), states) for times, states in trajectory)
+    with ahead(blocks) as received:
+        _write_csv(out_dir, "trajectory.csv", header, _table("t,c,s,u", received))
     _write_csv(out_dir, "equilibrium.csv", header,
-               _named("quantity,value", quantities))
+               _table("quantity,value", [_named(quantities)]))
     return ["trajectory.csv", "equilibrium.csv"]
 
 
@@ -207,9 +187,10 @@ def _cmd_converge(config, out_dir):
                      f"reference = {report.reference_descriptor}",
                      *(f"order_{f} = {report.orders[f]:.17g}" for f in "csu"),
                      f"estimated_order = {report.estimated_order:.17g}")
-    errors = [report.errors[f] for f in "csu"]
+    errors = np.column_stack([report.errors[f] for f in "csu"])
     _write_csv(out_dir, "convergence.csv", header,
-               _numbers("epsilon,error_c,error_s,error_u", [(report.epsilons, *errors)]))
+               _table("epsilon,error_c,error_s,error_u",
+                      [(_texts(report.epsilons), errors)]))
     orders = " ".join(f"{f}={report.orders[f]:.3f}" for f in "csu")
     print(f"converge: regime={report.regime} orders {orders} "
           f"estimated={report.estimated_order:.3f}")
@@ -223,7 +204,8 @@ def _cmd_coeffs(config, out_dir):
     coeff = build_macro_coefficients(config.params, vgrid)
     rows = [("Dc", coeff.Dc), ("Ds", coeff.Ds), ("Du", coeff.Du),
             ("chi", coeff.chi)]
-    _write_csv(out_dir, "coefficients.csv", header, _named("name,value", rows))
+    _write_csv(out_dir, "coefficients.csv", header,
+               _table("name,value", [_named(rows)]))
     return ["coefficients.csv"]
 
 

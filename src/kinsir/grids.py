@@ -15,29 +15,30 @@ NEGATIVITY_TOL = 1e-12
 _MAX_CELLS = np.iinfo(np.intp).max // 24
 
 
-def clamp_nonnegative(field, what):
+def clamp_nonnegative(field, what, step="dt"):
     """Round tiny negative values (rounding noise) up to zero, in place.
 
     A value below -NEGATIVITY_TOL is not noise; it means the step size was
     too large for the positivity-preserving regime, so raise instead of
-    papering over.
+    papering over, with a message that asks to reduce step, the key that
+    sets the caller's step size.
     """
     low = field.min()
     if low < 0.0:
         if low < -NEGATIVITY_TOL:
             raise NegativityError(
-                f"{what} reached {low:.3e} < -{NEGATIVITY_TOL:.1e}; reduce dt"
+                f"{what} reached {low:.3e} < -{NEGATIVITY_TOL:.1e}; reduce {step}"
             )
         np.maximum(field, 0.0, out=field)
     return field
 
 
-def clamp_rows_nonnegative(stack, labels):
+def clamp_rows_nonnegative(stack, labels, step="dt"):
     """clamp_nonnegative on each row of a stack, naming the row by its
     label; one min() over the whole stack when no value is negative."""
     if stack.min() < 0.0:
         for row, label in zip(stack, labels):
-            clamp_nonnegative(row, label)
+            clamp_nonnegative(row, label, step)
     return stack
 
 

@@ -283,14 +283,15 @@ def kinetic_step(state, params, eqs, dt):
         f[0] += gain
 
     # (d) interactions, the law at the ratios f/M over |V|; a failing check
-    # names the row that went negative
+    # names the row that went negative and asks for a smaller cfl, the key
+    # that sets a kinetic run's step
     np.divide(f, plan.M, out=scratch)
     _reactions_in_place(params, scratch, law_rows)
     scratch /= vgrid.measure
     scratch *= dt
     f += scratch
     clamp_rows_nonnegative(f, ("kinetic distribution f1", "kinetic distribution f2",
-                               "kinetic distribution f3"))
+                               "kinetic distribution f3"), "cfl")
     new = KineticState(f, state.epsilon, state.time + dt, state.grid, vgrid)
     new.plan = plan
     return new

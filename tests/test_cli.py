@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinsir import __version__
-from kinsir.cli import _header, _numbers, _time_texts, _trajectory_lines, main
+from kinsir.cli import _header, _named, _table, _texts, main
 from kinsir.config import load_config
 from kinsir.convergence import run_convergence_study
 from kinsir.errors import NegativeStateError
@@ -285,17 +285,17 @@ def test_ode_kills_and_reaps_its_child_after_a_writer_error(tmp_path,
     # 100,001 rows: the child is still integrating when the writer fails
     import kinsir.cli as cli
 
-    trajectory_lines = cli._trajectory_lines
+    table = cli._table
     errors = [OSError("injected"), KeyboardInterrupt()]
     long_run = ODE_CFG.replace("t_final = 0.1\ndt = 0.01", "t_final = 100\ndt = 1e-3")
 
-    def second_chunk_fails(blocks):
-        lines = trajectory_lines(blocks)
+    def second_chunk_fails(columns, blocks):
+        lines = table(columns, blocks)
         yield next(lines)  # the column line
         yield next(lines)
         raise errors.pop(0)
 
-    monkeypatch.setattr(cli, "_trajectory_lines", second_chunk_fails)
+    monkeypatch.setattr(cli, "_table", second_chunk_fails)
     code, out = run_cli(tmp_path, "ode", long_run)
     assert code == 1
     assert not out.exists()
@@ -712,6 +712,28 @@ def test_snapshot_times_beyond_t_final_exit_three_at_parse_time(tmp_path, capsys
     assert not out.exists()
 
 
+# the velocity bias scales as chi0*eps^(p-q1-1), and run_kinetic picks its
+# step from the transport CFL bound alone, so at q1 = 2 the bias can drive
+# f1 negative at a step the run chose; a smaller cfl is the cure
+BIASED_KINETIC_CFG = (
+    "q1 = 2\nchi0 = 1.2272\nepsilon = 0.3536\nvmax = 1.5\nd1 = 0.4853\n"
+    "d2 = 0.6493\nd3 = 0.6441\nbeta = 0.6562\nk = 1.2095\nr = 0.5993\n"
+    "sigma1 = 0.5824\nsigma2 = 1.1289\nsigma3 = 1.2859\nprofile = cosine\n"
+    "c0 = 1\ns0 = 0.5\nu0 = 0.25\namplitude = 0.3\nn_cells = 32\n"
+    "n_nodes = 8\nt_final = 0.05\n")
+
+
+@pytest.mark.parametrize("cfl, code", [(0.38, 9), (0.05, 0)])
+def test_a_biased_kinetic_run_asks_for_a_smaller_cfl(tmp_path, capsys, cfl, code):
+    exit_code, out = run_cli(tmp_path, "kinetic", BIASED_KINETIC_CFG + f"cfl = {cfl}\n")
+    assert exit_code == code
+    err = capsys.readouterr().err
+    if code:
+        assert re.search(r"kinetic distribution f1 reached -\S+ < -1\.0e-12; "
+                         r"reduce cfl$", err.strip())
+        assert not out.exists()
+
+
 def test_identically_zero_errors_report_a_flat_order(tmp_path, capsys):
     # zero densities with r = 0 stay zero on both tiers: every error is 0.0
     cfg = ("q1 = 2\nq2 = 2\nq3 = 2\np = 2\nr = 0\nc0 = 0\nn_cells = 8\n"
@@ -742,11 +764,13 @@ _IN_RANGE = st.fixed_dictionaries({
 })
 
 
-def assert_exits_zero_or_with_a_documented_code(subcommand, values):
+def assert_exits_zero_or_with_a_documented_code(subcommand, values, cells=()):
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "run.cfg")
         with open(config, "w") as handle:
             handle.writelines(f"{key} = {value}\n" for key, value in values.items())
+        with open(os.path.join(tmp, "cells.csv"), "w") as handle:
+            handle.writelines(",".join(map(str, row)) + "\n" for row in cells)
         out = os.path.join(tmp, "out")
         code = main([subcommand, "--config", config, "--out", out])
         assert code in DOCUMENTED_EXIT_CODES
@@ -777,6 +801,18 @@ def test_in_range_time_and_eps_lists_exit_zero_or_with_a_documented_code(
     assert_exits_zero_or_with_a_documented_code(subcommand, values)
 
 
+@settings(max_examples=60, deadline=None)
+@given(subcommand=st.sampled_from(["ode", "macro", "kinetic", "converge", "coeffs"]),
+       values=_IN_RANGE, data=st.data())
+def test_in_range_file_profiles_exit_zero_or_with_a_documented_code(
+        subcommand, values, data):
+    # a cells.csv beside the config, one drawn c,s,u row per cell
+    cells = data.draw(st.lists(st.tuples(_DENSITY, _DENSITY, _DENSITY),
+                               min_size=values["n_cells"], max_size=values["n_cells"]))
+    values = {**values, "profile": "file", "profile_file": "cells.csv"}
+    assert_exits_zero_or_with_a_documented_code(subcommand, values, cells)
+
+
 # ---------------------------------------------------------------------------
 # the table writer
 
@@ -787,19 +823,27 @@ _SPECIAL = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e300,
 
 @pytest.mark.parametrize("n_blocks", [1, 3])
 @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 129])
-def test_trajectory_writer_matches_per_number_formatting(n_rows, n_blocks):
+def test_table_writer_matches_per_number_formatting(n_rows, n_blocks):
     rng = np.random.default_rng(n_rows)
     blocks = []
     for b in range(n_blocks):
-        states = np.resize(_SPECIAL, (n_rows, 3))
+        values = np.resize(_SPECIAL, (n_rows, 3))
         scales = 10.0 ** rng.integers(-300, 300, n_rows)
-        states[:, 2] = rng.standard_normal(n_rows) * scales
-        times = np.resize(_SPECIAL[::-1], n_rows) + b
-        blocks.append((times, states))
-    lines = "\n".join(_trajectory_lines(_time_texts(blocks))).split("\n")
-    expected = [",".join(f"{x:.17g}" for x in (t, *state))
-                for times, states in blocks for t, state in zip(times, states)]
+        values[:, 2] = rng.standard_normal(n_rows) * scales
+        # a trajectory's times, and a snapshot's one time in the middle block
+        first = np.resize(_SPECIAL[::-1], n_rows) + b
+        if b == 1:
+            first = np.full(n_rows, b / 7)
+        blocks.append((first.tolist(), values))
+    lines = "\n".join(_table("t,c,s,u", [(_texts(first), values)
+                                         for first, values in blocks])).split("\n")
+    expected = [",".join(f"{x:.17g}" for x in (t, *row))
+                for first, values in blocks for t, row in zip(first, values)]
     assert lines == ["t,c,s,u"] + expected
+    # a named table, a column of names first; with no rows, its column line
+    pairs = [(f"q{i}", x) for i, x in enumerate(np.resize(_SPECIAL, n_rows).tolist())]
+    lines = "\n".join(_table("quantity,value", [_named(pairs)])).split("\n")
+    assert lines == ["quantity,value"] + [f"{name},{x:.17g}" for name, x in pairs]
 
 
 @pytest.mark.parametrize("fork", [True, False])
@@ -823,21 +867,4 @@ def test_trajectory_file_matches_per_number_formatting(tmp_path, monkeypatch,
     expected = [",".join(f"{x:.17g}" for x in (t, *state))
                 for t, state in zip(whole.times, whole.states)]
     assert len(expected) == n_rows
-    assert lines == ["t,c,s,u"] + expected
-
-
-@pytest.mark.parametrize("n_blocks", [1, 3])
-@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 129])
-def test_table_writer_matches_per_number_formatting(n_rows, n_blocks):
-    rng = np.random.default_rng(n_rows)
-    blocks = []
-    for b in range(n_blocks):
-        # strided columns as well as contiguous ones
-        states = np.resize(_SPECIAL, (n_rows, 3))
-        scales = 10.0 ** rng.integers(-300, 300, n_rows)
-        states[:, 2] = rng.standard_normal(n_rows) * scales
-        blocks.append((np.full(n_rows, b / 7), *states.T))
-    lines = "\n".join(_numbers("t,c,s,u", blocks)).split("\n")
-    expected = [",".join(f"{x:.17g}" for x in row)
-                for block in blocks for row in zip(*block)]
     assert lines == ["t,c,s,u"] + expected

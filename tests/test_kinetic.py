@@ -183,7 +183,8 @@ def test_interaction_overshoot_raises_negativity_error(row, rate):
     state = bump_state(0.5)
     dt = kin.max_step(state, 0.8)  # 0.0125, so d_i*dt = 1.25 overshoots zero
     params = ModelParams(**{**NO_REACTIONS, rate: 100.0})
-    with pytest.raises(NegativityError, match=f"kinetic distribution {row} "):
+    with pytest.raises(NegativityError,
+                       match=f"kinetic distribution {row} .*; reduce cfl$"):
         kin.kinetic_step(state, params, EQS, dt)
 
 

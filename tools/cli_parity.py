@@ -99,6 +99,10 @@ CONFIGS = [
     ("kinetic_uneven", "kinetic", _COSINE + "n_cells = 32\nn_nodes = 8\n"
                                             "epsilon = 0.2\nt_final = 0.02\n"
                                             "snapshot_times = 0.003 0.01 0.02\n"),
+    # a zero death rate: R0 and the equilibria are undefined, so
+    # equilibrium.csv is an empty named table, its column line alone
+    ("ode_nodeath", "ode", "r = 2\nc0 = 1.2\ns0 = 0.4\nu0 = 0.9\nd2 = 0\n"
+                           "t_final = 0.5\ndt = 0.01\n"),
     # zero horizons: the zero-step branch of the step-count rule in each
     # marching tier
     ("ode_zero", "ode", "r = 2\nc0 = 1.2\ns0 = 0.4\nu0 = 0.9\nt_final = 0\n"
