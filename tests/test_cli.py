@@ -821,25 +821,41 @@ _SPECIAL = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e300,
             math.nan, math.inf, -math.inf]
 
 
-@pytest.mark.parametrize("n_blocks", [1, 3])
-@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 129])
-def test_table_writer_matches_per_number_formatting(n_rows, n_blocks):
+def _blocks(n_rows, n_blocks, first_column):
+    # (first column, values) blocks: _SPECIAL in every column and
+    # random-scale numbers in the last one
     rng = np.random.default_rng(n_rows)
     blocks = []
     for b in range(n_blocks):
         values = np.resize(_SPECIAL, (n_rows, 3))
         scales = 10.0 ** rng.integers(-300, 300, n_rows)
         values[:, 2] = rng.standard_normal(n_rows) * scales
-        # a trajectory's times, and a snapshot's one time in the middle block
-        first = np.resize(_SPECIAL[::-1], n_rows) + b
-        if b == 1:
-            first = np.full(n_rows, b / 7)
-        blocks.append((first.tolist(), values))
+        blocks.append((first_column(b).tolist(), values))
+    return blocks
+
+
+def assert_table_matches_per_number_formatting(blocks):
     lines = "\n".join(_table("t,c,s,u", [(_texts(first), values)
                                          for first, values in blocks])).split("\n")
     expected = [",".join(f"{x:.17g}" for x in (t, *row))
                 for first, values in blocks for t, row in zip(first, values)]
     assert lines == ["t,c,s,u"] + expected
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 129])
+def test_trajectory_writer_matches_per_number_formatting(n_rows, n_blocks):
+    # a trajectory's times, _SPECIAL too, differ row by row
+    assert_table_matches_per_number_formatting(_blocks(
+        n_rows, n_blocks, lambda b: np.resize(_SPECIAL[::-1], n_rows) + b))
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 129])
+def test_table_writer_matches_per_number_formatting(n_rows, n_blocks):
+    # a snapshot's one time per block
+    assert_table_matches_per_number_formatting(_blocks(
+        n_rows, n_blocks, lambda b: np.full(n_rows, b / 7)))
     # a named table, a column of names first; with no rows, its column line
     pairs = [(f"q{i}", x) for i, x in enumerate(np.resize(_SPECIAL, n_rows).tolist())]
     lines = "\n".join(_table("quantity,value", [_named(pairs)])).split("\n")
