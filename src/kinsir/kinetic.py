@@ -8,36 +8,41 @@ In the scaled time variable each distribution f_i(t, x, v) obeys
         + interaction terms,
 
 so transport runs at speed v/eps, velocity relaxation at rate
-sigma_i/eps^(q_i+1), the infected-gradient bias at eps^(p-q_1-1), and the
-virus-dynamics interactions at order one. A step is the sequence: upwind
-transport, exact exponential relaxation, explicit gradient bias, explicit
-interactions, each over the full dt and each in one call on the whole
-(3, n_cells, n_nodes) stack (the bias on its f1 row). Transport is in
-conservative upwind form and the other three sub-steps preserve the zeroth
-moment node-for-node, so total mass moves only through the interactions.
+lambda_i = sigma_i/eps^(q_i+1), the infected-gradient bias at eps^(p-q_1-1),
+and the virus-dynamics interactions at order one.
 
-Buffers and step plan: a step allocates one array, the f of the state it
-returns. Transport writes into it from the old f, which a step never
-changes, and every later sub-step updates it in place, with the work array
-of a StepPlan (KineticState.plan) as its scratch. The plan also holds what
-does not depend on f, tiled to full size where a sub-step reads it across
-f: broadcasting a row of n_nodes values makes numpy's inner loop run over
-the nodes alone, while a tile makes each operation one contiguous loop. A
-step reuses the plan of the state it is given when it was built for the
-same key (step_plan) and hands it on to the state it returns, so a run
-builds one per distinct dt and allocates the work array and the M and
-nodes tiles once. Every sub-step writes the work array before it reads
-it, so nothing passes through it from one sub-step or step to the next,
-and states that share it (two steps taken from one state) stay
-independent; steps that share a plan must not run concurrently. The dt,
-CFL and negativity checks run on every step.
+A step is the micro-macro scheme of Lemou & Mieussens (SIAM J. Sci. Comput.
+31, 2008). Each f_i is its density rho_i = <f_i> times M_i plus a deviation
+g_i with <g_i> = 0, rho at the cells and g at the faces, stored in one array
+as f[:, i, :] = rho_i*M + g_{i+1/2}. A step (1) transports g upwind at v/eps,
+removes the mean of the result, adds -dt*v*M*(rho_{i+1} - rho_i)/(eps*dx)
+and, on the f1 row, the bias dt*eps^(p-q1-1)*chi0*v*(s_{i+1} - s_i)/dx *
+(c_i + c_{i+1})/2, and divides the sum by 1 + dt*lambda_i: the relaxation is
+implicit, so the step keeps the diffusion limit as eps -> 0 at a dt of
+order eps; (2) takes an explicit Euler step of ModelParams.reactions, the law
+of the other two tiers, on rho (no interaction term enters g), less dt/eps
+times the divergence of the new flux <v g>, which conserves mass.
 
-transport_substep and relaxation_substep run the step's own bodies on
-buffers of their own, with rows that broadcast in place of the tiles.
-velocity.perturbation_apply and velocity.interaction_terms are the
-formulas of the bias and the interactions; the step writes the same
-operations out in place, in its work array, and tests pin the two forms
-to each other bit for bit.
+Positivity: a density that goes negative names its row and asks for a
+smaller cfl, the key that sets a kinetic run's step. Where -g outgrows
+rho*M, the scaling limiter of Zhang & Shu (J. Comput. Phys. 229, 2010)
+shrinks g in each (species, cell) row that holds a negative as little as
+leaves it nonnegative, which keeps <f>. The bias sustains a skew
+eps^p*chi0*(ds/dx)*v*c/sigma1 in f1, which the model's own f1 survives only
+while Lambda = eps^p*chi0*max|ds/dx|*max|v_j| / (sigma1*M) <= 1; where f1
+goes negative at Lambda > 1 the step raises NegativityError naming Lambda.
+
+Buffers: a step allocates one full-size array, the new f, as one
+(3, n_cells, 5) @ (3, 5, n_nodes) matmul of per-cell terms with the rows
+they add to f, plus the transported g. A StepPlan (KineticState.plan) holds
+those rows, all else that does not depend on f, and the scratch, which each
+step writes before it reads. A step reuses its state's plan when it was
+built for the same key (step_plan) and hands it on, so a run builds one per
+distinct dt; steps that share a plan must not run concurrently.
+
+transport_substep, relaxation_substep and infected_gradient are stand-alone
+upwind transport, exact relaxation and centred bias gradient of one array;
+a step reuses only _transport, transport_substep's body.
 """
 
 import math
@@ -45,28 +50,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CflViolationError, ValidationError
+from .errors import CflViolationError, NegativityError, ValidationError
 from .grids import (MacroState, check_dt, clamp_rows_nonnegative, march, shifted,
                     snapshot_schedule, step_ratio)
-from .velocity import bias_loss_rate
 
 MAX_CFL = 0.9  # transport number bound: dt <= MAX_CFL * eps * dx / vmax
 
 
 @dataclass(eq=False)
 class StepPlan:
-    """The work array and the f-independent part of a kinetic step for one
-    key (see the module docstring); every array but work is read-only."""
+    """The scratch arrays and the f-independent part of a kinetic step for
+    one key (see the module docstring); every array but work and terms is
+    read-only."""
 
     key: tuple
-    decay: np.ndarray  # (3, 1, 1) relaxation factors
     c_up: np.ndarray  # courant numbers where v > 0, else 0: (n_cells, n_nodes)
     c_dn: np.ndarray  # courant numbers where v < 0, else 0
-    M: np.ndarray  # eqs tiled to f's shape
-    nodes: np.ndarray  # the nodes tiled to (n_cells, n_nodes)
-    bias_loss: float  # chi0 * sum_j w_j v_j
-    bias_scale: float  # dt * eps**(p - q1 - 1)
-    work: np.ndarray  # (5, n_cells, n_nodes): f's shape, then the law's rows
+    project: np.ndarray  # (3, n_nodes, n_nodes): f @ project = g/(1 + dt*lambda)
+    moments: np.ndarray  # (n_nodes, 2): the weights of <h> and <v h>
+    basis: np.ndarray  # (3, 5, n_nodes): the rows that the terms add to f
+    fluxes: np.ndarray  # (3, 4, 1): what terms 1-4 add to dt/(eps*dx) * <v g>
+    work: np.ndarray  # (3,) + f's shape: g, T(g) and T's scratch
+    terms: np.ndarray  # (3, n_cells, 5): rho_new, <T g>, <v T g>, drho, bias
 
 
 @dataclass
@@ -148,8 +153,7 @@ def _transport(f, out, diff, c_up, c_dn):
     takes c_dn * diff[i+1] + c_up * diff[i], where one of the two terms is
     a signed zero, which leaves the other unchanged except for the sign of
     a zero; f - out therefore equals the masked upwind form bit for bit
-    wherever f does not hold -0.0, and the relaxation that follows in a
-    step maps either sign of a zero to the same value.
+    wherever f does not hold -0.0.
     """
     np.subtract(f[..., 1:, :], f[..., :-1, :], out=diff[..., 1:, :])
     np.subtract(f[..., :1, :], f[..., -1:, :], out=diff[..., :1, :])
@@ -160,28 +164,11 @@ def _transport(f, out, diff, c_up, c_dn):
     return np.subtract(f, out, out=out)
 
 
-def _decay_factors(rates, epsilon, dt):
-    """exp(-sigma*dt/eps^(q+1)) on Python floats, one per (sigma, q) pair."""
-    return np.array([math.exp(-sigma * dt / epsilon ** (q + 1)) for sigma, q in rates])
-
-
 def relaxation_substep(f, M, sigma, epsilon, q, dt, vgrid):
     """Exact relaxation of one species toward M * <f>: the anisotropic part
     decays by the factor exp(-sigma*dt/eps^(q+1)) while <f> is untouched."""
-    f = np.array(f, dtype=float)
-    return _relax(f, M, _decay_factors([(sigma, q)], epsilon, dt), vgrid,
-                  np.empty(f.shape))
-
-
-def _relax(f, M, decay, vgrid, work):
-    """relaxation_substep applied to f in place, with M broadcasting to
-    f's shape and work (f's shape) as scratch; returns f."""
-    np.copyto(work, (f @ vgrid.weights)[..., None])
-    work *= M
-    f -= work
-    f *= decay
-    f += work
-    return f
+    equilibrium = M * (np.asarray(f, dtype=float) @ vgrid.weights)[..., None]
+    return (f - equilibrium) * math.exp(-sigma * dt / epsilon ** (q + 1)) + equilibrium
 
 
 def infected_gradient(f2, vgrid, grid):
@@ -203,10 +190,8 @@ def step_plan(state, params, eqs, dt):
     """The state's StepPlan when it was built for this step, else a new one.
 
     The key holds the velocity grid and eqs by their bytes, since their
-    arrays can change in place; its last item is all that the work array
-    and the M and nodes tiles depend on, and a new plan keeps those three
-    of the state's plan when they still fit, so that a run whose dt
-    changes allocates them once.
+    arrays can change in place; its last item is all that the scratch
+    depends on, and a new plan keeps the old plan's scratch when it fits.
     """
     eps, grid, vgrid = state.epsilon, state.grid, state.vgrid
     key = (dt, eps, grid, params,
@@ -215,41 +200,45 @@ def step_plan(state, params, eqs, dt):
     old = state.plan
     if old is not None and old.key == key:
         return old
-    cells = state.f.shape[1:]
+    shape = state.f.shape
     if old is not None and old.key[-1] == key[-1]:
-        M, nodes, work = old.M, old.nodes, old.work
+        work, terms = old.work, old.terms
     else:
-        M, nodes = _tile(eqs[:, None, :], state.f.shape), _tile(vgrid.nodes, cells)
-        work = np.empty((5,) + cells)
-    decay = _decay_factors(zip((params.sigma1, params.sigma2, params.sigma3),
-                               (params.q1, params.q2, params.q3)), eps, dt)
-    c_up, c_dn = (_tile(row, cells) for row in _courant_rows(vgrid, grid, eps, dt))
-    return StepPlan(key, _tile(decay[:, None, None], (3, 1, 1)), c_up, c_dn, M, nodes,
-                    bias_loss_rate(params.chi0, vgrid),
-                    dt * eps ** (params.p - params.q1 - 1), work)
+        work, terms = np.empty((3,) + shape), np.empty(shape[:2] + (5,))
+    v, w, courant = vgrid.nodes, vgrid.weights, dt / (eps * grid.dx)
+    rates = zip((params.sigma1, params.sigma2, params.sigma3),
+                (params.q1, params.q2, params.q3))
+    # the implicit relaxation, applied to g before T (which is linear)
+    shrink = np.array([[1.0 / (1.0 + dt * sigma / eps ** (q + 1))] for sigma, q in rates])
+    project = shrink[..., None] * (np.eye(len(v)) - w[:, None] * eqs[:, None, :])
+    basis = np.zeros((3, 5, len(v)))
+    basis[:, 0], basis[:, 1] = eqs, -eqs
+    basis[:, 3] = -courant * shrink * v * eqs
+    basis[0, 4] = (shrink[0] * dt * eps ** (params.p - params.q1 - 1) * params.chi0
+                   / (2.0 * grid.dx)) * v
+    moments = np.stack((w, w * v), axis=1)
+    fluxes = courant * (basis[:, 1:] @ moments[:, 1])
+    fluxes[:, 1] = courant
+    c_up, c_dn = (_tile(row, shape[1:]) for row in _courant_rows(vgrid, grid, eps, dt))
+    return StepPlan(key, c_up, c_dn, *(_tile(a, a.shape) for a in (
+        project, moments, basis, fluxes[..., None])), work, terms)
 
 
-def _reactions_in_place(params, rho, work):
-    """params.reactions over the rows (c, s, u) of the float array rho,
-    written back into rho and returned; the same operations in the same
-    order, so equal to reactions bit for bit. work, two more rows of the
-    same shape, holds the infection and k*s while the rows are overwritten."""
-    c, s, u = rho
-    infection = np.multiply(params.beta, c, out=work[0])
-    infection *= u
-    virus_gain = np.multiply(params.k, s, out=work[1])
-    c *= -params.d1
-    c -= infection
-    c += params.r
-    s *= -params.d2
-    s += infection
-    u *= -params.d3
-    u += virus_gain
-    return rho
+def _limit(f, rho, eqs):
+    """The scaling limiter of Zhang & Shu on f in place: each (species,
+    cell) row that holds a negative becomes rho*M + theta*(f - rho*M), with
+    the largest theta in [0, 1] that leaves the row nonnegative."""
+    rows = (f < 0.0).any(axis=-1)
+    rho_m = rho[rows][:, None] * np.broadcast_to(eqs[:, None, :], f.shape)[rows]
+    low = f[rows]
+    ratio = np.ones(low.shape)
+    np.divide(rho_m, rho_m - low, out=ratio, where=low < 0.0)  # in [0, 1)
+    theta = ratio.min(axis=-1, keepdims=True)
+    f[rows] = np.maximum(rho_m + theta * (low - rho_m), 0.0)
 
 
 def kinetic_step(state, params, eqs, dt):
-    """One split step; returns a new state at time + dt.
+    """One micro-macro step; returns a new state at time + dt.
 
     Preconditions: dt finite and > 0 (ValidationError), and
     dt <= MAX_CFL * eps * dx / vmax (CflViolationError).
@@ -262,37 +251,46 @@ def kinetic_step(state, params, eqs, dt):
     plan = step_plan(state, params, eqs, dt)
     if state.plan is None:
         state.plan = plan
-    vgrid = state.vgrid
-    f = np.empty(state.f.shape)
-    scratch, law_rows = plan.work[:3], plan.work[3:]
+    g, moved, scratch = plan.work
+    terms, drho, bias = plan.terms, plan.terms[..., 3], plan.terms[..., 4]
+    # rows with their first value repeated at the end: left and right are
+    # the values on either side of each face i+1/2
+    ends = np.empty((3, state.f.shape[1] + 1))
+    left, right = ends[:, :-1], ends[:, 1:]
 
-    # (a) transport, then (b) stiff relaxation, exact with one factor per row
-    _transport(state.f, f, scratch, plan.c_up, plan.c_dn)
-    _relax(f, plan.M, plan.decay, vgrid, scratch)
+    rho = np.matmul(state.f, state.vgrid.weights, out=left)
+    ends[:, -1] = ends[:, 0]
+    np.matmul(state.f, plan.project, out=g)
+    _transport(g, moved, scratch, plan.c_up, plan.c_dn)
+    np.matmul(moved, plan.moments, out=terms[..., 1:3])
+    np.subtract(right, rho, out=drho)
+    np.add(right, rho, out=bias)
+    bias *= drho[1]  # (c_i + c_{i+1}) * (s_{i+1} - s_i) in the f1 row
 
-    # (c) infected-gradient bias on the healthy population, gain - loss
-    if params.chi0 != 0.0:
-        grad_s = infected_gradient(f[1], vgrid, state.grid)
-        gain, loss = scratch[:2]
-        np.copyto(gain, (params.chi0 * (grad_s * vgrid.moment0(f[0])))[:, None])
-        gain *= plan.nodes
-        np.copyto(loss, (plan.bias_loss * grad_s)[:, None])
-        loss *= f[0]
-        gain -= loss
-        gain *= plan.bias_scale
-        f[0] += gain
+    rho_new = terms[..., 0]
+    np.multiply(params.reactions(*rho), dt, out=rho_new)
+    rho_new += rho
+    # ends now takes the fluxes dt/(eps*dx) * <v g>, the last face's in front
+    np.matmul(terms[..., 1:], plan.fluxes, out=right[..., None])
+    ends[:, 0] = ends[:, -1]
+    rho_new -= right
+    rho_new += left
+    clamp_rows_nonnegative(rho_new, ("kinetic distribution f1", "kinetic distribution f2",
+                                     "kinetic distribution f3"), "cfl")
 
-    # (d) interactions, the law at the ratios f/M over |V|; a failing check
-    # names the row that went negative and asks for a smaller cfl, the key
-    # that sets a kinetic run's step
-    np.divide(f, plan.M, out=scratch)
-    _reactions_in_place(params, scratch, law_rows)
-    scratch /= vgrid.measure
-    scratch *= dt
-    f += scratch
-    clamp_rows_nonnegative(f, ("kinetic distribution f1", "kinetic distribution f2",
-                               "kinetic distribution f3"), "cfl")
-    new = KineticState(f, state.epsilon, state.time + dt, state.grid, vgrid)
+    f = np.matmul(terms, plan.basis)
+    f += moved
+    if f.min() < 0.0:
+        bias_number = (state.epsilon ** params.p * params.chi0 * np.abs(drho[1]).max()
+                       / state.grid.dx * np.abs(state.vgrid.nodes).max()
+                       / (params.sigma1 * eqs[0].min()))
+        if f[0].min() < 0.0 and bias_number > 1.0:
+            raise NegativityError(
+                f"kinetic distribution f1 reached {f[0].min():.3e} where the bias "
+                f"outweighs the relaxation: Lambda = eps^p*chi0*max|ds/dx|*max|v|"
+                f"/(sigma1*M) = {bias_number:.3g} > 1")
+        _limit(f, rho_new, eqs)
+    new = KineticState(f, state.epsilon, state.time + dt, state.grid, state.vgrid)
     new.plan = plan
     return new
 

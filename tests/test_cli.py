@@ -712,9 +712,9 @@ def test_snapshot_times_beyond_t_final_exit_three_at_parse_time(tmp_path, capsys
     assert not out.exists()
 
 
-# the velocity bias scales as chi0*eps^(p-q1-1), and run_kinetic picks its
-# step from the transport CFL bound alone, so at q1 = 2 the bias can drive
-# f1 negative at a step the run chose; a smaller cfl is the cure
+# at q1 = 2 the velocity bias, which scales as chi0*eps^(p-q1-1), outweighs
+# the relaxation: Lambda = eps^p*chi0*max|ds/dx|*max|v|/(sigma1*M) starts
+# at 3.0, and the model's own f1 goes negative, so no cfl mends the run
 BIASED_KINETIC_CFG = (
     "q1 = 2\nchi0 = 1.2272\nepsilon = 0.3536\nvmax = 1.5\nd1 = 0.4853\n"
     "d2 = 0.6493\nd3 = 0.6441\nbeta = 0.6562\nk = 1.2095\nr = 0.5993\n"
@@ -723,15 +723,15 @@ BIASED_KINETIC_CFG = (
     "n_nodes = 8\nt_final = 0.05\n")
 
 
-@pytest.mark.parametrize("cfl, code", [(0.38, 9), (0.05, 0)])
-def test_a_biased_kinetic_run_asks_for_a_smaller_cfl(tmp_path, capsys, cfl, code):
+@pytest.mark.parametrize("cfl", [0.38, 0.05])
+def test_a_biased_kinetic_run_names_the_bias_number(tmp_path, capsys, cfl):
     exit_code, out = run_cli(tmp_path, "kinetic", BIASED_KINETIC_CFG + f"cfl = {cfl}\n")
-    assert exit_code == code
-    err = capsys.readouterr().err
-    if code:
-        assert re.search(r"kinetic distribution f1 reached -\S+ < -1\.0e-12; "
-                         r"reduce cfl$", err.strip())
-        assert not out.exists()
+    assert exit_code == 9
+    err = capsys.readouterr().err.strip()
+    assert re.search(r"kinetic distribution f1 reached -\S+ where the bias outweighs "
+                     r"the relaxation: Lambda = .* = 2\.5\d > 1$", err)
+    assert "reduce cfl" not in err
+    assert not out.exists()
 
 
 def test_identically_zero_errors_report_a_flat_order(tmp_path, capsys):

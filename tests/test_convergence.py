@@ -304,9 +304,9 @@ def test_endemic_equilibrium_is_shared_by_both_tiers():
     assert max(report.max_errors()) <= 1e-8
 
 
-# Studies that the split kinetic scheme fails. Its upwind transport carries
-# a numerical diffusion of about |v|*dx/(2*eps), which outgrows the model
-# error as eps shrinks; an asymptotic-preserving step should pass both.
+# Studies at small eps. The split scheme that the kinetic step replaced
+# failed all of them: its upwind transport carried a numerical diffusion of
+# about |v|*dx/(2*eps), which outgrew the model error as eps shrank.
 
 
 def _assert_converges(report):
@@ -315,11 +315,23 @@ def _assert_converges(report):
     assert report.estimated_order >= 0.8
 
 
+def test_parabolic_errors_keep_falling_below_criterion_7s_smallest_eps():
+    # criterion 7's study down to eps = 0.00625; measured 1.86e-2, 8.62e-3,
+    # 2.76e-3, 7.70e-4, 2.22e-4, 7.38e-5, 3.14e-5, order 1.61 (the split
+    # scheme's errors rose again below eps = 0.05)
+    report = run_convergence_study(PARABOLIC, RIPPLE,
+                                   (0.4, 0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625), 0.2,
+                                   snapshot_times=(0.05, 0.1, 0.15, 0.2),
+                                   n_cells=128, n_nodes=16, ref_refine=4, cfl=0.8)
+    _assert_converges(report)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the split scheme flattens varying data in the "
-                   "material regime")
+                   reason="at these eps the model's own distance from the pointwise "
+                   "ODE has order 0.35, below the 0.8 asserted")
 def test_material_regime_with_varying_data_converges_to_the_pointwise_ode():
-    # measured on the split scheme: 0.243, 0.229, 0.212, 0.231, order 0.03
+    # measured 0.242, 0.221, 0.170, 0.109, order 0.38 (the split scheme:
+    # 0.243, 0.229, 0.212, 0.231, order 0.03)
     profile = InitialProfile("cosine", c0=1.0, s0=0.2, u0=0.3, amplitude=0.5)
     report = run_convergence_study(dataclasses.replace(HYPERBOLIC, chi0=0.5),
                                    profile, (0.4, 0.2, 0.1, 0.05), 1.0,
@@ -327,13 +339,10 @@ def test_material_regime_with_varying_data_converges_to_the_pointwise_ode():
     _assert_converges(report)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the split scheme's numerical diffusion flattens "
-                   "varying data at small eps in the material regime")
 def test_material_regime_at_small_eps_converges_to_the_pointwise_ode():
     # the study above at eps where the model's own distance from the limit
-    # has order 0.87; measured on the split scheme: 0.231, 0.244, 0.245,
-    # 0.245, order -0.03
+    # has order 0.87; measured 0.109, 6.23e-2, 3.33e-2, 1.72e-2, order 0.89
+    # (the split scheme: 0.231, 0.244, 0.245, 0.245, order -0.03)
     profile = InitialProfile("cosine", c0=1.0, s0=0.2, u0=0.3, amplitude=0.5)
     report = run_convergence_study(dataclasses.replace(HYPERBOLIC, chi0=0.5),
                                    profile, (0.05, 0.025, 0.0125, 0.00625), 1.0,
@@ -341,12 +350,9 @@ def test_material_regime_at_small_eps_converges_to_the_pointwise_ode():
     _assert_converges(report)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the split scheme's numerical diffusion outgrows "
-                   "the model error at small eps")
 def test_mixed_regime_converges_to_the_limit_without_virus_diffusion():
-    # criterion 7's study with q3 = 2: the u error rises 6.4e-3, 1.07e-2,
-    # 1.73e-2 on the split scheme
+    # criterion 7's study with q3 = 2; measured order 0.96 (the split
+    # scheme's u error rose 6.4e-3, 1.07e-2, 1.73e-2)
     report = run_convergence_study(dataclasses.replace(PARABOLIC, q3=2), RIPPLE,
                                    (0.05, 0.025, 0.0125), 0.2,
                                    snapshot_times=(0.05, 0.1, 0.15, 0.2),

@@ -1,6 +1,7 @@
 """The exact per-mode oracle of the linear kinetic model (mode_oracle.py):
-mass, its parabolic limit, and the mode-1 decay rates of the model and
-of the split scheme on 128 cells."""
+mass, its parabolic limit, and the mode-1 decay rates of the model, of the
+kinetic step and of the split scheme that the step replaced, on 128
+cells."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from kinsir import ModelParams, kinetic
-from kinsir.grids import InitialProfile, SpatialGrid
+from kinsir.grids import InitialProfile, SpatialGrid, split
 from kinsir.macro import _heat_symbol
 from kinsir.velocity import (
     build_velocity_grid,
@@ -53,8 +54,48 @@ def test_mode_one_tends_to_the_heat_symbol(eps, bound):
     assert abs(oracle_decay(eps) - heat) / heat <= bound
 
 
-# mode-1 decay rates D of the model (oracle) and of the split kinetic
-# scheme at cfl 0.8; the limit on this grid is 0.33327
+NO_REACTIONS = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
+
+
+def run_decay(eps):
+    """|c_1(T)| / |c_1(0)| of a kinetic run at cfl 0.8 from the local
+    equilibrium."""
+    eqs = species_equilibria(VGRID)
+    start = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5, amplitude=0.1).build(GRID)
+    state = kinetic.init_local_equilibrium(start, eqs, VGRID, eps)
+    snapshots, _ = kinetic.run_kinetic(state, NO_REACTIONS, eqs, T, cfl=0.8)
+    return abs(np.fft.rfft(snapshots[-1].c)[1]) / abs(np.fft.rfft(start.c)[1])
+
+
+def step_decay(eps):
+    """run_decay(eps) in a few steps: with chi0 = 0 and no reactions a step
+    is linear and shift-invariant, so on mode 1 it is a matrix over the
+    nodes. Its column j is read off one step of M + 0.1*cos(2*pi*x)*M_j*e_j
+    (one probe per species row), and the matrix is raised to the run's
+    number of steps."""
+    n, nodes = GRID.n_cells, VGRID.n_nodes
+    wave = np.exp(2j * np.pi * GRID.centers)
+    eqs = species_equilibria(VGRID)
+    amplification = np.empty((nodes, nodes), complex)
+    for first in range(0, nodes, 3):
+        probed = range(first, min(first + 3, nodes))
+        f = np.tile(M, (3, n, 1))
+        for row, j in enumerate(probed):
+            f[row, :, j] += 0.1 * M[j] * wave.real
+        state = kinetic.KineticState(f, eps, 0.0, GRID, VGRID)
+        steps, dt = split(T, kinetic.max_step(state, 0.8))
+        stepped = kinetic.kinetic_step(state, NO_REACTIONS, eqs, dt).f
+        for row, j in enumerate(probed):
+            amplification[:, j] = wave.conj() @ (stepped[row] - M) / (0.05 * n * M[j])
+    return abs(VGRID.weights @ np.linalg.matrix_power(amplification, steps) @ M)
+
+
+# mode-1 decay rates D of the model (oracle) and, at cfl 0.8, of the
+# kinetic step and of the upwind split scheme that the step replaced, whose
+# numerical diffusion grew like dx/eps; the limit on this grid is 0.33327
+STEP = {0.4: 0.04974, 0.1: 0.27351, 0.05: 0.31766, 0.01: 0.33244, 0.003: 0.33314}
+
+
 @pytest.mark.parametrize("eps, oracle, split", [
     (0.4, 0.04788, 0.05016),
     (0.1, 0.27485, 0.28381),
@@ -64,14 +105,19 @@ def test_mode_one_tends_to_the_heat_symbol(eps, bound):
 ])
 def test_mode_one_decay_rates_of_the_model_and_the_split_scheme(eps, oracle, split):
     assert decay_rate(oracle_decay(eps)) == pytest.approx(oracle, abs=5e-5)
+    assert decay_rate(run_decay(eps)) == pytest.approx(STEP[eps], abs=5e-5)
+    assert abs(STEP[eps] - oracle) <= abs(split - oracle)
 
-    no_reactions = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
-    eqs = species_equilibria(VGRID)
-    start = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5, amplitude=0.1).build(GRID)
-    state = kinetic.init_local_equilibrium(start, eqs, VGRID, eps)
-    snapshots, _ = kinetic.run_kinetic(state, no_reactions, eqs, T, cfl=0.8)
-    ratio = abs(np.fft.rfft(snapshots[-1].c)[1]) / abs(np.fft.rfft(start.c)[1])
-    assert decay_rate(ratio) == pytest.approx(split, abs=5e-5)
+
+def test_step_decay_is_the_decay_of_a_run():
+    assert step_decay(0.05) == pytest.approx(run_decay(0.05), rel=1e-10)
+
+
+# within 1% of the model down to eps = 1e-4, where a run takes 80,000 steps
+@pytest.mark.parametrize("eps", [0.05, 0.01, 3e-3, 1e-3, 1e-4])
+def test_the_kinetic_step_decays_mode_one_as_the_model_does(eps):
+    assert decay_rate(step_decay(eps)) == pytest.approx(decay_rate(oracle_decay(eps)),
+                                                        rel=0.01)
 
 
 def test_expm_of_a_stack_matches_closed_forms():

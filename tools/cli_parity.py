@@ -42,15 +42,14 @@ CONFIGS = [
     ("kinetic_q2", "kinetic", _COSINE + _HYPERBOLIC + "n_cells = 32\nn_nodes = 8\n"
                                                       "epsilon = 0.2\nt_final = 0.02\n"
                                                       "snapshot_times = 0.01\n"),
-    # per-species relaxation with different decay factors
+    # per-species relaxation at different rates
     ("kinetic_mixed", "kinetic", _COSINE + "sigma2 = 3\nq3 = 2\nn_cells = 32\n"
                                            "n_nodes = 8\nepsilon = 0.2\n"
                                            "t_final = 0.02\n"),
-    # the kinetic step without its bias sub-step
+    # the kinetic step without the bias
     ("kinetic_nochi", "kinetic", _COSINE.replace("chi0 = 0.5", "chi0 = 0")
      + "n_cells = 32\nn_nodes = 8\nepsilon = 0.2\nt_final = 0.02\n"),
-    # every reaction rate 0 and no virus: the in-place law runs on exact
-    # zeros
+    # every reaction rate 0 and no virus: the law runs on exact zeros
     ("kinetic_norates", "kinetic", _COSINE.replace("u0 = 0.5", "u0 = 0")
      + "d1 = 0\nd2 = 0\nd3 = 0\nbeta = 0\nk = 0\nr = 0\nn_cells = 32\n"
        "n_nodes = 8\nepsilon = 0.2\nt_final = 0.02\n"),

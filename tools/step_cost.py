@@ -3,24 +3,18 @@ of their step bounds, of the ODE tier's RK4 loop and per row of `kinsir ode`.
 
     python3 tools/step_cost.py [REV]
 
-Thirteen cases, on criterion 7's model and profile (chemotaxis and
-reactions on, so every kinetic sub-step runs):
+Nine cases, on criterion 7's model and profile (chemotaxis and
+reactions on, so every term of the kinetic step is at work):
 
 * `kinetic_step 16x8`, `kinetic_step 128x16` and `kinetic_step 512x16`:
   `kinetic_step` at eps = 0.05 and 0.8 of the CFL bound;
-* `kinetic_step 128x16 float64`: the same steps with every rate, eps and
-  dt a numpy float64 scalar;
-* `max_step 128x16` and `max_step 128x16 float64`: `kinetic.max_step` of
-  that state at cfl 0.8, with Python floats and with float64 scalars;
+* `max_step 128x16`: `kinetic.max_step` of that state at cfl 0.8;
 * `macro_step 512`: `macro_step` at 0.8 of `stable_dt`;
-* `stable_dt 512` and `stable_dt 512 float64`: `macro.stable_dt` of that
-  state, with Python floats and with float64 rates;
+* `stable_dt 512`: `macro.stable_dt` of that state;
 * `run_kinetic kinetic_chemotaxis`: one `run_kinetic` on the config of the
   benchmark's kinetic_chemotaxis workload, divided by its steps;
 * `integrate_sir 50000`: RK4 runs of 50,000 steps of the model's ODE,
   best of RUNS, divided by the steps;
-* `integrate_sir 50000 float64`: the same runs with the rates, t_final
-  and dt as numpy float64 scalars, as criterion 2 draws them;
 * `ode 65535`: `cli.main(["ode", ...])` in-process on the model's ODE,
   65,535 steps of 2**-10 written to a temporary directory, best of RUNS,
   divided by the 65,536 rows: one block, so no fork, and it runs on any
@@ -59,10 +53,8 @@ import tempfile
 from revtree import ROOT, WORKING_TREE, compiled_tree
 
 CASES = ("kinetic_step 16x8", "kinetic_step 128x16", "kinetic_step 512x16",
-         "kinetic_step 128x16 float64", "max_step 128x16", "max_step 128x16 float64",
-         "macro_step 512", "stable_dt 512", "stable_dt 512 float64",
-         "run_kinetic kinetic_chemotaxis", "integrate_sir 50000",
-         "integrate_sir 50000 float64", "ode 65535")
+         "max_step 128x16", "macro_step 512", "stable_dt 512",
+         "run_kinetic kinetic_chemotaxis", "integrate_sir 50000", "ode 65535")
 ROUNDS = 9
 
 # run in a child process with PYTHONPATH pointing at the tree under test and
@@ -77,24 +69,11 @@ import resource
 import sys
 import tempfile
 from time import perf_counter
-import numpy as np
 from kinsir import cli, config, grids, kinetic, macro, params, sir, velocity
 
 WARMUP, BATCHES, CALLS, RUNS = 50, 20, 100, 5
 MODEL = params.ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5)
 PROFILE = grids.InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.5, amplitude=0.1)
-RATES = ("d1", "d2", "d3", "beta", "k", "r", "sigma1", "sigma2", "sigma3",
-         "chi0", "vmax")
-
-
-def scalar(x, scalars):
-    # a numpy float64 scalar in the float64 variant of a case
-    return np.float64(x) if "float64" in scalars else float(x)
-
-
-def model(scalars):
-    return params.ModelParams(**{name: scalar(getattr(MODEL, name), scalars)
-                                 for name in RATES})
 
 
 def faults():
@@ -115,44 +94,38 @@ def marching(state, step):
     return best / CALLS * 1e6, faulted / (BATCHES * CALLS)
 
 
-def kinetic_state(n_cells, n_nodes, scalars):
-    rates = model(scalars)
+def kinetic_state(n_cells, n_nodes):
     grid = grids.SpatialGrid(1.0, n_cells)
-    vgrid = velocity.build_velocity_grid(rates.vmax, n_nodes)
+    vgrid = velocity.build_velocity_grid(MODEL.vmax, n_nodes)
     eqs = velocity.species_equilibria(vgrid)
-    state = kinetic.init_local_equilibrium(PROFILE.build(grid), eqs, vgrid,
-                                           scalar(0.05, scalars))
-    return state, rates, eqs, scalar(0.8, scalars)
+    return kinetic.init_local_equilibrium(PROFILE.build(grid), eqs, vgrid, 0.05), eqs
 
 
-def kinetic_case(n_cells, n_nodes, *scalars):
-    state, rates, eqs, cfl = kinetic_state(n_cells, n_nodes, scalars)
-    dt = kinetic.max_step(state, cfl)
-    return marching(state, lambda state: kinetic.kinetic_step(state, rates, eqs, dt))
+def kinetic_case(n_cells, n_nodes):
+    state, eqs = kinetic_state(n_cells, n_nodes)
+    dt = kinetic.max_step(state, 0.8)
+    return marching(state, lambda state: kinetic.kinetic_step(state, MODEL, eqs, dt))
 
 
-def max_step_case(n_cells, n_nodes, *scalars):
+def max_step_case(n_cells, n_nodes):
     # a bound is positive, so `and` hands the state on unchanged
-    state, _, _, cfl = kinetic_state(n_cells, n_nodes, scalars)
-    return marching(state, lambda state: kinetic.max_step(state, cfl) and state)
+    state, _ = kinetic_state(n_cells, n_nodes)
+    return marching(state, lambda state: kinetic.max_step(state, 0.8) and state)
 
 
-def macro_coefficients(scalars):
-    rates = model(scalars)
-    return macro.build_macro_coefficients(
-        rates, velocity.build_velocity_grid(rates.vmax, 16))
+def macro_state(n_cells):
+    coeff = macro.build_macro_coefficients(MODEL, velocity.build_velocity_grid(MODEL.vmax, 16))
+    return PROFILE.build(grids.SpatialGrid(1.0, n_cells)), coeff
 
 
 def macro_case(n_cells):
-    coeff = macro_coefficients(())
-    state = PROFILE.build(grids.SpatialGrid(1.0, n_cells))
+    state, coeff = macro_state(n_cells)
     dt = 0.8 * macro.stable_dt(state, coeff)
     return marching(state, lambda state: macro.macro_step(state, coeff, dt))
 
 
-def stable_dt_case(n_cells, *scalars):
-    coeff = macro_coefficients(scalars)
-    state = PROFILE.build(grids.SpatialGrid(1.0, n_cells))
+def stable_dt_case(n_cells):
+    state, coeff = macro_state(n_cells)
     return marching(state, lambda state: macro.stable_dt(state, coeff) and state)
 
 
@@ -177,16 +150,16 @@ def run_kinetic_case():
             (faults() - before) / len(steps))
 
 
-def rk4_case(n_steps, *scalars):
+def rk4_case(n_steps):
     # a step is too short to time alone: time whole runs, each with its own
     # trajectory array
     start = sir.SirState(1.0, 0.1, 0.1)
-    rates, dt = model(scalars), scalar(1e-3, scalars)
+    dt = 1e-3
     best, faulted = math.inf, 0
     for _ in range(RUNS):
         before = faults()
         started = perf_counter()
-        sir.integrate_sir(start, rates, n_steps * dt, dt)
+        sir.integrate_sir(start, MODEL, n_steps * dt, dt)
         best = min(best, perf_counter() - started)
         faulted += faults() - before
     return best / n_steps * 1e6, faulted / (RUNS * n_steps)
@@ -215,14 +188,14 @@ def ode_case(n_steps):
     return best / rows * 1e6, faulted / (RUNS * rows)
 
 
-name, size, *scalars = sys.argv[1].split()
+name, size = sys.argv[1].split()
 if name == "run_kinetic":
     print(*run_kinetic_case())
 else:
     case = {"kinetic_step": kinetic_case, "max_step": max_step_case,
             "macro_step": macro_case, "stable_dt": stable_dt_case,
             "integrate_sir": rk4_case, "ode": ode_case}[name]
-    print(*case(*(int(n) for n in size.split("x")), *scalars))
+    print(*case(*(int(n) for n in size.split("x"))))
 """ % os.path.join(ROOT, "perfbench")
 
 
