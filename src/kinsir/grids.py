@@ -77,9 +77,10 @@ def _broken(names, values, value, rule):
 
 
 def shifted(row, k):
-    """row[(i + k) % n] of a 1-D row, for k = 1 or -1: the periodic
-    neighbour of both tiers, a roll by -k without the cost of numpy's."""
-    return np.concatenate((row[k:], row[:k]))
+    """row[..., (i + k) % n] along the last axis, for k = 1 or -1: the
+    periodic neighbour of both tiers, a roll by -k without the cost of
+    numpy's."""
+    return np.concatenate((row[..., k:], row[..., :k]), axis=-1)
 
 
 @dataclass(frozen=True)

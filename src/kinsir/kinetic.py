@@ -23,11 +23,13 @@ order eps; (2) takes an explicit Euler step of ModelParams.reactions, the law
 of the other two tiers, on rho (no interaction term enters g), less dt/eps
 times the divergence of the new flux <v g>, which conserves mass.
 
-Positivity: a density that goes negative names its row and asks for a
-smaller cfl, the key that sets a kinetic run's step. Where -g outgrows
-rho*M, the scaling limiter of Zhang & Shu (J. Comput. Phys. 229, 2010)
-shrinks g in each (species, cell) row that holds a negative as little as
-leaves it nonnegative, which keeps <f>. The bias sustains a skew
+Positivity: where a new density would go negative, each face's flux is
+scaled by the factor of the cell that it leaves, so that no cell sends out
+more than it holds after its reactions; one still negative is a reaction
+overshoot and asks for a smaller cfl, the key that sets a kinetic run's
+step. Where -g outgrows rho*M, the scaling limiter of Zhang & Shu (J.
+Comput. Phys. 229, 2010) shrinks g in each (species, cell) row with a
+negative as little as leaves it nonnegative. The bias sustains a skew
 eps^p*chi0*(ds/dx)*v*c/sigma1 in f1, which the model's own f1 survives only
 while Lambda = eps^p*chi0*max|ds/dx|*max|v_j| / (sigma1*M) <= 1; where f1
 goes negative at Lambda > 1 the step raises NegativityError naming Lambda.
@@ -59,9 +61,8 @@ MAX_CFL = 0.9  # transport number bound: dt <= MAX_CFL * eps * dx / vmax
 
 @dataclass(eq=False)
 class StepPlan:
-    """The scratch arrays and the f-independent part of a kinetic step for
-    one key (see the module docstring); every array but work and terms is
-    read-only."""
+    """The scratch and the f-independent part of a kinetic step for one key
+    (see the module docstring); all arrays but work and terms are read-only."""
 
     key: tuple
     c_up: np.ndarray  # courant numbers where v > 0, else 0: (n_cells, n_nodes)
@@ -224,6 +225,16 @@ def step_plan(state, params, eqs, dt):
         project, moments, basis, fluxes[..., None])), work, terms)
 
 
+def _limit_outflow(flux, held):
+    """The fluxes through the faces i+1/2, each scaled by the factor of the
+    cell that it leaves: min(1, held/outflow), and 0 where held < 0."""
+    outflow = np.maximum(flux, 0.0) - np.minimum(shifted(flux, -1), 0.0)
+    room = np.maximum(held, 0.0)
+    scale = np.ones(held.shape)
+    np.divide(room, outflow, out=scale, where=outflow > room)  # in [0, 1)
+    return flux * np.where(flux > 0.0, scale, shifted(scale, 1))
+
+
 def _limit(f, rho, eqs):
     """The scaling limiter of Zhang & Shu on f in place: each (species,
     cell) row that holds a negative becomes rho*M + theta*(f - rho*M), with
@@ -245,21 +256,15 @@ def kinetic_step(state, params, eqs, dt):
     """
     check_dt(dt)
     if step_ratio(dt, max_step(state)) > 1:
-        raise CflViolationError(
-            f"dt = {dt:.3e} exceeds the transport bound {max_step(state):.3e}"
-        )
+        raise CflViolationError(f"dt = {dt:.3e} exceeds the transport bound "
+                                f"{max_step(state):.3e}")
     plan = step_plan(state, params, eqs, dt)
     if state.plan is None:
         state.plan = plan
     g, moved, scratch = plan.work
     terms, drho, bias = plan.terms, plan.terms[..., 3], plan.terms[..., 4]
-    # rows with their first value repeated at the end: left and right are
-    # the values on either side of each face i+1/2
-    ends = np.empty((3, state.f.shape[1] + 1))
-    left, right = ends[:, :-1], ends[:, 1:]
-
-    rho = np.matmul(state.f, state.vgrid.weights, out=left)
-    ends[:, -1] = ends[:, 0]
+    rho = state.f @ state.vgrid.weights
+    right = shifted(rho, 1)  # the densities past each face i+1/2
     np.matmul(state.f, plan.project, out=g)
     _transport(g, moved, scratch, plan.c_up, plan.c_dn)
     np.matmul(moved, plan.moments, out=terms[..., 1:3])
@@ -267,16 +272,14 @@ def kinetic_step(state, params, eqs, dt):
     np.add(right, rho, out=bias)
     bias *= drho[1]  # (c_i + c_{i+1}) * (s_{i+1} - s_i) in the f1 row
 
-    rho_new = terms[..., 0]
-    np.multiply(params.reactions(*rho), dt, out=rho_new)
-    rho_new += rho
-    # ends now takes the fluxes dt/(eps*dx) * <v g>, the last face's in front
-    np.matmul(terms[..., 1:], plan.fluxes, out=right[..., None])
-    ends[:, 0] = ends[:, -1]
-    rho_new -= right
-    rho_new += left
-    clamp_rows_nonnegative(rho_new, ("kinetic distribution f1", "kinetic distribution f2",
-                                     "kinetic distribution f3"), "cfl")
+    held = rho + np.multiply(params.reactions(*rho), dt)
+    flux = (terms[..., 1:] @ plan.fluxes)[..., 0]  # dt/(eps*dx) * <v g> at i+1/2
+    rho_new = np.add(held - flux, shifted(flux, -1), out=terms[..., 0])
+    if rho_new.min() < 0.0:
+        flux = _limit_outflow(flux, held)
+        np.add(held - flux, shifted(flux, -1), out=rho_new)
+        clamp_rows_nonnegative(rho_new, [f"density of kinetic distribution f{i}"
+                                         for i in "123"], "cfl")
 
     f = np.matmul(terms, plan.basis)
     f += moved
@@ -304,7 +307,5 @@ def run_kinetic(initial, params, eqs, t_final, snapshot_times=None, cfl=0.8):
     """
     check_cfl(cfl)
     times = snapshot_schedule(snapshot_times, initial.time, t_final)
-    return march(
-        initial, lambda state, dt: kinetic_step(state, params, eqs, dt),
-        lambda state: max_step(state, cfl), times, moments,
-    )
+    return march(initial, lambda state, dt: kinetic_step(state, params, eqs, dt),
+                 lambda state: max_step(state, cfl), times, moments)

@@ -397,11 +397,12 @@ def test_rounding_level_negatives_are_clamped_to_zero():
     assert np.all(stepped.c >= 0.0)
 
 
-@pytest.mark.parametrize("shape", [(5,), (2,)])
+@pytest.mark.parametrize("shape", [(5,), (2,), (3, 5)])
 @pytest.mark.parametrize("k", [1, -1])
 def test_shifted_is_the_periodic_roll(shape, k):
-    row = np.arange(float(shape[0]))
-    np.testing.assert_array_equal(shifted(row, k), np.roll(row, -k))
+    # along the last axis: the rows of a stack shift alike
+    row = np.arange(float(np.prod(shape))).reshape(shape)
+    np.testing.assert_array_equal(shifted(row, k), np.roll(row, -k, axis=-1))
 
 
 @pytest.mark.parametrize("low", [-1e-13, -1e-12])
