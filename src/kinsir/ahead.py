@@ -3,8 +3,8 @@
 `kinsir ode` integrates its trajectory blocks in a forked child, which
 formats each block's times and sends them, as text, with the block's
 states, while the parent writes the rows before them; a convergence study
-runs all but its smallest eps in a forked child while the parent runs
-that one. Both go through computed_ahead.
+runs its smallest eps in a forked child while the parent runs the others.
+Both go through computed_ahead.
 """
 
 import os

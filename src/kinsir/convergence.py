@@ -150,10 +150,10 @@ def run_convergence_study(params, profile, epsilons, t_final,
     Returns a ConvergenceReport with the epsilons sorted largest first.
     Orders are fit per species, and estimated_order on the per-eps maximum
     across species; identically zero errors report a flat order of 0.0.
-    The smallest eps runs in this process and the others in a forked child
-    (ahead.computed_ahead); the report, and the error raised if a run
-    fails, are those of running the epsilons one after another, largest
-    first.
+    The smallest eps runs in a forked child (ahead.computed_ahead) while
+    this process runs the others, largest first, and then takes the
+    child's row; the report, and the error raised if a run fails, are
+    those of running the epsilons one after another, largest first.
     """
     message = "epsilons must be distinct and in (0, 1]"
     if len(set(epsilons)) != len(epsilons):
@@ -183,17 +183,11 @@ def run_convergence_study(params, profile, epsilons, t_final,
         )
         return _error_norm(snaps, reference, grid.dx)
 
-    # steps grow as 1/eps: this process runs the smallest eps, the costliest
-    # run, while a child runs the others, largest first
+    # steps grow as 1/eps: a child runs the smallest eps, the costliest run,
+    # while this process runs the others, largest first
     *larger, smallest = epsilons
-    with computed_ahead(map(errors_at, larger)) as rows:
-        try:
-            last = errors_at(smallest)
-        except Exception:
-            # an error at a larger eps comes first in eps order
-            list(rows)
-            raise
-        table = [*rows, last]
+    with computed_ahead(map(errors_at, [smallest])) as last:
+        table = [*map(errors_at, larger), *last]
 
     errors = {f: tuple(col) for f, col in zip(_FIELDS, np.array(table).T.tolist())}
     orders = {f: _fit_or_flat(epsilons, errors[f]) for f in _FIELDS}

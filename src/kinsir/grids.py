@@ -3,6 +3,7 @@ time-marching loop that the macro and kinetic solvers share."""
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -52,28 +53,18 @@ def check_bounded(names, values, low, strict=False):
     """Reject the first of values that is not finite and >= low (> low when
     strict) with "<name> must be >= low" ("> low") when it lies below, else
     "<name> must be finite"; names is one name, or a name per value."""
-    for value in values:
+    for name, value in zip(repeat(names) if isinstance(names, str) else names, values):
         if (value <= low) if strict else (value < low):
-            rule = f"must be {'>' if strict else '>='} {low}"
-            raise _broken(names, values, value, rule)
+            raise ValidationError(f"{name} must be {'>' if strict else '>='} {low}")
         if not value < math.inf:  # inf or nan
-            raise _broken(names, values, value, "must be finite")
+            raise ValidationError(f"{name} must be finite")
 
 
 def check_integer(names, values, low):
     """check_bounded, for the rule "<name> must be an integer >= low"."""
-    for value in values:
+    for name, value in zip(repeat(names) if isinstance(names, str) else names, values):
         if not (isinstance(value, int) and value >= low):
-            raise _broken(names, values, value, f"must be an integer >= {low}")
-
-
-def _broken(names, values, value, rule):
-    """ValidationError("<name> <rule>") for value, the first of values to
-    break the rule, found by identity (the same object earlier would have
-    broken it first), so that the checks' loops carry no index."""
-    if not isinstance(names, str):
-        names = names[next(i for i, v in enumerate(values) if v is value)]
-    return ValidationError(f"{names} {rule}")
+            raise ValidationError(f"{name} must be an integer >= {low}")
 
 
 def shifted(row, k):

@@ -10,6 +10,16 @@ lam = sigma / eps^(q+1), and the staggered symbol
 kappa_m = (2/dx) * sin(pi*m/n), set to 0 at the Nyquist mode of an even n.
 kappa_m^2 is the three-point Laplacian's eigenvalue, so as eps -> 0 the
 modes decay as macro._heat_symbol does on the same grid.
+
+About a uniform state q = (c, s, u) the macro system is linear too: mode m
+evolves by exp(t * A_m), with J the Jacobian of ModelParams.reactions at q
+and
+
+    A_m = J - kappa_m^2 * diag(Dc, Ds, Du) + chi * c * kappa_m^2 * e_c e_s^T,
+
+where kappa_m^2 = (4/dx^2) * sin^2(pi*m/n) at every mode, the three-point
+symbol of both the diffusion and the linearized upwind drift. Mode 0 is
+the ODE's exp(t * J).
 """
 
 import numpy as np
@@ -59,3 +69,22 @@ def propagators(grid, vgrid, M, eps, sigma, q, t):
     speeds = inverse @ (vgrid.nodes[:, None] * basis)  # diag(v) in the basis
     drift = np.multiply.outer(mode_symbols(grid) / eps, speeds)
     return basis @ expm(t * (relax - 1j * drift)) @ inverse
+
+
+def reaction_jacobian(params, q):
+    """The Jacobian of ModelParams.reactions at the state q = (c, s, u)."""
+    c, _, u = q
+    return np.array([[-params.d1 - params.beta * u, 0.0, -params.beta * c],
+                     [params.beta * u, -params.d2, params.beta * c],
+                     [0.0, params.k, -params.d3]])
+
+
+def macro_matrices(grid, coeff, q):
+    """A_m for the rfft modes m = 0 .. n//2 of the macro system with
+    MacroCoefficients coeff linearized about q, as an (n//2 + 1, 3, 3)
+    stack."""
+    n = grid.n_cells
+    kappa2 = (2.0 / grid.dx * np.sin(np.pi / n * np.arange(n // 2 + 1))) ** 2
+    symbol = np.diag([-coeff.Dc, -coeff.Ds, -coeff.Du])
+    symbol[0, 1] = coeff.chi * q[0]
+    return reaction_jacobian(coeff.params, q) + np.multiply.outer(kappa2, symbol)

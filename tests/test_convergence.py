@@ -393,7 +393,7 @@ def test_both_steps_hold_the_endemic_equilibrium(params):
 
 
 # ---------------------------------------------------------------------------
-# the study on two processes: the smallest eps here, the others in a child
+# the study on two processes: the smallest eps in a child, the others here
 
 STUDIES = {
     "parabolic": (PARABOLIC, RIPPLE, 0.05, 32),
@@ -436,8 +436,8 @@ def test_a_study_in_one_process_reports_the_same_bits(monkeypatch, name):
 
 
 def test_an_eps_has_the_same_errors_in_either_process():
-    # eps 0.25 runs in the child in a study of four eps, and in this
-    # process in a study of three
+    # eps 0.25 runs in this process in a study of four eps, and in the
+    # child in a study of three
     four = small_study("parabolic")
     three = small_study("parabolic", (0.4, 0.3, 0.25))
     for field in "csu":
@@ -456,10 +456,10 @@ CONVERGE_CFG = ("chi0 = 0.5\nprofile = cosine\nc0 = 1\ns0 = 0.5\nu0 = 0.5\n"
      0.1: StepSizeError("injected at eps 0.1")},
     {0.4: StepSizeError("injected at eps 0.4"),
      0.2: NegativityError("injected at eps 0.2")},
-], ids=["child", "parent", "both", "child_twice"])
+], ids=["parent", "child", "both", "parent_twice"])
 def test_a_failing_run_fails_the_study_as_the_serial_loop_does(
         tmp_path, monkeypatch, capsys, failures):
-    # eps 0.1 runs in this process, 0.4 and 0.2 in the child; run one after
+    # eps 0.1 runs in the child, 0.4 and 0.2 in this process; run one after
     # another, largest first, the study stops at the largest failing eps
     first = failures[max(failures)]
     expected = (type(first).exit_code,
@@ -479,17 +479,20 @@ def test_a_failing_run_fails_the_study_as_the_serial_loop_does(
 def test_a_study_reaps_its_child_however_it_ends(monkeypatch):
     small_study("hyperbolic")
     assert_no_child_is_left()
-    for eps in (0.4, 0.1):  # in the child, in this process
+    for eps in (0.4, 0.1):  # in this process, in the child
         with monkeypatch.context() as patch:
             fail_at(patch, {eps: NegativityError("injected")})
             with pytest.raises(NegativityError):
                 small_study("hyperbolic")
         assert_no_child_is_left()
-    # interrupted while the child is still running the larger eps
-    fail_at(monkeypatch, {0.1: KeyboardInterrupt()})
-    with pytest.raises(KeyboardInterrupt):
-        small_study("hyperbolic")
-    assert_no_child_is_left()
+    # interrupted in the child, and in this process while the child is
+    # still running the smallest eps
+    for eps in (0.1, 0.4):
+        with monkeypatch.context() as patch:
+            fail_at(patch, {eps: KeyboardInterrupt()})
+            with pytest.raises(KeyboardInterrupt):
+                small_study("hyperbolic")
+        assert_no_child_is_left()
 
 
 _BLAS_THEN_STUDY = """

@@ -8,6 +8,7 @@ material regime.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -569,6 +570,53 @@ def test_negative_f1_where_the_bias_outweighs_the_relaxation_names_lambda():
     # at chi0 = 2, Lambda = 0.72: the step keeps f1 >= 0
     stepped = kin.kinetic_step(state, ModelParams(**NO_REACTIONS, chi0=2.0), EQS, dt)
     assert stepped.f.min() >= 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q1=st.sampled_from([1, 2]),
+    eps=st.floats(0.1, 1.0),
+    chi0=st.floats(0.0, 3.0),
+    sigma1=st.floats(0.1, 10.0),
+    vmax=st.floats(0.5, 2.0),
+    n_cells=st.integers(8, 32),
+    n_nodes=st.sampled_from([4, 8]),
+    rates=st.tuples(*[st.floats(0.3, 1.5)] * 8),
+)
+def test_a_kinetic_run_goes_negative_only_where_lambda_exceeds_one(
+    q1, eps, chi0, sigma1, vmax, n_cells, n_nodes, rates
+):
+    # Lambda = eps^p*chi0*max|ds/dx|*max|v|/(sigma1*M), M = 1/(2*vmax), taken
+    # before each step: a run that keeps Lambda <= 1 stays nonnegative, and
+    # f1 goes negative only at a step whose Lambda > 1, which the error names
+    d1, d2, d3, beta, k, r, sigma2, sigma3 = rates
+    params = ModelParams(d1=d1, d2=d2, d3=d3, beta=beta, k=k, r=r, chi0=chi0,
+                         sigma1=sigma1, sigma2=sigma2, sigma3=sigma3, q1=q1,
+                         vmax=vmax)
+    grid = SpatialGrid(1.0, n_cells)
+    vgrid = build_velocity_grid(vmax, n_nodes)
+    eqs = species_equilibria(vgrid)
+    start = InitialProfile("cosine", c0=1.0, s0=0.5, u0=0.25, amplitude=0.3)
+    state = kin.init_local_equilibrium(start.build(grid), eqs, vgrid, eps)
+    lambdas = []
+    step = kin.kinetic_step
+
+    def measured(state, params, eqs, dt):
+        s = kin.moments(state).s
+        gradient = np.abs(np.roll(s, -1) - s).max() / grid.dx
+        lambdas.append(eps ** params.p * chi0 * gradient * np.abs(vgrid.nodes).max()
+                       * 2.0 * vmax / sigma1)
+        return step(state, params, eqs, dt)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kin, "kinetic_step", measured)
+        try:
+            kin.run_kinetic(state, params, eqs, 0.1, cfl=0.8)
+        except NegativityError as err:
+            named = re.search(r"Lambda = .* = (\S+) > 1$", str(err))
+            assert named, err
+            assert lambdas[-1] > 1.0
+            assert float(named[1]) == pytest.approx(lambdas[-1], rel=5e-3)
 
 
 # ---------------------------------------------------------------------------
