@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext, suppress
+from dataclasses import astuple
 from itertools import chain
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import __version__, sir
 from .ahead import computed_ahead
 from .config import load_config
 from .convergence import run_convergence_study
-from .errors import KinsirError
+from .errors import KinsirError, ValidationError
 from .grids import SpatialGrid, split
 from .kinetic import init_local_equilibrium, run_kinetic
 from .macro import build_macro_coefficients, run_macro
@@ -119,17 +120,15 @@ def _cmd_ode(config, out_dir):
         SirState(config.c0, config.s0, config.u0),
         config.params, config.t_final, config.dt,
     )
-    params = config.params
-    quantities = []
-    # R0 and the equilibria are undefined when a death rate is zero
-    if 0.0 not in (params.d1, params.d2, params.d3):
-        report = equilibria(params)
-        quantities += [("r0", report.r0)]
-        quantities += [(f"q0_{f}", v) for f, v in
-                       zip("csu", (report.q0.u, report.q0.v, report.q0.w))]
+    try:
+        report = equilibria(config.params)
+    except ValidationError:  # sir's rule: R0 is undefined unless d1*d2*d3 > 0
+        quantities = []
+    else:
+        quantities = [("r0", report.r0),
+                      *zip(("q0_c", "q0_s", "q0_u"), astuple(report.q0))]
         if report.qstar is not None:
-            quantities += [(f"qstar_{f}", v) for f, v in
-                           zip("csu", (report.qstar.u, report.qstar.v, report.qstar.w))]
+            quantities += zip(("qstar_c", "qstar_s", "qstar_u"), astuple(report.qstar))
     # a trajectory of one block has nothing to overlap, so it is not
     # worth a fork
     n_steps, _ = split(config.t_final, config.dt)

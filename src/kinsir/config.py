@@ -13,7 +13,7 @@ from dataclasses import fields
 
 from .errors import ParseError, ValidationError
 from .convergence import check_ref_refine
-from .grids import InitialProfile, SpatialGrid, check_dt, snapshot_schedule
+from .grids import InitialProfile, SpatialGrid, check_dt, read_text, snapshot_schedule
 from .kinetic import MAX_CFL, check_cfl, check_epsilon
 from .params import ModelParams
 
@@ -138,12 +138,8 @@ def parse_config(text, source="<config>", base_dir="."):
 
 def load_config(path):
     """parse_config on a file, resolving profile paths next to it."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, source=str(path), base_dir=os.path.dirname(path))
+    return parse_config(read_text(path, "config"), source=str(path),
+                        base_dir=os.path.dirname(path))
 
 
 def _build_profile(values, base_dir):

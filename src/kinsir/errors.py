@@ -21,7 +21,8 @@ class ParseError(KinsirError):
 
 
 class NegativeStateError(KinsirError):
-    """An ODE step produced a component below -tolerance (dt too large)."""
+    """An ODE step produced a component below -tolerance (dt too large),
+    or one that is not finite."""
     exit_code = 4
 
 
@@ -46,7 +47,8 @@ class CflViolationError(KinsirError):
 
 
 class NegativityError(KinsirError):
-    """A field went below -1e-12 during a solver step (dt too large)."""
+    """A field went below -1e-12 during a solver step (dt too large), or
+    was not finite."""
     exit_code = 9
 
 

@@ -11,35 +11,41 @@ from .errors import NegativityError, ParseError, ValidationError
 
 NEGATIVITY_TOL = 1e-12
 
-# every tier holds its densities in one (3, n_cells) float array, which
-# numpy can make only while its size in bytes fits an intp
-_MAX_CELLS = np.iinfo(np.intp).max // 24
+# the most cells of a (3, n_cells) float array, or rows of an (n, 3) one
+# (an ODE trajectory): numpy makes one only while its bytes fit an intp
+MAX_CELLS = np.iinfo(np.intp).max // 24
 
 
-def clamp_nonnegative(field, what, step="dt"):
-    """Round tiny negative values (rounding noise) up to zero, in place.
+def finite_nonnegative(stack):
+    """Whether every value of stack is finite and >= 0 (a nan is not)."""
+    return stack.min() >= 0.0 and stack.max() < math.inf
+
+
+def clamp_rows_nonnegative(stack, labels, step="dt"):
+    """Round the tiny negative values (rounding noise) of a stack up to
+    zero, in place; labels name its rows.
 
     A value below -NEGATIVITY_TOL is not noise; it means the step size was
     too large for the positivity-preserving regime, so raise instead of
     papering over, with a message that asks to reduce step, the key that
-    sets the caller's step size.
+    sets the caller's step size. A value that is not finite (an overflow)
+    raises too. Where finite_nonnegative holds that test is all; else the
+    rows are taken one by one, and only a row that holds a negative is
+    clamped, so a row of -0.0 keeps its bits.
     """
-    low = field.min()
-    if low < 0.0:
+    if finite_nonnegative(stack):
+        return stack
+    for row, label in zip(stack, labels):
+        low = row.min()
+        for value in (low, row.max()):
+            if not math.isfinite(value):
+                raise NegativityError(f"{label} reached {value:.3e}, which is not finite")
         if low < -NEGATIVITY_TOL:
             raise NegativityError(
-                f"{what} reached {low:.3e} < -{NEGATIVITY_TOL:.1e}; reduce {step}"
+                f"{label} reached {low:.3e} < -{NEGATIVITY_TOL:.1e}; reduce {step}"
             )
-        np.maximum(field, 0.0, out=field)
-    return field
-
-
-def clamp_rows_nonnegative(stack, labels, step="dt"):
-    """clamp_nonnegative on each row of a stack, naming the row by its
-    label; one min() over the whole stack when no value is negative."""
-    if stack.min() < 0.0:
-        for row, label in zip(stack, labels):
-            clamp_nonnegative(row, label, step)
+        if low < 0.0:
+            np.maximum(row, 0.0, out=row)
     return stack
 
 
@@ -84,7 +90,7 @@ class SpatialGrid:
     def __post_init__(self):
         check_bounded("length", (self.length,), 0, strict=True)
         check_integer("n_cells", (self.n_cells,), 2)
-        if self.n_cells > _MAX_CELLS:
+        if self.n_cells > MAX_CELLS:
             raise ValidationError(f"n_cells = {self.n_cells:.3e} is more cells "
                                   "than a density array can hold")
 
@@ -223,15 +229,22 @@ def march(state, step, bound, times, snapshot):
     return snapshots, state
 
 
+def read_text(path, what):
+    """The text of the UTF-8 file at path, line ends as newlines; ParseError
+    "cannot read <what> <path>: ..." when it cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _read_profile_file(path, n_cells):
     """Read per-cell (c, s, u) lines into a (3, n_cells) array; '#' lines
     are comments. Every value must be a finite number."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read profile_file {path}: {exc}") from exc
     rows = []
+    # on "\n" alone, as readlines(): splitlines() also splits on \x0c, \x85...
+    lines = read_text(path, "profile_file").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

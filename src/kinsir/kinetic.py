@@ -27,9 +27,10 @@ Positivity: where a new density would go negative, each face's flux is
 scaled by the factor of the cell that it leaves, so that no cell sends out
 more than it holds after its reactions; one still negative is a reaction
 overshoot and asks for a smaller cfl, the key that sets a kinetic run's
-step. Where -g outgrows rho*M, the scaling limiter of Zhang & Shu (J.
-Comput. Phys. 229, 2010) shrinks g in each (species, cell) row with a
-negative as little as leaves it nonnegative. The bias sustains a skew
+step, and one that is not finite (an overflow) raises too. Where -g
+outgrows rho*M, the scaling limiter of Zhang & Shu (J. Comput. Phys. 229,
+2010) shrinks g in each (species, cell) row with a negative as little as
+leaves it nonnegative. The bias sustains a skew
 eps^p*chi0*(ds/dx)*v*c/sigma1 in f1, which the model's own f1 survives only
 while Lambda = eps^p*chi0*max|ds/dx|*max|v_j| / (sigma1*M) <= 1; where f1
 goes negative at Lambda > 1 the step raises NegativityError naming Lambda.
@@ -53,8 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CflViolationError, NegativityError, ValidationError
-from .grids import (MacroState, check_dt, clamp_rows_nonnegative, march, shifted,
-                    snapshot_schedule, step_ratio)
+from .grids import (MacroState, check_dt, clamp_rows_nonnegative, finite_nonnegative,
+                    march, shifted, snapshot_schedule, step_ratio)
 
 MAX_CFL = 0.9  # transport number bound: dt <= MAX_CFL * eps * dx / vmax
 
@@ -274,12 +275,15 @@ def kinetic_step(state, params, eqs, dt):
 
     held = rho + np.multiply(params.reactions(*rho), dt)
     flux = (terms[..., 1:] @ plan.fluxes)[..., 0]  # dt/(eps*dx) * <v g> at i+1/2
-    rho_new = np.add(held - flux, shifted(flux, -1), out=terms[..., 0])
-    if rho_new.min() < 0.0:
+    # contiguous, not the strided terms[..., 0]: min() and max() of a
+    # strided view cost about twice as much
+    rho_new = held - flux + shifted(flux, -1)
+    if not finite_nonnegative(rho_new):
         flux = _limit_outflow(flux, held)
-        np.add(held - flux, shifted(flux, -1), out=rho_new)
+        rho_new = held - flux + shifted(flux, -1)
         clamp_rows_nonnegative(rho_new, [f"density of kinetic distribution f{i}"
                                          for i in "123"], "cfl")
+    terms[..., 0] = rho_new
 
     f = np.matmul(terms, plan.basis)
     f += moved

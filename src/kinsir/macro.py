@@ -65,7 +65,8 @@ def macro_step(state, coeff, dt):
 
     Heun half steps dt/2 of drift plus reactions around exact diffusion over
     dt. Each Euler stage stays within the drift bound 0.9*dx/max|chi*ds/dx|
-    (StepSizeError) and no density below -1e-12 (NegativityError).
+    (StepSizeError) and no density below -1e-12 or not finite
+    (NegativityError).
     """
     check_dt(dt)
     dx, n = state.grid.dx, state.grid.n_cells

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeStateError, ValidationError
-from .grids import NEGATIVITY_TOL, check_bounded, check_dt, split
+from .grids import MAX_CELLS, NEGATIVITY_TOL, check_bounded, check_dt, split
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,12 @@ def sir_rhs(state, params):
 def basic_reproduction_number(params):
     """R0 = beta*k*r/(d1*d2*d3).
 
-    Needs strictly positive death rates; zero-rate parameter sets have no
-    meaningful threshold.
+    Defined only where d1*d2*d3 > 0: a zero death rate, or rates whose
+    product underflows to 0 (1e-110 each), raise ValidationError.
     """
     denom = params.d1 * params.d2 * params.d3
     if denom <= 0:
-        raise ValidationError("d1, d2, d3 must be > 0 for equilibrium analysis")
+        raise ValidationError("d1*d2*d3 must be > 0 for equilibrium analysis")
     return params.beta * params.k * params.r / denom
 
 
@@ -103,7 +103,7 @@ def _step_count(initial, t_final, dt):
 
     # the trajectory's (n_steps + 1, 3) doubles must fit in one numpy array
     steps = t_final / dt
-    if not 24 * (steps + 1) <= np.iinfo(np.intp).max:
+    if not steps + 1 <= MAX_CELLS:
         raise ValidationError(f"t_final / dt = {steps:.3e} steps is more than "
                               "a trajectory array can hold")
     return split(t_final, dt)
@@ -118,6 +118,20 @@ def _times(start, stop, h, t_final, n_steps):
     if stop == n_steps + 1:
         times[-1] = t_final
     return times
+
+
+def _clamped(u, v, w, t):
+    """The state at time t with each component in [-NEGATIVITY_TOL, 0)
+    rounded up to zero; NegativeStateError for one below, or not finite."""
+    for x in (u, v, w):
+        if not math.isfinite(x):
+            raise NegativeStateError(f"state component {x:.3e} at t = {t:.6g} is not finite")
+    low = min(u, v, w)
+    if low < -NEGATIVITY_TOL:
+        raise NegativeStateError(
+            f"state component {low:.3e} < -{NEGATIVITY_TOL:.1e} at t = {t:.6g}; reduce dt"
+        )
+    return max(u, 0.0), max(v, 0.0), max(w, 0.0)
 
 
 def _rk4_into(rows, start, params, h, first):
@@ -135,6 +149,7 @@ def _rk4_into(rows, start, params, h, first):
     # a float stored through a flat memoryview of rows builds no array
     flat = memoryview(rows.reshape(-1))
     offset = 3 * first
+    inf = math.inf
 
     for i in range(first, first + len(rows)):
         # RK4 stages of ModelParams.reactions on scalars, each stage with
@@ -167,16 +182,9 @@ def _rk4_into(rows, start, params, h, first):
         v += h * (av + 2.0 * bv + 2.0 * cv + dv) / 6.0
         w += h * (aw + 2.0 * bw + 2.0 * cw + dw) / 6.0
 
-        # min(u, v, w) < 0 only if one of them is; a nan passes as before
-        if u < 0.0 or v < 0.0 or w < 0.0:
-            low = min(u, v, w)
-            if low < 0.0:
-                if low < -NEGATIVITY_TOL:
-                    raise NegativeStateError(
-                        f"state component {low:.3e} < -{NEGATIVITY_TOL:.1e} at "
-                        f"t = {i * h:.6g}; reduce dt"
-                    )
-                u, v, w = max(u, 0.0), max(v, 0.0), max(w, 0.0)
+        # a nan fails every comparison
+        if not (u >= 0.0 and v >= 0.0 and w >= 0.0 and u < inf and v < inf and w < inf):
+            u, v, w = _clamped(u, v, w, i * h)
         row = 3 * i - offset
         flat[row] = u
         flat[row + 1] = v
@@ -192,8 +200,9 @@ def integrate_sir(initial, params, t_final, dt):
     lands exactly on t_final; the trajectory has ceil(t_final/dt)+1 states.
     Components in [-NEGATIVITY_TOL, 0) are rounded up to zero after each
     step; a component below -NEGATIVITY_TOL raises NegativeStateError
-    (dt too large). dt must be finite and > 0; t_final and every component
-    of the initial state must be finite and >= 0.
+    (dt too large), and so does one that is not finite (an overflow). dt
+    must be finite and > 0; t_final and every component of the initial
+    state must be finite and >= 0.
     """
     n_steps, h = _step_count(initial, t_final, dt)
     [(times, states)] = _blocks(initial, params, h, t_final, n_steps, n_steps + 1)

@@ -1,25 +1,29 @@
-"""An exact per-mode propagator of the linear kinetic model, for tests.
+"""Exact per-mode propagators of the linearized model's tiers, for tests.
 
-With chi0 = 0 and no reactions each species of the kinetic model is linear
-with coefficients that do not depend on x. On a periodic grid of n cells,
-the rfft mode m of f(., v) then evolves by exp(t * B_m), with
+About a uniform state q = (c, s, u), f_i = q_i * M_i, the kinetic model is
+linear with coefficients that do not depend on x. On a periodic grid of n
+cells, the rfft mode m of (f1, f2, f3)(., v) then evolves by exp(t * B_m),
+a 3*n_nodes matrix whose diagonal block for species i is
 
-    B_m = -i * kappa_m * diag(v) / eps + lam * (M w^T - I),
+    -i * kappa_m * diag(v) / eps + lam_i * (M_i w^T - I),
 
-lam = sigma / eps^(q+1), and the staggered symbol
+lam_i = sigma_i / eps^(q_i+1), and the staggered symbol
 kappa_m = (2/dx) * sin(pi*m/n), set to 0 at the Nyquist mode of an even n.
-kappa_m^2 is the three-point Laplacian's eigenvalue, so as eps -> 0 the
+The interactions, the shared law at the ratios f_k/M_k over |V|, add
+J_ik / (M_k |V|) (the identity times J_ik, since M is uniform) between the
+blocks, with J the Jacobian of ModelParams.reactions at q; the bias adds
+eps^(p-q1-1) * chi0 * c * i * kappa_m * v w^T in the rows of f1 and the
+columns of f2. With chi0 = 0 and no reactions each species is on its own,
+and kappa_m^2 is the three-point Laplacian's eigenvalue, so as eps -> 0 the
 modes decay as macro._heat_symbol does on the same grid.
 
-About a uniform state q = (c, s, u) the macro system is linear too: mode m
-evolves by exp(t * A_m), with J the Jacobian of ModelParams.reactions at q
-and
+About q the macro system is linear too: mode m evolves by exp(t * A_m), with
 
     A_m = J - kappa_m^2 * diag(Dc, Ds, Du) + chi * c * kappa_m^2 * e_c e_s^T,
 
 where kappa_m^2 = (4/dx^2) * sin^2(pi*m/n) at every mode, the three-point
-symbol of both the diffusion and the linearized upwind drift. Mode 0 is
-the ODE's exp(t * J).
+symbol of both the diffusion and the linearized upwind drift. Mode 0 of
+either tier is the ODE's exp(t * J).
 """
 
 import numpy as np
@@ -51,24 +55,40 @@ def mode_symbols(grid):
     return kappa
 
 
-def propagators(grid, vgrid, M, eps, sigma, q, t):
-    """exp(t * B_m) for the rfft modes m = 0 .. n//2 of one species, as an
-    (n//2 + 1, n_nodes, n_nodes) complex stack.
+def propagators(grid, vgrid, eqs, eps, params, q, t, modes=None):
+    """exp(t * B_m) of the kinetic model with ModelParams params linearized
+    about q, for the rfft modes m (all of 0 .. n//2 by default), as a
+    (modes, 3*n_nodes, 3*n_nodes) complex stack; the rows and columns
+    i*n_nodes .. (i+1)*n_nodes - 1 are those of species i.
 
-    The exponential is taken in the basis M, e_k - M w_k (k >= 1), where
-    relaxation is exactly diag(0, -lam, ..., -lam): mode 0 is then diagonal,
-    and keeps the mass w^T f to rounding however many squarings a stiff
-    lam needs (in the node basis its error doubles with each one).
+    The exponential is taken in the basis M_i, e_k - M_i w_k (k >= 1) of
+    each species, where relaxation is exactly diag(0, -lam_i, ..., -lam_i):
+    without reactions mode 0 is then diagonal, and keeps the mass w^T f to
+    rounding however many squarings a stiff lam needs (in the node basis
+    its error doubles with each one).
     """
-    n, w = vgrid.n_nodes, vgrid.weights
-    basis = np.eye(n) - np.outer(M, w)
-    basis[:, 0] = M
-    inverse = np.eye(n) - np.outer(M / M[0], np.eye(n)[0])
-    inverse[0] = w
-    relax = np.diag(np.r_[0.0, np.full(n - 1, -sigma / eps ** (q + 1))])
-    speeds = inverse @ (vgrid.nodes[:, None] * basis)  # diag(v) in the basis
-    drift = np.multiply.outer(mode_symbols(grid) / eps, speeds)
-    return basis @ expm(t * (relax - 1j * drift)) @ inverse
+    n, w, v = vgrid.n_nodes, vgrid.weights, vgrid.nodes
+    basis, inverse = np.zeros((2, 3 * n, 3 * n))
+    relax = np.zeros(3 * n)
+    rates = zip(eqs, (params.sigma1, params.sigma2, params.sigma3),
+                (params.q1, params.q2, params.q3))
+    for i, (M, sigma, q_i) in enumerate(rates):
+        block = slice(i * n, (i + 1) * n)
+        basis[block, block] = np.eye(n) - np.outer(M, w)
+        basis[block, i * n] = M
+        inverse[block, block] = np.eye(n) - np.outer(M / M[0], np.eye(n)[0])
+        inverse[i * n, block] = w
+        relax[i * n + 1:(i + 1) * n] = -sigma / eps ** (q_i + 1)
+    # B_m = relaxation + interactions - i * kappa_m * drift
+    drift = np.diag(np.tile(v, 3) / eps)
+    drift[:n, n:2 * n] = (-eps ** (params.p - params.q1 - 1) * params.chi0 * q[0]
+                          * np.outer(v, w))
+    react = (np.kron(reaction_jacobian(params, q), np.eye(n))
+             / (vgrid.measure * eqs.reshape(-1)))
+    kappa = mode_symbols(grid)[slice(None) if modes is None else modes]
+    exponent = (np.diag(relax) + inverse @ react @ basis
+                - 1j * np.multiply.outer(kappa, inverse @ drift @ basis))
+    return basis @ expm(t * exponent) @ inverse
 
 
 def reaction_jacobian(params, q):

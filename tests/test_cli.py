@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinsir import __version__
+from kinsir import __version__, errors
 from kinsir.cli import _header, _named, _table, _texts, main
 from kinsir.config import load_config
 from kinsir.convergence import run_convergence_study
@@ -410,6 +410,17 @@ def test_ode_with_a_zero_death_rate_writes_the_trajectory_without_a_report(
     assert columns == "quantity,value" and rows == []
 
 
+def test_ode_with_death_rates_whose_product_underflows_writes_no_report(tmp_path):
+    # 1e-110 cubed underflows to 0: sir finds R0 undefined, as for a zero rate
+    code, out = run_cli(tmp_path, "ode",
+                        ODE_CFG + "d1 = 1e-110\nd2 = 1e-110\nd3 = 1e-110\n")
+    assert code == 0
+    _, _, rows = read_table(out / "trajectory.csv")
+    assert len(rows) == 11
+    _, columns, rows = read_table(out / "equilibrium.csv")
+    assert columns == "quantity,value" and rows == []
+
+
 def test_ode_peak_memory_does_not_grow_with_the_step_count(tmp_path,
                                                           monkeypatch):
     # a whole trajectory in memory costs 32 bytes a step (three states and
@@ -650,6 +661,17 @@ def test_malformed_profile_files_are_reported(tmp_path, capsys, profile, code,
     assert not out.exists()
 
 
+def test_profile_file_lines_end_at_newlines_alone(tmp_path):
+    # str.splitlines() would also end a line at \x0c, \x85 or \u2028 and
+    # read each of these rows as two rows of too few columns
+    (tmp_path / "cells.csv").write_text("1,0.5\x0c,0.2\n1,0.5\x85,0.2\u2028\n",
+                                        encoding="utf-8")
+    code, out = run_cli(tmp_path, "macro", FILE_PROFILE_CFG.decode())
+    assert code == 0
+    _, _, rows = read_table(out / "macro_snapshots.csv")
+    assert len(rows) == 2
+
+
 def test_ode_rejects_a_negative_start_from_a_file_profile_config(tmp_path, capsys):
     # a file profile leaves c0, s0 and u0 unchecked by the config; the
     # integrator checks its starting state itself
@@ -676,6 +698,27 @@ def test_cell_counts_beyond_an_array_exit_three(tmp_path, capsys, subcommand,
     code, out = run_cli(tmp_path, subcommand, f"n_cells = {n_cells}\nt_final = 0.01\n")
     assert code == 3
     assert f"n_cells = {n_cells:.3e} is more cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+OVERFLOW_CFG = ("profile = cosine\nc0 = 1e200\ns0 = 1e200\nu0 = 1e200\n"
+                "n_cells = 16\nn_nodes = 8\nt_final = 0.01\n")
+
+
+# the infection term c*u overflows in the first step; numpy's overflow
+# warnings go to stderr, as they do outside the test suite
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("subcommand, code, message", [
+    ("ode", 4, "NegativeStateError: state component nan at t = 0.001 is not finite"),
+    ("macro", 9, "NegativityError: macro field c reached -inf, which is not finite"),
+    ("kinetic", 9, "NegativityError: density of kinetic distribution f1 reached nan, "
+                   "which is not finite"),
+])
+def test_overflowing_states_exit_with_their_code_and_leave_no_directory(
+        tmp_path, capsys, subcommand, code, message):
+    exit_code, out = run_cli(tmp_path, subcommand, OVERFLOW_CFG)
+    assert exit_code == code
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -746,8 +789,11 @@ def test_identically_zero_errors_report_a_flat_order(tmp_path, capsys):
     assert all(float(cell) == 0.0 for row in rows for cell in row[1:])
 
 
-# README's exit codes other than 1, an unexpected internal error
-DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}
+# README's exit codes other than 1, an unexpected internal error: 0 and the
+# code that each error class carries
+DOCUMENTED_EXIT_CODES = {0} | {
+    cls.exit_code for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.KinsirError)} - {1}
 
 _RATE = st.floats(0.0, 2.0)
 _DENSITY = st.floats(0.0, 2.0)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import kinsir.kinetic as kin
 from kinsir import ModelParams, SirState, integrate_sir
 from kinsir.errors import CflViolationError, NegativityError, ValidationError
-from kinsir.grids import InitialProfile, SpatialGrid, clamp_nonnegative
+from kinsir.grids import InitialProfile, SpatialGrid, clamp_rows_nonnegative
 from kinsir.velocity import build_velocity_grid, species_equilibria
 
 VGRID = build_velocity_grid(1.0, 8)
@@ -184,6 +184,17 @@ def test_interaction_overshoot_raises_negativity_error(row, rate):
         kin.kinetic_step(state, params, EQS, dt)
 
 
+def test_a_density_that_overflows_raises_negativity_error():
+    # k*s overflows to +inf in the virus row alone, which no min() sees
+    profile = InitialProfile("cosine", c0=1.0, s0=4.0, u0=0.25, amplitude=0.3)
+    state = kin.init_local_equilibrium(profile.build(GRID), EQS, VGRID, 0.5)
+    params = ModelParams(**{**NO_REACTIONS, "k": 1e308})
+    with np.errstate(over="ignore"), pytest.raises(
+            NegativityError, match="^density of kinetic distribution f3 reached inf, "
+                                   "which is not finite$"):
+        kin.kinetic_step(state, params, EQS, kin.max_step(state, 0.8))
+
+
 def per_species_step(fields, params, eqs, eps, grid, vgrid, dt):
     """kinetic_step written out one species at a time and its limiters one
     cell at a time, its matrices built here, without the check that raises
@@ -228,7 +239,8 @@ def per_species_step(fields, params, eqs, eps, grid, vgrid, dt):
     new = []
     for i, (moved, rows, terms, flux, held) in enumerate(species):
         terms[:, 0] = held - flux + np.roll(flux, 1)
-        clamp_nonnegative(terms[:, 0], f"density of kinetic distribution f{i + 1}", "cfl")
+        clamp_rows_nonnegative(terms[None, :, 0],
+                               [f"density of kinetic distribution f{i + 1}"], "cfl")
         f = terms @ rows + moved
         if f.min() < 0.0:
             # the scaling limiter, with the largest theta that keeps f >= 0

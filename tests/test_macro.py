@@ -24,7 +24,6 @@ from kinsir.grids import (
     MacroState,
     SpatialGrid,
     check_dt,
-    clamp_nonnegative,
     clamp_rows_nonnegative,
     march,
     shifted,
@@ -388,6 +387,16 @@ def test_negative_reaction_overshoot_is_reported(field, rate):
         macro_step(state, coeff, 0.01)
 
 
+def test_a_field_that_overflows_raises_negativity_error():
+    # k*s overflows to +inf in the u row alone, which no min() sees
+    params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=1e308, r=0)
+    coeff = MacroCoefficients(Dc=0.0, Ds=0.0, Du=0.0, chi=0.0, params=params)
+    state = constant_state((1.0, 4.0, 0.25), SpatialGrid(1.0, 8))
+    with np.errstate(over="ignore"), pytest.raises(
+            NegativityError, match="^macro field u reached inf, which is not finite$"):
+        macro_step(state, coeff, 0.01)
+
+
 def test_rounding_level_negatives_are_clamped_to_zero():
     params = ModelParams(d1=1.0, d2=0, d3=0, beta=0, k=0, r=0)
     coeff = MacroCoefficients(Dc=0.0, Ds=0.0, Du=0.0, chi=0.0, params=params)
@@ -407,9 +416,25 @@ def test_shifted_is_the_periodic_roll(shape, k):
 
 @pytest.mark.parametrize("low", [-1e-13, -1e-12])
 def test_clamp_rounds_noise_level_negatives_up_in_place(low):
-    field = np.array([low, 0.0, 2.0])
-    assert clamp_nonnegative(field, "test field") is field
-    assert field.tolist() == [0.0, 0.0, 2.0]
+    field = np.array([[low, 0.0, 2.0]])
+    assert clamp_rows_nonnegative(field, ["test field"]) is field
+    assert field.tolist() == [[0.0, 0.0, 2.0]]
+
+
+def test_clamp_leaves_a_row_of_negative_zeros_bit_for_bit():
+    # np.maximum(-0.0, 0.0) is +0.0: only a row that holds a negative is
+    # clamped, so a row whose only sign bits are on -0.0 keeps them
+    stack = np.array([[-0.0, 1.0, -0.0], [1.0, -1e-13, -0.0]])
+    clamp_rows_nonnegative(stack, ("row a", "row b"))
+    assert np.signbit(stack).tolist() == [[True, False, True], [False, False, False]]
+    assert stack.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_clamp_refuses_a_value_that_is_not_finite(bad):
+    stack = np.array([[1.0, 2.0], [0.5, bad]])
+    with pytest.raises(NegativityError, match=f"^row b reached {bad:.3e}, which is not finite$"):
+        clamp_rows_nonnegative(stack, ("row a", "row b"))
 
 
 def test_stacked_clamp_names_the_first_row_below_tolerance():

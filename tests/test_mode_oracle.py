@@ -1,16 +1,20 @@
-"""The exact per-mode oracle of the linear kinetic model (mode_oracle.py):
-mass, its parabolic limit, and the mode-1 decay rates of the model, of the
-kinetic step and of the split scheme that the step replaced, on 128
-cells; and the macro system and the ODE linearized about the endemic
-state, with chemotaxis and reactions on, against macro_step and
-integrate_sir."""
+"""The exact per-mode oracles of the linearized tiers (mode_oracle.py).
+Without coupling: mass, the parabolic limit, and the mode-1 decay rates of
+the kinetic model, of the kinetic step and of the split scheme that the
+step replaced, on 128 cells. About the endemic state, with chemotaxis and
+reactions on: the kinetic oracle's mode 0 and its limit in every scaling
+regime, and macro_step, integrate_sir and the kinetic step against the
+oracle of their tier."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kinsir import ModelParams, SirState, equilibria, integrate_sir, kinetic
+from kinsir import (ModelParams, SirState, convergence, equilibria, integrate_sir,
+                    kinetic)
 from kinsir.grids import InitialProfile, MacroState, SpatialGrid, split
 from kinsir.macro import _heat_symbol, build_macro_coefficients, macro_step
 from kinsir.velocity import (
@@ -23,14 +27,23 @@ from mode_oracle import expm, macro_matrices, propagators, reaction_jacobian
 
 GRID = SpatialGrid(1.0, 128)
 VGRID = build_velocity_grid(1.0, 16)
+EQS = species_equilibria(VGRID)
 M = uniform_equilibrium(VGRID)
 T = 0.05
+NO_REACTIONS = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
+
+
+def uncoupled(eps, mode):
+    """The block of f1 in the oracle's mode with chi0 = 0 and no reactions,
+    where each species is on its own; sigma = q = 1."""
+    n = VGRID.n_nodes
+    return propagators(GRID, VGRID, EQS, eps, NO_REACTIONS, (1.0, 0.0, 0.0), T,
+                       [mode])[0, :n, :n]
 
 
 def oracle_decay(eps):
     """|c_1(T)| / |c_1(0)| of the model from the local equilibrium, sigma = q = 1."""
-    mode1 = propagators(GRID, VGRID, M, eps, 1.0, 1, T)[1]
-    return abs(VGRID.weights @ mode1 @ M)
+    return abs(VGRID.weights @ uncoupled(eps, 1) @ M)
 
 
 def decay_rate(ratio):
@@ -40,7 +53,7 @@ def decay_rate(ratio):
 
 @pytest.mark.parametrize("eps", [0.4, 0.05, 3e-3, 1e-4])
 def test_mode_zero_keeps_mass(eps):
-    mode0 = propagators(GRID, VGRID, M, eps, 1.0, 1, T)[0]
+    mode0 = uncoupled(eps, 0)
     f = np.random.default_rng(3).uniform(0.0, 1.0, (VGRID.n_nodes, 5))
     mass = VGRID.weights @ f
     assert np.max(np.abs(VGRID.weights @ mode0 @ f - mass) / mass) <= 1e-13
@@ -54,9 +67,6 @@ def test_mode_one_tends_to_the_heat_symbol(eps, bound):
     rate = diffusion_tensor(M, 1.0, VGRID) * T / GRID.dx ** 2
     heat = _heat_symbol(GRID.n_cells, (rate,))[0, 1]
     assert abs(oracle_decay(eps) - heat) / heat <= bound
-
-
-NO_REACTIONS = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
 
 
 def run_decay(eps):
@@ -170,3 +180,68 @@ def test_integrate_sir_near_the_endemic_state_follows_the_linear_ode():
         final = integrate_sir(start, COUPLED, 1.0, h).final.as_array()
         errors.append(np.linalg.norm(final - QSTAR - exact) / np.linalg.norm(exact))
     assert errors == pytest.approx([2.85e-7, 1.85e-8], rel=0.05)
+
+
+KINETIC_GRID = SpatialGrid(1.0, 64)
+DENSITIES = np.kron(np.eye(3), VGRID.weights)  # (3, 3*n_nodes): f -> rho
+EQUILIBRIUM = np.kron(np.eye(3), M).T  # (3*n_nodes, 3): rho -> rho * M
+
+
+def coupled_densities(params, eps, mode):
+    """The kinetic oracle's mode about QSTAR acting on the densities of a
+    local equilibrium, f = rho * M at the start and rho = <f> at T."""
+    oracle = propagators(KINETIC_GRID, VGRID, EQS, eps, params, QSTAR, T, [mode])[0]
+    return DENSITIES @ oracle @ EQUILIBRIUM
+
+
+def test_the_coupled_kinetic_oracle_has_the_ode_as_its_mode_zero():
+    exact = expm(T * reaction_jacobian(COUPLED, QSTAR)[None])[0]
+    for eps in (0.4, 0.01):
+        np.testing.assert_allclose(coupled_densities(COUPLED, eps, 0), exact,
+                                   rtol=0, atol=1e-12)
+
+
+def limit_coefficients(params, monkeypatch):
+    """The MacroCoefficients that convergence._limit_reference hands to
+    run_macro for params: the rule that keeps D_i where q_i = 1 and chi
+    where p = 1, as the source writes it."""
+    kept = []
+    monkeypatch.setattr(convergence, "run_macro",
+                        lambda start, coeff, *args, **kwargs: kept.append(coeff) or [start])
+    start = MacroState(np.ones((3, KINETIC_GRID.n_cells)), 0.0, KINETIC_GRID)
+    convergence._limit_reference(InitialProfile("constant"), start, params, VGRID, T,
+                                 [T], 1)
+    return kept[0]
+
+
+# the distances at eps = 0.005 run from 2.7e-4 (parabolic) to 3.5e-3; with
+# every coefficient kept instead, the non-parabolic ones stay between 0.23
+# and 0.8 as eps shrinks
+@pytest.mark.parametrize("q1, q2, q3, p", itertools.product((1, 2), repeat=4))
+def test_the_coupled_kinetic_oracle_tends_to_the_limit_that_a_study_takes(
+        monkeypatch, q1, q2, q3, p):
+    params = replace(COUPLED, q1=q1, q2=q2, q3=q3, p=p)
+    coeff = limit_coefficients(params, monkeypatch)
+    limit = expm(T * macro_matrices(KINETIC_GRID, coeff, QSTAR))[1]
+    distances = np.array([np.linalg.norm(coupled_densities(params, eps, 1) - limit, 2)
+                          for eps in (0.01, 0.005)]) / np.linalg.norm(limit, 2)
+    # each dropped coefficient is O(eps); the parabolic limit is O(eps^2)
+    order = math.log2(distances[0] / distances[1])
+    assert order == pytest.approx(2 if (q1, q2, q3, p) == (1, 1, 1, 1) else 1, abs=0.2)
+    assert distances[1] < 3.6e-3
+
+
+# the kinetic step's relative distance from the coupled oracle at mode 1 on
+# 64 x 16 cells, T = 0.05, cfl 0.8; the split step that it replaced was
+# 0.9%, 3.5%, 7.2% and 37% off at these eps
+@pytest.mark.parametrize("eps, distance", [
+    (0.4, 9.88e-3), (0.1, 5.69e-3), (0.05, 2.92e-3), (0.01, 7.96e-4)])
+def test_the_kinetic_step_follows_the_coupled_oracle(eps, distance):
+    wave = np.cos(2.0 * np.pi * KINETIC_GRID.centers)
+    exact = coupled_densities(COUPLED, eps, 1) @ SHAPE
+    start = MacroState(QSTAR[:, None] + np.outer(SHAPE, wave), 0.0, KINETIC_GRID)
+    state = kinetic.init_local_equilibrium(start, EQS, VGRID, eps)
+    snapshots, _ = kinetic.run_kinetic(state, COUPLED, EQS, T, cfl=0.8)
+    amplitude = np.fft.rfft(snapshots[-1].rho)[:, 1] / np.fft.rfft(wave)[1]
+    relative = np.linalg.norm(amplitude - exact) / np.linalg.norm(exact)
+    assert relative == pytest.approx(distance, rel=0.02)

@@ -50,6 +50,11 @@ class TestReproductionNumber:
         with pytest.raises(ValidationError):
             basic_reproduction_number(p)
 
+    def test_rejects_death_rates_whose_product_underflows(self):
+        p = ModelParams(d1=1e-110, d2=1e-110, d3=1e-110, beta=1.0, k=1.0, r=1.0)
+        with pytest.raises(ValidationError, match=r"^d1\*d2\*d3 must be > 0"):
+            basic_reproduction_number(p)
+
 
 class TestEquilibria:
     def test_r0_two_gives_unit_endemic_state(self):
@@ -234,6 +239,19 @@ class TestIntegrator:
         p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=40.0, k=1.0, r=0.0)
         with pytest.raises(NegativeStateError):
             integrate_sir(SirState(1.0, 0.0, 1.0), p, 5.0, 1.0)
+
+    @pytest.mark.parametrize("start, rates, message", [
+        # the infection term overflows, and the state becomes nan
+        ((1e200, 1e200, 1e200), dict(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0),
+         "state component nan at t = 1 is not finite"),
+        # every RK4 stage is finite, but the weighted sum of the stages
+        # overflows
+        ((0.0, 0.0, 0.0), dict(d1=0.0, d2=0.0, d3=0.0, beta=0.0, k=0.0, r=1e308),
+         "state component inf at t = 1 is not finite"),
+    ])
+    def test_states_that_are_not_finite_raise(self, start, rates, message):
+        with pytest.raises(NegativeStateError, match=f"^{message}$"):
+            integrate_sir(SirState(*start), ModelParams(**rates), 2.0, 1.0)
 
     def test_states_stay_nonnegative(self):
         p = ModelParams(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=2.0)
