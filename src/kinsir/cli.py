@@ -122,7 +122,7 @@ def _cmd_ode(config, out_dir):
     )
     try:
         report = equilibria(config.params)
-    except ValidationError:  # sir's rule: R0 is undefined unless d1*d2*d3 > 0
+    except ValidationError:  # sir's rule: R0 or an equilibrium is undefined
         quantities = []
     else:
         quantities = [("r0", report.r0),
@@ -217,11 +217,6 @@ _COMMANDS = {
 }
 
 
-def dispatch(subcommand, config, out_dir):
-    """Run one subcommand; returns the list of files written."""
-    return _COMMANDS[subcommand](config, out_dir)
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="kinsir",
@@ -241,7 +236,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        written = dispatch(args.subcommand, config, args.out)
+        written = _COMMANDS[args.subcommand](config, args.out)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, KinsirError) else 1

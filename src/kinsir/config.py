@@ -13,7 +13,8 @@ from dataclasses import fields
 
 from .errors import ParseError, ValidationError
 from .convergence import check_ref_refine
-from .grids import InitialProfile, SpatialGrid, check_dt, read_text, snapshot_schedule
+from .grids import (InitialProfile, SpatialGrid, check_dt, data_lines, read_text,
+                    snapshot_schedule)
 from .kinetic import MAX_CFL, check_cfl, check_epsilon
 from .params import ModelParams
 
@@ -111,10 +112,7 @@ def parse_config(text, source="<config>", base_dir="."):
     violates a model or solver invariant.
     """
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         if "=" not in line:
             raise ParseError(f"{source}:{lineno}: expected 'key = value'")
         key, _, rest = line.partition("=")
@@ -148,8 +146,7 @@ def _build_profile(values, base_dir):
         path = values["profile_file"]
         if not path:
             raise ValidationError("profile = file needs profile_file")
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+        path = os.path.join(base_dir, path)  # an absolute path stays as it is
         if not os.path.exists(path):
             raise ValidationError(f"profile_file does not exist: {path}")
         return InitialProfile("file", path=path)

@@ -239,16 +239,24 @@ def read_text(path, what):
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def data_lines(text):
+    """(lineno, line) for each line of text, stripped, that is neither blank
+    nor a '#' comment; the line rule of both input files.
+
+    Lines end at "\n" alone, as readlines() ends them: str.splitlines()
+    also ends them at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029.
+    """
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def _read_profile_file(path, n_cells):
     """Read per-cell (c, s, u) lines into a (3, n_cells) array; '#' lines
     are comments. Every value must be a finite number."""
     rows = []
-    # on "\n" alone, as readlines(): splitlines() also splits on \x0c, \x85...
-    lines = read_text(path, "profile_file").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(read_text(path, "profile_file")):
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"{path}:{lineno}: expected 'c,s,u', got {line!r}")

@@ -10,7 +10,7 @@ equilibrium).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -61,13 +61,16 @@ def sir_rhs(state, params):
 def basic_reproduction_number(params):
     """R0 = beta*k*r/(d1*d2*d3).
 
-    Defined only where d1*d2*d3 > 0: a zero death rate, or rates whose
-    product underflows to 0 (1e-110 each), raise ValidationError.
+    Defined only where d1*d2*d3 > 0 and R0 is finite: a zero death rate,
+    rates whose product underflows to 0 (1e-110 each), and an R0 that
+    overflows (or is inf*0) raise ValidationError.
     """
     denom = params.d1 * params.d2 * params.d3
     if denom <= 0:
         raise ValidationError("d1*d2*d3 must be > 0 for equilibrium analysis")
-    return params.beta * params.k * params.r / denom
+    r0 = params.beta * params.k * params.r / denom
+    check_bounded("R0", (r0,), 0)
+    return r0
 
 
 def equilibria(params):
@@ -75,6 +78,9 @@ def equilibria(params):
 
     q0    = (r/d1, 0, 0)
     qstar = (r/(d1*R0), d1*d3*(R0-1)/(beta*k), d1*(R0-1)/beta)
+
+    Every quantity must be finite: ValidationError names the first that is
+    not, in the order R0, q0_c, q0_s, q0_u, qstar_c, qstar_s, qstar_u.
     """
     r0 = basic_reproduction_number(params)
     q0 = SirState(params.r / params.d1, 0.0, 0.0)
@@ -85,6 +91,8 @@ def equilibria(params):
             params.d1 * params.d3 * (r0 - 1.0) / (params.beta * params.k),
             params.d1 * (r0 - 1.0) / params.beta,
         )
+    check_bounded(("q0_c", "q0_s", "q0_u", "qstar_c", "qstar_s", "qstar_u"),
+                  astuple(q0) + (astuple(qstar) if qstar else ()), 0)
     return EquilibriumReport(r0, q0, qstar)
 
 

@@ -421,6 +421,22 @@ def test_ode_with_death_rates_whose_product_underflows_writes_no_report(tmp_path
     assert columns == "quantity,value" and rows == []
 
 
+# R0 overflows to inf in the first; in the second R0 = 1e50, but qstar_s
+# overflows: sir finds the report undefined, as for a zero rate
+@pytest.mark.parametrize("rates, rows", [
+    ("d1 = 1e-100\nd2 = 1e-100\nd3 = 1e-100\nbeta = 1e100\nk = 1e100\nr = 1e100\n"
+     "t_final = 0.01\n", 11),
+    ("d1 = 1e200\nd2 = 1e-300\nd3 = 1e200\nbeta = 1e-50\nk = 1e-50\nr = 1e250\n"
+     "t_final = 0\n", 1)], ids=["r0", "qstar_s"])
+def test_ode_whose_report_overflows_writes_no_report(tmp_path, rates, rows):
+    code, out = run_cli(tmp_path, "ode", "c0 = 0\ns0 = 0\nu0 = 0\n" + rates)
+    assert code == 0
+    _, _, cells = read_table(out / "trajectory.csv")
+    assert len(cells) == rows
+    _, columns, cells = read_table(out / "equilibrium.csv")
+    assert columns == "quantity,value" and cells == []
+
+
 def test_ode_peak_memory_does_not_grow_with_the_step_count(tmp_path,
                                                           monkeypatch):
     # a whole trajectory in memory costs 32 bytes a step (three states and
@@ -670,6 +686,17 @@ def test_profile_file_lines_end_at_newlines_alone(tmp_path):
     assert code == 0
     _, _, rows = read_table(out / "macro_snapshots.csv")
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("mark", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_config_lines_end_at_newlines_alone(tmp_path, mark):
+    # as a profile file's: str.splitlines() would also end this comment at
+    # mark and read the rest as a second t_final
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ODE_CFG + f"# not{mark}t_final = 0.05\n", encoding="utf-8")
+    assert main(["ode", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    _, _, rows = read_table(tmp_path / "out" / "trajectory.csv")
+    assert len(rows) == 11
 
 
 def test_ode_rejects_a_negative_start_from_a_file_profile_config(tmp_path, capsys):

@@ -4,7 +4,9 @@ the kinetic model, of the kinetic step and of the split scheme that the
 step replaced, on 128 cells. About the endemic state, with chemotaxis and
 reactions on: the kinetic oracle's mode 0 and its limit in every scaling
 regime, and macro_step, integrate_sir and the kinetic step against the
-oracle of their tier."""
+oracle of their tier. Where the endemic state turns unstable: the onset in
+chi0 of the macro system and of the kinetic oracle, and runs of both tiers
+on either side of it."""
 
 import itertools
 import math
@@ -16,7 +18,7 @@ import pytest
 from kinsir import (ModelParams, SirState, convergence, equilibria, integrate_sir,
                     kinetic)
 from kinsir.grids import InitialProfile, MacroState, SpatialGrid, split
-from kinsir.macro import _heat_symbol, build_macro_coefficients, macro_step
+from kinsir.macro import _heat_symbol, build_macro_coefficients, macro_step, run_macro
 from kinsir.velocity import (
     build_velocity_grid,
     diffusion_tensor,
@@ -152,20 +154,28 @@ SHAPE = 1e-6 * np.array([0.3, 1.0, -0.5])  # a perturbation small enough
 # that its square, which the linear model drops, stays below the errors
 
 
+def macro_step_errors(params, t, step_counts):
+    """The relative distance of macro_step's mode-1 amplitude after t from
+    expm(t * A_1) on it, from QSTAR + SHAPE * cos(2 pi x) on 64 cells, for
+    each number of steps."""
+    grid = SpatialGrid(1.0, 64)
+    coeff = build_macro_coefficients(params, build_velocity_grid(1.0, 16))
+    wave = np.cos(2.0 * np.pi * grid.centers)
+    exact = expm(t * macro_matrices(grid, coeff, QSTAR))[1] @ SHAPE
+    errors = []
+    for steps in step_counts:
+        state = MacroState(QSTAR[:, None] + np.outer(SHAPE, wave), 0.0, grid)
+        for _ in range(steps):
+            state = macro_step(state, coeff, t / steps)
+        amplitude = np.fft.rfft(state.rho)[:, 1] / np.fft.rfft(wave)[1]
+        errors.append(np.linalg.norm(amplitude - exact) / np.linalg.norm(exact))
+    return errors
+
+
 def test_macro_step_amplifies_mode_one_as_the_linear_macro_system_does():
     # relative error 2.1e-5, 5.3e-6, 1.3e-6 and 3.4e-7 at 5 to 40 steps of
     # T = 0.05: second order; a floor of order SHAPE shows from 80 steps
-    grid = SpatialGrid(1.0, 64)
-    coeff = build_macro_coefficients(COUPLED, build_velocity_grid(1.0, 16))
-    wave = np.cos(2.0 * np.pi * grid.centers)
-    exact = expm(T * macro_matrices(grid, coeff, QSTAR))[1] @ SHAPE
-    errors = []
-    for steps in (5, 10, 20, 40):
-        state = MacroState(QSTAR[:, None] + np.outer(SHAPE, wave), 0.0, grid)
-        for _ in range(steps):
-            state = macro_step(state, coeff, T / steps)
-        amplitude = np.fft.rfft(state.rho)[:, 1] / np.fft.rfft(wave)[1]
-        errors.append(np.linalg.norm(amplitude - exact) / np.linalg.norm(exact))
+    errors = macro_step_errors(COUPLED, T, (5, 10, 20, 40))
     assert errors == pytest.approx([2.14e-5, 5.30e-6, 1.32e-6, 3.37e-7], rel=0.03)
     assert all(3.8 < a / b < 4.2 for a, b in zip(errors, errors[1:]))
 
@@ -187,10 +197,10 @@ DENSITIES = np.kron(np.eye(3), VGRID.weights)  # (3, 3*n_nodes): f -> rho
 EQUILIBRIUM = np.kron(np.eye(3), M).T  # (3*n_nodes, 3): rho -> rho * M
 
 
-def coupled_densities(params, eps, mode):
+def coupled_densities(params, eps, mode, t=T):
     """The kinetic oracle's mode about QSTAR acting on the densities of a
-    local equilibrium, f = rho * M at the start and rho = <f> at T."""
-    oracle = propagators(KINETIC_GRID, VGRID, EQS, eps, params, QSTAR, T, [mode])[0]
+    local equilibrium, f = rho * M at the start and rho = <f> at t."""
+    oracle = propagators(KINETIC_GRID, VGRID, EQS, eps, params, QSTAR, t, [mode])[0]
     return DENSITIES @ oracle @ EQUILIBRIUM
 
 
@@ -245,3 +255,73 @@ def test_the_kinetic_step_follows_the_coupled_oracle(eps, distance):
     amplitude = np.fft.rfft(snapshots[-1].rho)[:, 1] / np.fft.rfft(wave)[1]
     relative = np.linalg.norm(amplitude - exact) / np.linalg.norm(exact)
     assert relative == pytest.approx(distance, rel=0.02)
+
+
+# ---------------------------------------------------------------------------
+# where q* turns unstable: mode 1 on 64 cells, chi0 on both sides of the onset
+
+
+def growth_rate(chi0, eps=None):
+    """The largest growth rate of mode 1 about QSTAR at chi0: of A_1, or of
+    the coupled kinetic oracle at eps, read off its spectrum over t = 1."""
+    params = replace(COUPLED, chi0=chi0)
+    if eps is None:
+        coeff = build_macro_coefficients(params, VGRID)
+        return np.linalg.eigvals(macro_matrices(KINETIC_GRID, coeff, QSTAR)[1]).real.max()
+    oracle = propagators(KINETIC_GRID, VGRID, EQS, eps, params, QSTAR, 1.0, [1])[0]
+    return math.log(np.abs(np.linalg.eigvals(oracle)).max())
+
+
+def onset(eps=None):
+    """The chi0 in [5, 15] where growth_rate(chi0, eps) turns positive, to
+    1e-4, by bisection."""
+    low, high = 5.0, 15.0
+    while high - low > 1e-4:
+        middle = 0.5 * (low + high)
+        low, high = (low, middle) if growth_rate(middle, eps) > 0 else (middle, high)
+    return 0.5 * (low + high)
+
+
+def test_the_macro_system_turns_unstable_at_chi0_10_146():
+    assert onset() == pytest.approx(10.146, abs=1e-3)
+    assert growth_rate(20.0) == pytest.approx(6.09, abs=5e-3)
+
+
+def test_the_kinetic_onset_tends_to_the_macro_one():
+    onsets = [onset(eps) for eps in (0.1, 0.03)]
+    assert onsets == pytest.approx([9.230, 10.046], abs=1e-3)
+    assert onsets[0] < onsets[1] < onset()
+    rates = [growth_rate(20.0, eps) for eps in (0.2, 0.1, 0.05, 0.02)]
+    assert rates == pytest.approx([8.23, 7.10, 6.40, 6.15], abs=5e-3)
+
+
+def test_macro_step_amplifies_the_growing_mode_as_the_linear_macro_system_does():
+    # chi0 = 20, where mode 1 grows at 6.09: relative error 5.5e-3, 1.4e-3
+    # and 3.7e-4 at 20, 40 and 80 steps of 0.2, second order
+    errors = macro_step_errors(replace(COUPLED, chi0=20.0), 0.2, (20, 40, 80))
+    assert errors == pytest.approx([5.52e-3, 1.43e-3, 3.67e-4], rel=0.03)
+
+
+# |mode 1| at t = 1 over its start, of a macro run and of a kinetic run at
+# eps 0.05, cfl 0.8; the oracles give 0.378 and 0.455 at chi0 = 8, 9.18
+# and 11.6 at chi0 = 12
+@pytest.mark.parametrize("chi0, macro_gain, kinetic_gain", [
+    (8.0, 0.3760, 0.4636), (12.0, 9.104, 11.00)])
+def test_runs_from_the_endemic_state_decay_below_the_onset_and_grow_above_it(
+        chi0, macro_gain, kinetic_gain):
+    params = replace(COUPLED, chi0=chi0)
+    wave = np.cos(2.0 * np.pi * KINETIC_GRID.centers)
+    start = MacroState(QSTAR[:, None] + np.outer(SHAPE, wave), 0.0, KINETIC_GRID)
+    coeff = build_macro_coefficients(params, VGRID)
+    state = kinetic.init_local_equilibrium(start, EQS, VGRID, 0.05)
+    runs = (run_macro(start, coeff, 1.0)[-1],
+            kinetic.run_kinetic(state, params, EQS, 1.0, cfl=0.8)[0][-1])
+    oracles = (expm(macro_matrices(KINETIC_GRID, coeff, QSTAR))[1],
+               coupled_densities(params, 0.05, 1, t=1.0))
+    unstable = chi0 > onset()
+    for run, oracle, gain in zip(runs, oracles, (macro_gain, kinetic_gain)):
+        amplitude = np.fft.rfft(run.rho)[:, 1] / np.fft.rfft(wave)[1]
+        measured = np.linalg.norm(amplitude) / np.linalg.norm(SHAPE)
+        exact = np.linalg.norm(oracle @ SHAPE) / np.linalg.norm(SHAPE)
+        assert measured == pytest.approx(gain, rel=1e-3)
+        assert (measured > 1) == (exact > 1) == unstable

@@ -32,6 +32,9 @@ def random_params(rng, r0_range=None):
     return ModelParams(d1=d1, d2=d2, d3=d3, beta=beta, k=k, r=r)
 
 
+UNIT_RATES = dict(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)
+
+
 class TestReproductionNumber:
     def test_known_value(self):
         # beta*k*r/(d1*d2*d3) = 0.5*2*3 / (1*1.5*2) = 1
@@ -55,6 +58,14 @@ class TestReproductionNumber:
         with pytest.raises(ValidationError, match=r"^d1\*d2\*d3 must be > 0"):
             basic_reproduction_number(p)
 
+    # 1e300 / 1e-300 overflows to inf; 1e200*1e200*0 is inf*0, a nan
+    @pytest.mark.parametrize("rates", [
+        dict(d1=1e-100, d2=1e-100, d3=1e-100, beta=1e100, k=1e100, r=1e100),
+        dict(beta=1e200, k=1e200, r=0.0)])
+    def test_rejects_an_r0_that_is_not_finite(self, rates):
+        with pytest.raises(ValidationError, match="^R0 must be finite$"):
+            basic_reproduction_number(ModelParams(**UNIT_RATES | rates))
+
 
 class TestEquilibria:
     def test_r0_two_gives_unit_endemic_state(self):
@@ -71,6 +82,17 @@ class TestEquilibria:
         for _ in range(25):
             assert equilibria(random_params(rng, (0.1, 1.0))).qstar is None
             assert equilibria(random_params(rng, (1.0001, 6.0))).qstar is not None
+
+    # R0 = 1e100, 1e50 and 1e200 are finite, and one quantity overflows:
+    # r/d1, then d1*d3 in qstar_s, then d1*(R0-1)/beta
+    @pytest.mark.parametrize("rates, name", [
+        (dict(d1=1e-200, beta=1e-150, k=1e-150, r=1e200), "q0_c"),
+        (dict(d1=1e200, d2=1e-300, d3=1e200, beta=1e-50, k=1e-50, r=1e250), "qstar_s"),
+        (dict(beta=1e-200, k=1e200, r=1e200), "qstar_u")])
+    def test_rejects_the_first_equilibrium_quantity_that_is_not_finite(self, rates,
+                                                                       name):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite$"):
+            equilibria(ModelParams(**UNIT_RATES | rates))
 
     def test_equilibria_are_roots_of_the_rhs(self):
         rng = np.random.default_rng(2)

@@ -89,6 +89,18 @@ class TestEquilibrium:
         assert abs(g.moment0(M) - 1.0) < 1e-14
         assert abs(g.moment1(M)) < 1e-14
 
+    def test_the_discrete_mass_is_one_to_within_two_and_a_half_epsilons(self):
+        # not to the last bit: over vmax 1e-3 .. 1e3 and 4 .. 64 nodes the
+        # sum misses 1 on a third of the grids, by at most 2.5 * 2^-52
+        eps = np.finfo(float).eps
+        misses = [abs(g.moment0(uniform_equilibrium(g)) - 1.0) / eps
+                  for g in (build_velocity_grid(float(vmax), n)
+                            for n in range(4, 65, 2) for vmax in np.logspace(-3, 3, 13))]
+        assert max(misses) <= 2.5
+        assert 0.25 < np.mean(np.array(misses) > 0) < 0.4
+        g = build_velocity_grid(1.0, 8)
+        assert g.moment0(uniform_equilibrium(g)) == 1.0 + eps
+
     @pytest.mark.parametrize("n", [8, 32])
     def test_species_rows_are_the_uniform_profile(self, n):
         g = build_velocity_grid(1.7, n)
@@ -389,6 +401,18 @@ class TestTransportCoefficients:
         monkeypatch.setattr(velocity, "diffusion_tensor",
                             lambda M, sigma, grid: original(M, sigma, grid) * 1.001)
         with pytest.raises(ConsistencyError):
+            transport_coefficients(params_with(), build_velocity_grid(1.0, 8))
+
+    # math.isclose: any nan, or inf against -inf, is no agreement
+    @pytest.mark.parametrize("direct, via_theta", [
+        (math.inf, -math.inf), (0.5, math.nan), (math.nan, math.nan)])
+    def test_routes_that_are_not_finite_disagree(self, monkeypatch, direct, via_theta):
+        import kinsir.velocity as velocity
+
+        monkeypatch.setattr(velocity, "diffusion_tensor", lambda M, sigma, grid: direct)
+        monkeypatch.setattr(velocity, "diffusion_tensor_from_theta",
+                            lambda theta, grid: via_theta)
+        with pytest.raises(ConsistencyError, match="of species 1: direct"):
             transport_coefficients(params_with(), build_velocity_grid(1.0, 8))
 
     @pytest.mark.parametrize("species", [1, 2, 3])
