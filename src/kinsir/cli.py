@@ -236,7 +236,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        written = _COMMANDS[args.subcommand](config, args.out)
+        # an overflow is reported once, where a solver finds a state that is
+        # not finite, not also as numpy's warnings
+        with np.errstate(all="ignore"):
+            written = _COMMANDS[args.subcommand](config, args.out)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, KinsirError) else 1

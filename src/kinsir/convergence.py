@@ -155,11 +155,10 @@ def run_convergence_study(params, profile, epsilons, t_final,
     child's row; the report, and the error raised if a run fails, are
     those of running the epsilons one after another, largest first.
     """
-    message = "epsilons must be distinct and in (0, 1]"
     if len(set(epsilons)) != len(epsilons):
-        raise ValidationError(message)
+        raise ValidationError("epsilons must be distinct")
     for eps in epsilons:
-        kinetic.check_epsilon(eps, message)
+        kinetic.check_epsilon(eps)
     kinetic.check_cfl(cfl)
     if len(epsilons) < 3:
         raise DegenerateFitError("a convergence study needs at least three epsilons")

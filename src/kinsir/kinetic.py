@@ -44,8 +44,11 @@ built for the same key (step_plan) and hands it on, so a run builds one per
 distinct dt; steps that share a plan must not run concurrently.
 
 transport_substep, relaxation_substep and infected_gradient are stand-alone
-upwind transport, exact relaxation and centred bias gradient of one array;
-a step reuses only _transport, transport_substep's body.
+upwind transport, exact relaxation and centred bias gradient of one array.
+No step calls them; they stay only for perfbench/micro.py, which times
+them, and for tests: their own, and the per-species reference of the step,
+which transports with transport_substep. A step calls _transport,
+transport_substep's body.
 """
 
 import math
@@ -112,10 +115,10 @@ def moments(state):
     return MacroState(state.f @ state.vgrid.weights, state.time, state.grid)
 
 
-def check_epsilon(eps, message="epsilon must be in (0, 1]"):
+def check_epsilon(eps):
     """Reject a scaling parameter outside (0, 1]."""
     if not 0 < eps <= 1:
-        raise ValidationError(message)
+        raise ValidationError("epsilon must be in (0, 1]")
 
 
 def check_cfl(cfl):

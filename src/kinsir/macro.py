@@ -13,7 +13,6 @@ flux telescopes and the heat semigroup keeps the mean, so mass changes
 only through reactions.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -53,7 +52,6 @@ def _heun(rho, coeff, h, dx):
     return 0.5 * (rho + _euler_stage(stage, coeff, h, dx))
 
 
-@functools.lru_cache(maxsize=8)
 def _heat_symbol(n, rates):
     """exp(dt*D_i*Lap_h) on the rfft modes m: eigenvalues -4/dx^2*sin^2(pi*m/n)."""
     sin2 = np.sin(np.pi / n * np.arange(n // 2 + 1)) ** 2

@@ -24,9 +24,17 @@ About q the macro system is linear too: mode m evolves by exp(t * A_m), with
 where kappa_m^2 = (4/dx^2) * sin^2(pi*m/n) at every mode, the three-point
 symbol of both the diffusion and the linearized upwind drift. Mode 0 of
 either tier is the ODE's exp(t * J).
+
+Off equilibrium and without gradients, the kinetic model is pointwise, not
+linear: f = f(t, v) obeys the 3*n_nodes ODE of relaxation plus the
+interactions, which pointwise_kinetic integrates by RK4.
 """
 
+import math
+
 import numpy as np
+
+from kinsir.velocity import interaction_terms
 
 _TAYLOR_DEGREE = 18
 
@@ -89,6 +97,31 @@ def propagators(grid, vgrid, eqs, eps, params, q, t, modes=None):
     exponent = (np.diag(relax) + inverse @ react @ basis
                 - 1j * np.multiply.outer(kappa, inverse @ drift @ basis))
     return basis @ expm(t * exponent) @ inverse
+
+
+def pointwise_kinetic(f0, eqs, params, vgrid, eps, t, h):
+    """f(t) of the kinetic model from the spatially constant f0, a (3, n_nodes)
+    array: df_i/dt = lam_i * (M_i <f_i> - f_i) + interaction_terms(f), with
+    lam_i = sigma_i / eps^(q_i+1), by RK4 at the largest step <= h that
+    lands on t."""
+    lam = np.array([[params.sigma1 / eps ** (params.q1 + 1)],
+                    [params.sigma2 / eps ** (params.q2 + 1)],
+                    [params.sigma3 / eps ** (params.q3 + 1)]])
+
+    def rate(f):
+        relaxation = lam * (eqs * (f @ vgrid.weights)[:, None] - f)
+        return relaxation + interaction_terms(*f, eqs, params, vgrid)
+
+    n_steps = math.ceil(t / h)
+    dt = t / n_steps
+    f = np.array(f0, dtype=float)
+    for _ in range(n_steps):
+        k1 = rate(f)
+        k2 = rate(f + 0.5 * dt * k1)
+        k3 = rate(f + 0.5 * dt * k2)
+        k4 = rate(f + dt * k3)
+        f = f + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return f
 
 
 def reaction_jacobian(params, q):

@@ -7,6 +7,8 @@ inspects the files it leaves behind.
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -732,20 +734,40 @@ OVERFLOW_CFG = ("profile = cosine\nc0 = 1e200\ns0 = 1e200\nu0 = 1e200\n"
                 "n_cells = 16\nn_nodes = 8\nt_final = 0.01\n")
 
 
-# the infection term c*u overflows in the first step; numpy's overflow
-# warnings go to stderr, as they do outside the test suite
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("subcommand, code, message", [
+# the infection term c*u overflows in the first step
+OVERFLOWS = [
     ("ode", 4, "NegativeStateError: state component nan at t = 0.001 is not finite"),
     ("macro", 9, "NegativityError: macro field c reached -inf, which is not finite"),
     ("kinetic", 9, "NegativityError: density of kinetic distribution f1 reached nan, "
                    "which is not finite"),
-])
+]
+
+
+@pytest.mark.parametrize("subcommand, code, message", OVERFLOWS)
 def test_overflowing_states_exit_with_their_code_and_leave_no_directory(
         tmp_path, capsys, subcommand, code, message):
     exit_code, out = run_cli(tmp_path, subcommand, OVERFLOW_CFG)
     assert exit_code == code
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a fresh interpreter prints numpy's warnings under its default filters, as
+# an installed kinsir does, so only the CLI's own errstate keeps them out
+@pytest.mark.parametrize("subcommand, code, message", OVERFLOWS)
+def test_an_overflowing_run_prints_one_stderr_line(tmp_path, subcommand, code,
+                                                   message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(OVERFLOW_CFG)
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(errors.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "kinsir.cli", subcommand, "--config", str(cfg),
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == code
+    assert done.stderr == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -138,9 +138,9 @@ def test_material_reference_is_the_ode_in_every_cell():
 
 
 def test_epsilon_list_must_be_positive_distinct_and_long_enough():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="epsilons must be distinct"):
         run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.4, 0.1), 0.1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"\(0, 1\]"):
         run_convergence_study(PARABOLIC, RIPPLE, (0.4, -0.2, 0.1), 0.1)
     with pytest.raises(DegenerateFitError):
         run_convergence_study(PARABOLIC, RIPPLE, (0.4, 0.2), 0.1)

@@ -150,19 +150,25 @@ def run_kinetic_case():
             (faults() - before) / len(steps))
 
 
+def best_of_runs(run, count):
+    # the best of RUNS calls of run and the minor faults of all of them, per
+    # each of the count steps or rows that a call makes
+    best, faulted = math.inf, 0
+    for _ in range(RUNS):
+        before = faults()
+        started = perf_counter()
+        run()
+        best = min(best, perf_counter() - started)
+        faulted += faults() - before
+    return best / count * 1e6, faulted / (RUNS * count)
+
+
 def rk4_case(n_steps):
     # a step is too short to time alone: time whole runs, each with its own
     # trajectory array
     start = sir.SirState(1.0, 0.1, 0.1)
     dt = 1e-3
-    best, faulted = math.inf, 0
-    for _ in range(RUNS):
-        before = faults()
-        started = perf_counter()
-        sir.integrate_sir(start, MODEL, n_steps * dt, dt)
-        best = min(best, perf_counter() - started)
-        faulted += faults() - before
-    return best / n_steps * 1e6, faulted / (RUNS * n_steps)
+    return best_of_runs(lambda: sir.integrate_sir(start, MODEL, n_steps * dt, dt), n_steps)
 
 
 def ode_case(n_steps):
@@ -170,22 +176,18 @@ def ode_case(n_steps):
     dt = 2.0 ** -10
     values = {name: getattr(MODEL, name) for name in ("d1", "d2", "d3", "beta", "k", "r")}
     values.update(c0=1.2, s0=0.4, u0=0.9, dt=dt, t_final=n_steps * dt)
-    rows = n_steps + 1
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "w") as handle:
             handle.writelines(f"{key} = {value!r}\\n" for key, value in values.items())
         argv = ["ode", "--config", cfg, "--out", os.path.join(tmp, "out")]
-        best, faulted = math.inf, 0
-        for _ in range(RUNS):
-            before = faults()
-            started = perf_counter()
+
+        def run():
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli.main(argv) != 0:
                     raise SystemExit("kinsir ode failed")
-            best = min(best, perf_counter() - started)
-            faulted += faults() - before
-    return best / rows * 1e6, faulted / (RUNS * rows)
+
+        return best_of_runs(run, n_steps + 1)
 
 
 name, size = sys.argv[1].split()
