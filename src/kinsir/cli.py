@@ -13,18 +13,17 @@ stderr line.
 import argparse
 import os
 import sys
-from contextlib import nullcontext, suppress
-from dataclasses import astuple
+from contextlib import suppress
 from itertools import chain
 
 import numpy as np
 
-from . import __version__, sir
+from . import __version__
 from .ahead import computed_ahead
 from .config import load_config
 from .convergence import run_convergence_study
 from .errors import KinsirError, ValidationError
-from .grids import SpatialGrid, split
+from .grids import SpatialGrid
 from .kinetic import init_local_equilibrium, run_kinetic
 from .macro import build_macro_coefficients, run_macro
 from .sir import SirState, equilibria, integrate_sir_blocks
@@ -121,20 +120,11 @@ def _cmd_ode(config, out_dir):
         config.params, config.t_final, config.dt,
     )
     try:
-        report = equilibria(config.params)
+        quantities = equilibria(config.params).rows()
     except ValidationError:  # sir's rule: R0 or an equilibrium is undefined
         quantities = []
-    else:
-        quantities = [("r0", report.r0),
-                      *zip(("q0_c", "q0_s", "q0_u"), astuple(report.q0))]
-        if report.qstar is not None:
-            quantities += zip(("qstar_c", "qstar_s", "qstar_u"), astuple(report.qstar))
-    # a trajectory of one block has nothing to overlap, so it is not
-    # worth a fork
-    n_steps, _ = split(config.t_final, config.dt)
-    ahead = computed_ahead if n_steps + 1 > sir._BLOCK_ROWS else nullcontext
     blocks = ((_texts(times.tolist()), states) for times, states in trajectory)
-    with ahead(blocks) as received:
+    with computed_ahead(blocks) as received:
         _write_csv(out_dir, "trajectory.csv", header, _table("t,c,s,u", received))
     _write_csv(out_dir, "equilibrium.csv", header,
                _table("quantity,value", [_named(quantities)]))

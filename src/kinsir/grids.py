@@ -212,16 +212,24 @@ def march(state, step, bound, times, snapshot):
     Each segment up to the next time is split into the fewest equal steps
     no longer than bound(state), and the rest again whenever a step outgrows
     the bound, so every time is hit exactly; step(state, dt) returns the
-    next state and snapshot(state) what to record there.
+    next state and snapshot(state) what to record there. A bound that is
+    not > 0 raises ValidationError.
     """
+    def positive_bound(state):
+        limit = bound(state)
+        if not limit > 0:  # an underflow to 0, say; a nan is not > 0 either
+            raise ValidationError(f"the step bound {limit:.3e} at t = {state.time:.6g} "
+                                  "must be > 0")
+        return limit
+
     snapshots = []
     for target in times:
         if target > state.time:
-            left, dt = split(target - state.time, bound(state))
+            left, dt = split(target - state.time, positive_bound(state))
             while left:
                 state = step(state, dt)
                 left -= 1
-                limit = bound(state) if left else math.inf
+                limit = positive_bound(state) if left else math.inf
                 if step_ratio(dt, limit) > 1:  # the bound shrank below dt
                     left, dt = split(target - state.time, limit)
             state.time = target  # cancel accumulated rounding in the sum

@@ -191,6 +191,26 @@ def _tile(values, shape):
     return tile
 
 
+def _scale_factors(params, eps):
+    """eps^(q_i+1), the relaxation scale of f1, f2 and f3, and eps^(p-q1-1),
+    the bias factor of f1. ValidationError names the first that leaves the
+    float range: one underflows to 0 or overflows at an eps far enough
+    below 1 for its exponent."""
+    names = [f"eps^(q{i}+1) of f{i}" for i in "123"] + ["eps^(p-q1-1) of f1"]
+    exponents = [q + 1 for q in (params.q1, params.q2, params.q3)] + [params.p - params.q1 - 1]
+    factors = []
+    for name, exponent in zip(names, exponents):
+        try:
+            factor = eps ** exponent
+        except OverflowError:
+            factor = math.inf
+        if not 0 < factor < math.inf:
+            raise ValidationError(f"{name} is {factor:g} at epsilon = {eps:g}, "
+                                  "outside the float range")
+        factors.append(factor)
+    return factors
+
+
 def step_plan(state, params, eqs, dt):
     """The state's StepPlan when it was built for this step, else a new one.
 
@@ -214,16 +234,15 @@ def step_plan(state, params, eqs, dt):
     else:
         work, terms = np.empty((3,) + shape), np.empty(shape[:2] + (5,))
     v, w, courant = vgrid.nodes, vgrid.weights, dt / (eps * grid.dx)
-    rates = zip((params.sigma1, params.sigma2, params.sigma3),
-                (params.q1, params.q2, params.q3))
+    *scales, bias = _scale_factors(params, eps)
+    rates = zip((params.sigma1, params.sigma2, params.sigma3), scales)
     # the implicit relaxation, applied to g before T (which is linear)
-    shrink = np.array([[1.0 / (1.0 + dt * sigma / eps ** (q + 1))] for sigma, q in rates])
+    shrink = np.array([[1.0 / (1.0 + dt * sigma / scale)] for sigma, scale in rates])
     project = shrink[..., None] * (np.eye(len(v)) - w[:, None] * eqs[:, None, :])
     basis = np.zeros((3, 5, len(v)))
     basis[:, 0], basis[:, 1] = eqs, -eqs
     basis[:, 3] = -courant * shrink * v * eqs
-    basis[0, 4] = (shrink[0] * dt * eps ** (params.p - params.q1 - 1) * params.chi0
-                   / (2.0 * grid.dx)) * v
+    basis[0, 4] = (shrink[0] * dt * bias * params.chi0 / (2.0 * grid.dx)) * v
     moments = np.stack((w, w * v), axis=1)
     fluxes = courant * (basis[:, 1:] @ moments[:, 1])
     fluxes[:, 1] = courant
@@ -258,8 +277,9 @@ def _limit(f, rho, eqs):
 def kinetic_step(state, params, eqs, dt):
     """One micro-macro step; returns a new state at time + dt.
 
-    Preconditions: dt finite and > 0 (ValidationError), and
-    dt <= MAX_CFL * eps * dx / vmax (CflViolationError).
+    Preconditions: dt finite and > 0 (ValidationError),
+    dt <= MAX_CFL * eps * dx / vmax (CflViolationError), and scale factors
+    within the float range (ValidationError, see _scale_factors).
     """
     check_dt(dt)
     if step_ratio(dt, max_step(state)) > 1:

@@ -39,6 +39,14 @@ class EquilibriumReport:
     q0: SirState
     qstar: SirState | None
 
+    def rows(self):
+        """The report's (name, value) pairs, as equilibrium.csv lists them:
+        r0, q0's components and, where it exists, qstar's."""
+        rows = [("r0", self.r0), *zip(("q0_c", "q0_s", "q0_u"), astuple(self.q0))]
+        if self.qstar is not None:
+            rows += zip(("qstar_c", "qstar_s", "qstar_u"), astuple(self.qstar))
+        return rows
+
 
 @dataclass(frozen=True)
 class SirTrajectory:
@@ -80,7 +88,7 @@ def equilibria(params):
     qstar = (r/(d1*R0), d1*d3*(R0-1)/(beta*k), d1*(R0-1)/beta)
 
     Every quantity must be finite: ValidationError names the first that is
-    not, in the order R0, q0_c, q0_s, q0_u, qstar_c, qstar_s, qstar_u.
+    not, in the order of EquilibriumReport.rows().
     """
     r0 = basic_reproduction_number(params)
     q0 = SirState(params.r / params.d1, 0.0, 0.0)
@@ -91,9 +99,10 @@ def equilibria(params):
             params.d1 * params.d3 * (r0 - 1.0) / (params.beta * params.k),
             params.d1 * (r0 - 1.0) / params.beta,
         )
-    check_bounded(("q0_c", "q0_s", "q0_u", "qstar_c", "qstar_s", "qstar_u"),
-                  astuple(q0) + (astuple(qstar) if qstar else ()), 0)
-    return EquilibriumReport(r0, q0, qstar)
+    report = EquilibriumReport(r0, q0, qstar)
+    names, values = zip(*report.rows())
+    check_bounded(names, values, 0)
+    return report
 
 
 # rows per block of a streamed trajectory: 1,024 writer chunks of 64 rows,

@@ -22,7 +22,7 @@ from kinsir.cli import _header, _named, _table, _texts, main
 from kinsir.config import load_config
 from kinsir.convergence import run_convergence_study
 from kinsir.errors import NegativeStateError
-from kinsir.sir import SirState, integrate_sir
+from kinsir.sir import SirState, equilibria, integrate_sir
 
 
 def run_cli(tmp_path, subcommand, config_text, out="out", name="run.cfg"):
@@ -353,29 +353,6 @@ def test_ode_without_fork_writes_the_same_files_in_process(tmp_path,
     assert not out.exists()
 
 
-def test_ode_of_one_block_runs_without_a_fork(tmp_path, monkeypatch):
-    import kinsir.sir as sir
-
-    fork = os.fork
-
-    def no_fork():
-        raise AssertionError("a trajectory of one block forked")
-
-    # criterion 10's ode config: 51 rows, one block
-    cfg = ODE_CFG.replace("t_final = 0.1", "t_final = 0.5")
-    monkeypatch.setattr(os, "fork", no_fork)
-    code, one_block = run_cli(tmp_path, "ode", cfg, out="one_block")
-    assert code == 0
-    assert sorted(os.listdir(one_block)) == ["equilibrium.csv", "trajectory.csv"]
-    # the same rows in blocks of 7, streamed from a child
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(sir, "_BLOCK_ROWS", 7)
-    code, forked = run_cli(tmp_path, "ode", cfg, out="forked")
-    assert code == 0
-    for name in os.listdir(forked):
-        assert (one_block / name).read_bytes() == (forked / name).read_bytes()
-
-
 def test_ode_of_more_than_one_block_forks(tmp_path, monkeypatch):
     import kinsir.sir as sir
 
@@ -392,12 +369,25 @@ def test_ode_of_more_than_one_block_forks(tmp_path, monkeypatch):
     code, _ = run_cli(tmp_path, "ode", ODE_CFG.replace(
         "t_final = 0.1\ndt = 0.01", "t_final = 70\ndt = 1e-3"), out="blocks")
     assert (code, len(forks)) == (0, 1)
-    # ODE_CFG's 11 rows: one block of 11 runs here, blocks of 10 fork
-    for rows, expected in [(11, 1), (10, 2)]:
+    # ODE_CFG's 11 rows, in one block of 11 and in blocks of 10: every run
+    # streams from a child
+    for rows, expected in [(11, 2), (10, 3)]:
         monkeypatch.setattr(sir, "_BLOCK_ROWS", rows)
         code, _ = run_cli(tmp_path, "ode", ODE_CFG, out=f"rows{rows}")
         assert (code, len(forks)) == (0, expected)
     assert_no_child_is_left()
+
+
+@pytest.mark.parametrize("cfg", [ODE_CFG, "r = 0.5\nt_final = 0.1\ndt = 0.01\n"],
+                         ids=["qstar", "no_qstar"])
+def test_ode_equilibrium_file_holds_the_report_rows_in_order(tmp_path, cfg):
+    code, out = run_cli(tmp_path, "ode", cfg)
+    assert code == 0
+    report = equilibria(load_config(str(tmp_path / "run.cfg")).params)
+    assert (report.qstar is None) == ("r = 0.5" in cfg)
+    _, columns, rows = read_table(out / "equilibrium.csv")
+    assert columns == "quantity,value"
+    assert [(name, float(value)) for name, value in rows] == report.rows()
 
 
 @pytest.mark.parametrize("rate", ["d1", "d2", "d3"])
@@ -727,6 +717,42 @@ def test_cell_counts_beyond_an_array_exit_three(tmp_path, capsys, subcommand,
     code, out = run_cli(tmp_path, subcommand, f"n_cells = {n_cells}\nt_final = 0.01\n")
     assert code == 3
     assert f"n_cells = {n_cells:.3e} is more cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# valid configs whose step bound underflows to 0: stable_dt on the macro
+# grid of 1e-300, max_step on the kinetic one
+@pytest.mark.parametrize("subcommand, cfg", [
+    ("macro", "length = 1e-300\nn_cells = 8\nprofile = cosine\nchi0 = 1\ns0 = 0.5\n"
+              "t_final = 0.001\n"),
+    ("kinetic", "length = 1e-300\nn_cells = 8\nn_nodes = 4\nepsilon = 1e-30\n"
+                "t_final = 0.001\n"),
+], ids=["macro", "kinetic"])
+def test_a_step_bound_of_zero_exits_three(tmp_path, capsys, subcommand, cfg):
+    code, out = run_cli(tmp_path, subcommand, cfg)
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: ValidationError: the step bound 0.000e+00 at t = 0 must be > 0\n")
+    assert not out.exists()
+
+
+# valid configs whose kinetic scale factors underflow to 0 or overflow; a
+# study fails at its largest eps, 0.4, as a run of one eps after another
+@pytest.mark.parametrize("subcommand, keys, message", [
+    ("kinetic", "epsilon = 0.5\nq1 = 2000\n", "eps^(q1+1) of f1 is 0 at epsilon = 0.5"),
+    ("kinetic", "epsilon = 0.5\nq2 = 2000\n", "eps^(q2+1) of f2 is 0 at epsilon = 0.5"),
+    ("kinetic", "epsilon = 1e-300\n", "eps^(q1+1) of f1 is 0 at epsilon = 1e-300"),
+    ("kinetic", "epsilon = 0.5\nq1 = 1050\n",
+     "eps^(p-q1-1) of f1 is inf at epsilon = 0.5"),
+    ("converge", "q3 = 2000\n", "eps^(q3+1) of f3 is 0 at epsilon = 0.4"),
+], ids=["q1", "q2", "epsilon", "bias", "converge_q3"])
+def test_scale_factors_beyond_the_float_range_exit_three(tmp_path, capsys,
+                                                         subcommand, keys, message):
+    code, out = run_cli(tmp_path, subcommand,
+                        "n_cells = 8\nn_nodes = 4\nt_final = 0.01\n" + keys)
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: ValidationError: {message}, outside the float range\n")
     assert not out.exists()
 
 

@@ -43,7 +43,7 @@ def test_step_cost_measures_a_short_ode_run(monkeypatch):
     # cli.main in-process, writing to a temporary directory
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     step_cost = importlib.import_module("step_cost")
-    assert "ode 65535" in step_cost.CASES
+    assert "ode 131071" in step_cost.CASES
     us, faults = step_cost.measure(str(ROOT / "src"), "ode 1000")
     assert 0.0 < us < math.inf
     assert 0.0 <= faults < math.inf

@@ -15,10 +15,11 @@ reactions on, so every term of the kinetic step is at work):
   benchmark's kinetic_chemotaxis workload, divided by its steps;
 * `integrate_sir 50000`: RK4 runs of 50,000 steps of the model's ODE,
   best of RUNS, divided by the steps;
-* `ode 65535`: `cli.main(["ode", ...])` in-process on the model's ODE,
-  65,535 steps of 2**-10 written to a temporary directory, best of RUNS,
-  divided by the 65,536 rows: one block, so no fork, and it runs on any
-  tree whose CLI takes `ode --config --out`.
+* `ode 131071`: `cli.main(["ode", ...])` on the model's ODE, 131,071
+  steps of 2**-10 written to a temporary directory, best of RUNS, divided
+  by the 131,072 rows: two blocks, integrated in the forked child while
+  the parent writes, as in the benchmark's cli_ode workload; it runs on
+  any tree whose CLI takes `ode --config --out`.
 
 Each call advances the state it is given, as a run does, so a step pays
 for whatever it builds or hands on from one state to the next; a bound
@@ -54,7 +55,7 @@ from revtree import ROOT, WORKING_TREE, compiled_tree
 
 CASES = ("kinetic_step 16x8", "kinetic_step 128x16", "kinetic_step 512x16",
          "max_step 128x16", "macro_step 512", "stable_dt 512",
-         "run_kinetic kinetic_chemotaxis", "integrate_sir 50000", "ode 65535")
+         "run_kinetic kinetic_chemotaxis", "integrate_sir 50000", "ode 131071")
 ROUNDS = 9
 
 # run in a child process with PYTHONPATH pointing at the tree under test and
