@@ -12,9 +12,8 @@ from collections import namedtuple
 from dataclasses import fields
 
 from .errors import ParseError, ValidationError
-from .convergence import check_ref_refine
-from .grids import (InitialProfile, SpatialGrid, check_dt, data_lines, read_text,
-                    snapshot_schedule)
+from .grids import (InitialProfile, SpatialGrid, check_dt, check_integer, data_lines,
+                    read_text, snapshot_schedule)
 from .kinetic import MAX_CFL, check_cfl, check_epsilon
 from .params import ModelParams
 
@@ -165,4 +164,4 @@ def _check_run_values(values):
         raise ValidationError("dt_max must be >= 0 (0 means automatic)")
     check_cfl(values["cfl"])
     check_epsilon(values["epsilon"])
-    check_ref_refine(values["ref_refine"])
+    check_integer("ref_refine", (values["ref_refine"],), 2)

@@ -67,11 +67,6 @@ class ConvergenceReport:
         return _species_max(self.errors)
 
 
-def check_ref_refine(ref_refine):
-    """Reject a reference grid refinement factor that is not an integer >= 2."""
-    check_integer("ref_refine", (ref_refine,), 2)
-
-
 def _species_max(errors):
     """Per-eps maximum error across species."""
     return tuple(map(max, zip(*(errors[f] for f in _FIELDS))))
@@ -162,7 +157,7 @@ def run_convergence_study(params, profile, epsilons, t_final,
     kinetic.check_cfl(cfl)
     if len(epsilons) < 3:
         raise DegenerateFitError("a convergence study needs at least three epsilons")
-    check_ref_refine(ref_refine)
+    check_integer("ref_refine", (ref_refine,), 2)
     regime, exponents = _detect_regime(params)
     epsilons = tuple(sorted(epsilons, reverse=True))
     times = snapshot_schedule(snapshot_times, 0.0, t_final)

@@ -12,7 +12,8 @@ from .errors import NegativityError, ParseError, ValidationError
 NEGATIVITY_TOL = 1e-12
 
 # the most cells of a (3, n_cells) float array, or rows of an (n, 3) one
-# (an ODE trajectory): numpy makes one only while its bytes fit an intp
+# (an ODE trajectory): numpy makes one only while its bytes fit an intp;
+# split bounds the step count of every tier by it
 MAX_CELLS = np.iinfo(np.intp).max // 24
 
 
@@ -201,8 +202,17 @@ def step_ratio(span, limit):
 
 def split(span, limit):
     """(count, step): the fewest equal steps no longer than limit in a span
-    >= 0, at least one when span > 0; a zero span is zero steps of 0."""
-    count = max(int(span > 0), math.ceil(step_ratio(span, limit)))
+    >= 0, at least one when span > 0; a zero span is zero steps of 0.
+
+    The count bounds every tier's loop and an ODE trajectory's rows: one
+    whose count + 1 rows exceed MAX_CELLS, or that is not finite, raises
+    ValidationError.
+    """
+    ratio = step_ratio(span, limit)
+    if not ratio + 1 <= MAX_CELLS:  # inf or nan too
+        raise ValidationError(f"span {span:.3e} / step bound {limit:.3e} = {ratio:.3e} "
+                              "steps is more than an array can hold")
+    count = max(int(span > 0), math.ceil(ratio))
     return count, span / max(count, 1)
 
 

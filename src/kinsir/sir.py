@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import NegativeStateError, ValidationError
-from .grids import MAX_CELLS, NEGATIVITY_TOL, check_bounded, check_dt, split
+from .grids import NEGATIVITY_TOL, check_bounded, check_dt, split
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,6 @@ def _step_count(initial, t_final, dt):
     check_bounded("t_final", (t_final,), 0)
     if not all(0 <= x < math.inf for x in (initial.u, initial.v, initial.w)):
         raise ValidationError("initial state must be finite and >= 0")
-
-    # the trajectory's (n_steps + 1, 3) doubles must fit in one numpy array
-    steps = t_final / dt
-    if not steps + 1 <= MAX_CELLS:
-        raise ValidationError(f"t_final / dt = {steps:.3e} steps is more than "
-                              "a trajectory array can hold")
     return split(t_final, dt)
 
 

@@ -7,6 +7,7 @@ inspects the files it leaves behind.
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -704,7 +705,7 @@ def test_ode_rejects_a_negative_start_from_a_file_profile_config(tmp_path, capsy
 def test_ode_step_counts_beyond_an_array_exit_three(tmp_path, capsys):
     code, out = run_cli(tmp_path, "ode", ODE_CFG.replace("dt = 0.01", "dt = 1e-300"))
     assert code == 3
-    assert "t_final / dt = 1.000e+299 steps" in capsys.readouterr().err
+    assert "= 1.000e+299 steps is more than" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -737,19 +738,23 @@ def test_a_step_bound_of_zero_exits_three(tmp_path, capsys, subcommand, cfg):
 
 
 # valid configs whose kinetic scale factors underflow to 0 or overflow; a
-# study fails at its largest eps, 0.4, as a run of one eps after another
+# study fails at its largest eps, 0.4, as a run of one eps after another.
+# At epsilon = 1e-300 the step count is refused first unless the span is
+# short: 1e-290 is about 1e11 steps
 @pytest.mark.parametrize("subcommand, keys, message", [
-    ("kinetic", "epsilon = 0.5\nq1 = 2000\n", "eps^(q1+1) of f1 is 0 at epsilon = 0.5"),
-    ("kinetic", "epsilon = 0.5\nq2 = 2000\n", "eps^(q2+1) of f2 is 0 at epsilon = 0.5"),
-    ("kinetic", "epsilon = 1e-300\n", "eps^(q1+1) of f1 is 0 at epsilon = 1e-300"),
-    ("kinetic", "epsilon = 0.5\nq1 = 1050\n",
+    ("kinetic", "t_final = 0.01\nepsilon = 0.5\nq1 = 2000\n",
+     "eps^(q1+1) of f1 is 0 at epsilon = 0.5"),
+    ("kinetic", "t_final = 0.01\nepsilon = 0.5\nq2 = 2000\n",
+     "eps^(q2+1) of f2 is 0 at epsilon = 0.5"),
+    ("kinetic", "t_final = 1e-290\nepsilon = 1e-300\n",
+     "eps^(q1+1) of f1 is 0 at epsilon = 1e-300"),
+    ("kinetic", "t_final = 0.01\nepsilon = 0.5\nq1 = 1050\n",
      "eps^(p-q1-1) of f1 is inf at epsilon = 0.5"),
-    ("converge", "q3 = 2000\n", "eps^(q3+1) of f3 is 0 at epsilon = 0.4"),
+    ("converge", "t_final = 0.01\nq3 = 2000\n", "eps^(q3+1) of f3 is 0 at epsilon = 0.4"),
 ], ids=["q1", "q2", "epsilon", "bias", "converge_q3"])
 def test_scale_factors_beyond_the_float_range_exit_three(tmp_path, capsys,
                                                          subcommand, keys, message):
-    code, out = run_cli(tmp_path, subcommand,
-                        "n_cells = 8\nn_nodes = 4\nt_final = 0.01\n" + keys)
+    code, out = run_cli(tmp_path, subcommand, "n_cells = 8\nn_nodes = 4\n" + keys)
     assert code == 3
     assert capsys.readouterr().err == (
         f"error: ValidationError: {message}, outside the float range\n")
@@ -758,42 +763,90 @@ def test_scale_factors_beyond_the_float_range_exit_three(tmp_path, capsys,
 
 OVERFLOW_CFG = ("profile = cosine\nc0 = 1e200\ns0 = 1e200\nu0 = 1e200\n"
                 "n_cells = 16\nn_nodes = 8\nt_final = 0.01\n")
+# a macro run of few steps whose c overflows: the source r adds to a c of
+# 1.7e308 with no death, infection or transport to hold it
+MACRO_OVERFLOW_CFG = ("profile = constant\nd1 = 0\nbeta = 0\nr = 1.7e308\n"
+                      "c0 = 1.7e308\ns0 = 0\nu0 = 0\nn_cells = 16\nt_final = 0.01\n")
 
 
-# the infection term c*u overflows in the first step
+# the infection term c*u overflows in the first step of ode and kinetic
 OVERFLOWS = [
-    ("ode", 4, "NegativeStateError: state component nan at t = 0.001 is not finite"),
-    ("macro", 9, "NegativityError: macro field c reached -inf, which is not finite"),
-    ("kinetic", 9, "NegativityError: density of kinetic distribution f1 reached nan, "
-                   "which is not finite"),
+    ("ode", OVERFLOW_CFG, 4,
+     "NegativeStateError: state component nan at t = 0.001 is not finite"),
+    ("macro", MACRO_OVERFLOW_CFG, 9,
+     "NegativityError: macro field c reached nan, which is not finite"),
+    ("kinetic", OVERFLOW_CFG, 9,
+     "NegativityError: density of kinetic distribution f1 reached nan, "
+     "which is not finite"),
 ]
+OVERFLOW_IDS = [f"{command}-{code}-{message}" for command, _, code, message in OVERFLOWS]
 
 
-@pytest.mark.parametrize("subcommand, code, message", OVERFLOWS)
+@pytest.mark.parametrize("subcommand, cfg, code, message", OVERFLOWS, ids=OVERFLOW_IDS)
 def test_overflowing_states_exit_with_their_code_and_leave_no_directory(
-        tmp_path, capsys, subcommand, code, message):
-    exit_code, out = run_cli(tmp_path, subcommand, OVERFLOW_CFG)
+        tmp_path, capsys, subcommand, cfg, code, message):
+    exit_code, out = run_cli(tmp_path, subcommand, cfg)
     assert exit_code == code
     assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-# a fresh interpreter prints numpy's warnings under its default filters, as
-# an installed kinsir does, so only the CLI's own errstate keeps them out
-@pytest.mark.parametrize("subcommand, code, message", OVERFLOWS)
-def test_an_overflowing_run_prints_one_stderr_line(tmp_path, subcommand, code,
-                                                   message):
+def run_cli_process(tmp_path, subcommand, config_text):
+    """(exit code, stderr, out directory) of a kinsir run in a fresh
+    interpreter, in a session of its own: a run that outlasts 60 s is
+    killed with every process it forked, and fails the test."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(OVERFLOW_CFG)
+    cfg.write_text(config_text)
     out = tmp_path / "out"
     src = os.path.dirname(os.path.dirname(errors.__file__))
-    done = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "kinsir.cli", subcommand, "--config", str(cfg),
          "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        timeout=60)
-    assert done.returncode == code
-    assert done.stderr == f"error: {message}\n"
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"kinsir {subcommand} ran for more than 60 s")
+    return proc.returncode, err, out
+
+
+# a fresh interpreter prints numpy's warnings under its default filters, as
+# an installed kinsir does, so only the CLI's own errstate keeps them out
+@pytest.mark.parametrize("subcommand, cfg, code, message", OVERFLOWS, ids=OVERFLOW_IDS)
+def test_an_overflowing_run_prints_one_stderr_line(tmp_path, subcommand, cfg, code,
+                                                   message):
+    exit_code, err, out = run_cli_process(tmp_path, subcommand, cfg)
+    assert exit_code == code
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# step counts beyond MAX_CELLS in every tier: a span that overflows the
+# count, and a step that keeps a short span from ending; a study's child
+# refuses its smallest eps, and the parent raises that refusal
+SMALL_RUN = "n_cells = 8\nn_nodes = 4\n"
+
+
+@pytest.mark.parametrize("subcommand, cfg, count", [
+    ("macro", SMALL_RUN + "t_final = 1e308\n", "inf"),
+    ("kinetic", SMALL_RUN + "t_final = 1e308\n", "inf"),
+    ("converge", SMALL_RUN + "t_final = 1e308\n", "inf"),
+    ("kinetic", SMALL_RUN + "t_final = 0.01\nepsilon = 1e-160\n", "1.000e+159"),
+    ("kinetic", SMALL_RUN + "t_final = 0.01\nepsilon = 1e-300\n", "1.000e+299"),
+    ("macro", SMALL_RUN + "t_final = 0.01\ndt_max = 1e-300\n", "1.000e+298"),
+    ("converge", SMALL_RUN + "t_final = 0.01\neps_list = 0.4 0.2 1e-160\n",
+     "1.000e+159"),
+    ("macro", OVERFLOW_CFG, "4.880e+199"),
+], ids=["macro_t_final", "kinetic_t_final", "converge_t_final", "kinetic_epsilon",
+        "kinetic_epsilon_1e-300", "macro_dt_max", "converge_eps_list", "macro_1e200"])
+def test_step_counts_beyond_an_array_exit_three(tmp_path, subcommand, cfg, count):
+    exit_code, err, out = run_cli_process(tmp_path, subcommand, cfg)
+    assert exit_code == 3
+    assert re.fullmatch(f"error: ValidationError: span .* = {re.escape(count)} "
+                        "steps is more than an array can hold\n", err)
     assert not out.exists()
 
 

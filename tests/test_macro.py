@@ -20,6 +20,7 @@ from kinsir import ModelParams, SirState, equilibria, integrate_sir
 from kinsir.config import parse_config
 from kinsir.errors import NegativityError, StepSizeError, ValidationError
 from kinsir.grids import (
+    MAX_CELLS,
     InitialProfile,
     MacroState,
     SpatialGrid,
@@ -678,6 +679,30 @@ def test_split_takes_the_fewest_equal_steps_and_none_for_a_zero_span():
     assert split(0.2, math.inf) == (1, 0.2)
     assert split(1e-9, 1.0) == (1, 1e-9)
     assert split(0.0, 0.1) == (0, 0.0)
+    # more steps than MAX_CELLS, the first an inf count
+    for span, limit in [(1e308, 0.0225), (1.0, 1e-300), (2.0 ** 60, 1.0)]:
+        with pytest.raises(ValidationError, match="steps is more than"):
+            split(span, limit)
+
+
+@pytest.mark.parametrize("limit", [1.0, 0.5, 0.1, 3.0, 1e-300])
+def test_split_refuses_the_counts_that_integrate_sir_refused(limit):
+    # on the floats around the bound, split refuses exactly the counts that
+    # fail t_final / dt + 1 <= MAX_CELLS: step_ratio's slack moves no verdict
+    span = MAX_CELLS * limit
+    for _ in range(40):
+        span = math.nextafter(span, 0.0)
+    verdicts = set()
+    for _ in range(80):
+        fits = span / limit + 1 <= MAX_CELLS
+        verdicts.add(fits)
+        if fits:
+            assert split(span, limit)[0] <= MAX_CELLS - 1
+        else:
+            with pytest.raises(ValidationError, match="steps is more than"):
+                split(span, limit)
+        span = math.nextafter(span, math.inf)
+    assert verdicts == {True, False}
 
 
 def test_run_macro_looks_up_the_step_at_call_time(monkeypatch):
