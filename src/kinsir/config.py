@@ -146,8 +146,7 @@ def _build_profile(values, base_dir):
         if not path:
             raise ValidationError("profile = file needs profile_file")
         path = os.path.join(base_dir, path)  # an absolute path stays as it is
-        if not os.path.exists(path):
-            raise ValidationError(f"profile_file does not exist: {path}")
+        read_text(path, "profile_file")  # fails at parse time as the run would
         return InitialProfile("file", path=path)
     return InitialProfile(
         kind,

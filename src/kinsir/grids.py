@@ -94,6 +94,8 @@ class SpatialGrid:
         if self.n_cells > MAX_CELLS:
             raise ValidationError(f"n_cells = {self.n_cells:.3e} is more cells "
                                   "than a density array can hold")
+        if not self.dx * self.dx > 0:  # macro_step divides by it
+            raise ValidationError(f"the cell width {self.dx:.3e} squares to 0")
 
     @property
     def dx(self):
@@ -196,7 +198,11 @@ def snapshot_schedule(snapshot_times, start, t_final):
 
 def step_ratio(span, limit):
     """span / limit less the slack of 1e-12 that every step rule forgives for
-    rounding: above 1 only when span outgrows limit by more than that."""
+    rounding: above 1 only when span outgrows limit by more than that. A
+    bound that is not > 0 (an underflow to 0, say, or a nan) raises
+    ValidationError."""
+    if not limit > 0:
+        raise ValidationError(f"the step bound {limit:.3e} must be > 0")
     return span / limit - 1e-12
 
 
@@ -223,23 +229,16 @@ def march(state, step, bound, times, snapshot):
     no longer than bound(state), and the rest again whenever a step outgrows
     the bound, so every time is hit exactly; step(state, dt) returns the
     next state and snapshot(state) what to record there. A bound that is
-    not > 0 raises ValidationError.
+    not > 0 raises ValidationError (step_ratio).
     """
-    def positive_bound(state):
-        limit = bound(state)
-        if not limit > 0:  # an underflow to 0, say; a nan is not > 0 either
-            raise ValidationError(f"the step bound {limit:.3e} at t = {state.time:.6g} "
-                                  "must be > 0")
-        return limit
-
     snapshots = []
     for target in times:
         if target > state.time:
-            left, dt = split(target - state.time, positive_bound(state))
+            left, dt = split(target - state.time, bound(state))
             while left:
                 state = step(state, dt)
                 left -= 1
-                limit = positive_bound(state) if left else math.inf
+                limit = bound(state) if left else math.inf
                 if step_ratio(dt, limit) > 1:  # the bound shrank below dt
                     left, dt = split(target - state.time, limit)
             state.time = target  # cancel accumulated rounding in the sum

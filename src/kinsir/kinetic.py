@@ -277,9 +277,10 @@ def _limit(f, rho, eqs):
 def kinetic_step(state, params, eqs, dt):
     """One micro-macro step; returns a new state at time + dt.
 
-    Preconditions: dt finite and > 0 (ValidationError),
-    dt <= MAX_CFL * eps * dx / vmax (CflViolationError), and scale factors
-    within the float range (ValidationError, see _scale_factors).
+    Preconditions: dt finite and > 0 (ValidationError), a transport bound
+    MAX_CFL * eps * dx / vmax > 0 (ValidationError, grids.step_ratio) that
+    dt does not exceed (CflViolationError), and scale factors within the
+    float range (ValidationError, see _scale_factors).
     """
     check_dt(dt)
     if step_ratio(dt, max_step(state)) > 1:

@@ -545,20 +545,24 @@ FILE_PROFILE_CFG = (b"profile = file\nprofile_file = cells.csv\nn_cells = 2\n"
                     b"t_final = 0.01\n")
 
 
-@pytest.mark.parametrize("config, profile, unreadable", [
-    (b"chi0 = 0.5\xff\n", None, "run.cfg"),
-    (FILE_PROFILE_CFG, "directory", "cells.csv"),
-    (FILE_PROFILE_CFG, b"1,1,1\n1,1,\xff1\n", "cells.csv"),
-], ids=["config-not-utf8", "profile-is-a-directory", "profile-not-utf8"])
-def test_unreadable_input_files_exit_with_parse_code(tmp_path, capsys, config,
-                                                     profile, unreadable):
+# ode reads no profile, but judges its file at parse time as macro does
+@pytest.mark.parametrize("subcommand, config, profile, unreadable", [
+    ("macro", b"chi0 = 0.5\xff\n", None, "run.cfg"),
+    ("macro", FILE_PROFILE_CFG, "directory", "cells.csv"),
+    ("macro", FILE_PROFILE_CFG, b"1,1,1\n1,1,\xff1\n", "cells.csv"),
+    ("ode", FILE_PROFILE_CFG, "directory", "cells.csv"),
+    ("ode", FILE_PROFILE_CFG, b"1,1,1\n1,1,\xff1\n", "cells.csv"),
+], ids=["config-not-utf8", "profile-is-a-directory", "profile-not-utf8",
+        "ode-profile-is-a-directory", "ode-profile-not-utf8"])
+def test_unreadable_input_files_exit_with_parse_code(tmp_path, capsys, subcommand,
+                                                     config, profile, unreadable):
     (tmp_path / "run.cfg").write_bytes(config)
     if profile == "directory":
         (tmp_path / "cells.csv").mkdir()
     elif profile is not None:
         (tmp_path / "cells.csv").write_bytes(profile)
     out = tmp_path / "out"
-    code = main(["macro", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    code = main([subcommand, "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError: cannot read")
@@ -721,20 +725,57 @@ def test_cell_counts_beyond_an_array_exit_three(tmp_path, capsys, subcommand,
     assert not out.exists()
 
 
-# valid configs whose step bound underflows to 0: stable_dt on the macro
-# grid of 1e-300, max_step on the kinetic one
+# valid configs whose step bound underflows to 0: stable_dt, whose reaction
+# rate k = 1e308 overflows to inf, and max_step at the least epsilon
 @pytest.mark.parametrize("subcommand, cfg", [
-    ("macro", "length = 1e-300\nn_cells = 8\nprofile = cosine\nchi0 = 1\ns0 = 0.5\n"
-              "t_final = 0.001\n"),
-    ("kinetic", "length = 1e-300\nn_cells = 8\nn_nodes = 4\nepsilon = 1e-30\n"
-                "t_final = 0.001\n"),
+    ("macro", "k = 1e308\nprofile = cosine\ns0 = 0.5\nn_cells = 8\nt_final = 0.01\n"),
+    ("kinetic", "epsilon = 5e-324\nn_cells = 8\nn_nodes = 4\nt_final = 0.01\n"),
 ], ids=["macro", "kinetic"])
 def test_a_step_bound_of_zero_exits_three(tmp_path, capsys, subcommand, cfg):
     code, out = run_cli(tmp_path, subcommand, cfg)
     assert code == 3
     assert capsys.readouterr().err == (
-        "error: ValidationError: the step bound 0.000e+00 at t = 0 must be > 0\n")
+        "error: ValidationError: the step bound 0.000e+00 must be > 0\n")
     assert not out.exists()
+
+
+# a cell width whose square is 0, which the diffusion step divides by: every
+# subcommand refuses the grid at parse time
+@pytest.mark.parametrize("cfg, width", [
+    ("length = 1e-300\nn_cells = 8\n", "1.250e-301"),
+    ("length = 5e-324\nn_cells = 2\n", "0.000e+00"),
+], ids=["1e-300", "5e-324"])
+@pytest.mark.parametrize("subcommand", ["macro", "converge", "ode"])
+def test_a_cell_width_that_squares_to_zero_exits_three(tmp_path, capsys, subcommand,
+                                                       cfg, width):
+    code, out = run_cli(tmp_path, subcommand, cfg + "n_nodes = 4\nt_final = 0.01\n")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: ValidationError: the cell width {width} squares to 0\n")
+    assert not out.exists()
+
+
+# a vmax whose square or whose 0.5/vmax (the uniform equilibrium) is not
+# finite: coeffs used to exit 7 and kinetic 9
+@pytest.mark.parametrize("subcommand, vmax, shown", [
+    ("coeffs", "1e155", "1e+155"), ("coeffs", "1e-310", "1e-310"),
+    ("kinetic", "1e-310", "1e-310"),
+])
+def test_a_vmax_outside_the_float_range_exits_three(tmp_path, capsys, subcommand, vmax,
+                                                    shown):
+    code, out = run_cli(tmp_path, subcommand, f"chi0 = 0\nvmax = {vmax}\nn_cells = 8\n"
+                                              "n_nodes = 4\nt_final = 0.01\n")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: ValidationError: vmax = {shown} is outside the float range\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("vmax", ["1e154", "1e-308"])
+def test_a_vmax_at_the_edge_of_the_float_range_runs(tmp_path, vmax):
+    code, out = run_cli(tmp_path, "coeffs", f"chi0 = 0\nvmax = {vmax}\n")
+    assert code == 0
+    assert os.listdir(out) == ["coefficients.csv"]
 
 
 # valid configs whose kinetic scale factors underflow to 0 or overflow; a

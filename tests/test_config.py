@@ -117,7 +117,7 @@ def test_resolved_lines_echo_every_key_in_schema_order():
 def test_file_profile_requires_an_existing_file(tmp_path):
     with pytest.raises(ValidationError, match="profile_file"):
         parse_config("profile = file\n")
-    with pytest.raises(ValidationError, match="does not exist"):
+    with pytest.raises(ParseError, match="^cannot read profile_file .*nope.csv: "):
         parse_config("profile = file\nprofile_file = nope.csv\n",
                       base_dir=str(tmp_path))
 

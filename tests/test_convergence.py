@@ -564,6 +564,11 @@ def test_report_validates_its_invariants():
     with pytest.raises(ValidationError):  # negative error
         ConvergenceReport(epsilons=(0.4, 0.2),
                           errors={**errors, "c": (0.1, -0.05)}, **kwargs)
+    with pytest.raises(ValidationError, match=r"^errors\['s'\] must match epsilons$"):
+        ConvergenceReport(epsilons=(0.4, 0.2), errors={**errors, "s": (0.1,)}, **kwargs)
+    with pytest.raises(ValidationError, match=r"^errors\['u'\] must match epsilons$"):
+        ConvergenceReport(epsilons=(0.4, 0.2), errors={"c": (0.1, 0.05), "s": (0.1, 0.05)},
+                          **kwargs)
     with pytest.raises(ValidationError):  # non-finite order
         ConvergenceReport(epsilons=(0.4, 0.2), errors=errors,
                           **{**kwargs, "estimated_order": float("nan")})

@@ -165,6 +165,19 @@ def test_cfl_guard_fires():
         kin.kinetic_step(state, params, EQS, 1.01 * kin.max_step(state))
 
 
+def test_a_transport_bound_of_zero_is_refused_before_the_cfl_test():
+    # max_step underflows to 0 at the least epsilon; the CFL test used to
+    # divide by it and raise ZeroDivisionError
+    grid, vgrid = SpatialGrid(1.0, 8), build_velocity_grid(1.0, 4)
+    eqs = species_equilibria(vgrid)
+    macro = InitialProfile("constant", c0=1.0, s0=0.5, u0=0.25).build(grid)
+    state = kin.init_local_equilibrium(macro, eqs, vgrid, 5e-324)
+    assert kin.max_step(state) == 0.0
+    params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)
+    with pytest.raises(ValidationError, match=r"^the step bound 0\.000e\+00 must be > 0$"):
+        kin.kinetic_step(state, params, eqs, 1e-3)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_step_is_rejected(bad):
     params = ModelParams(d1=0, d2=0, d3=0, beta=0, k=0, r=0)

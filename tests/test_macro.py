@@ -30,6 +30,7 @@ from kinsir.grids import (
     shifted,
     snapshot_schedule,
     split,
+    step_ratio,
 )
 from kinsir.macro import (
     MacroCoefficients,
@@ -108,6 +109,15 @@ def test_grid_length_must_be_finite(value, rule):
     # a nan length used to give run_macro nan densities without an error
     with pytest.raises(ValidationError, match=f"^length must be {rule}$"):
         SpatialGrid(value, 8)
+
+
+@pytest.mark.parametrize("length, n_cells", [(1e-300, 8), (5e-324, 2), (1e-160, 10 ** 6)])
+def test_a_cell_width_that_squares_to_zero_is_refused(length, n_cells):
+    # macro_step divides by dx*dx and stable_dt by dx: both used to raise
+    # ZeroDivisionError
+    with pytest.raises(ValidationError, match="^the cell width .* squares to 0$"):
+        SpatialGrid(length, n_cells)
+    assert SpatialGrid(1e-150, 8).dx ** 2 > 0
 
 
 @pytest.mark.parametrize("value, rule", [(math.nan, "finite"), (math.inf, "finite"),
@@ -683,6 +693,32 @@ def test_split_takes_the_fewest_equal_steps_and_none_for_a_zero_span():
     for span, limit in [(1e308, 0.0225), (1.0, 1e-300), (2.0 ** 60, 1.0)]:
         with pytest.raises(ValidationError, match="steps is more than"):
             split(span, limit)
+
+
+@pytest.mark.parametrize("limit", [0.0, -0.0, -1.0, -math.inf, math.nan])
+def test_step_ratio_refuses_a_bound_that_is_not_positive(limit):
+    # split and march's re-split test take the rule from step_ratio, before
+    # any division by the bound
+    for check in (step_ratio, split):
+        with pytest.raises(ValidationError, match=r"^the step bound \S+ must be > 0$"):
+            check(1.0, limit)
+
+
+def test_march_refuses_a_bound_that_falls_to_zero_within_a_segment():
+    class Clock:
+        def __init__(self, time):
+            self.time = time
+
+    taken = []
+
+    def step(state, dt):
+        taken.append(dt)
+        return Clock(state.time + dt)
+
+    with pytest.raises(ValidationError, match=r"^the step bound 0\.000e\+00 must be > 0$"):
+        march(Clock(0.0), step, lambda s: 0.1 if s.time < 0.25 else 0.0, [1.0],
+              lambda s: s.time)
+    assert len(taken) == 3
 
 
 @pytest.mark.parametrize("limit", [1.0, 0.5, 0.1, 3.0, 1e-300])

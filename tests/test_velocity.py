@@ -1,12 +1,14 @@
 """Tests for velocity-space quadrature, turning operators and coefficients."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import kinsir.velocity as velocity
 from kinsir import ModelParams, OddNodeCountError, ValidationError
-from kinsir.errors import ConsistencyError
+from kinsir.errors import ConsistencyError, ResidualError
 from kinsir.sir import SirState, sir_rhs
 from kinsir.velocity import (
     alpha_direct,
@@ -72,6 +74,12 @@ class TestGrid:
                                             (-math.inf, "> 0")])
     def test_vmax_must_be_finite(self, vmax, rule):
         with pytest.raises(ValidationError, match=f"^vmax must be {rule}$"):
+            build_velocity_grid(vmax, 8)
+
+    @pytest.mark.parametrize("vmax", [1e155, 1.7e308, 1e-310, 5e-324])
+    def test_vmax_whose_square_or_inverse_overflows_is_refused(self, vmax):
+        message = re.escape(f"vmax = {vmax:g} is outside the float range")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             build_velocity_grid(vmax, 8)
 
 
@@ -180,6 +188,17 @@ class TestRelaxation:
         with pytest.raises(ValidationError):
             invert_relaxation(f + 0.1 * M, M, 2.0, g)
 
+
+    def test_a_residual_beyond_the_tolerance_raises(self, monkeypatch):
+        # -f/sigma solves L(g) = f exactly; an operator that answers off
+        # by 1e-9 of max|f| leaves a residual above RESIDUAL_RTOL
+        g = build_velocity_grid(1.0, 8)
+        M = uniform_equilibrium(g)
+        f = g.nodes * M
+        monkeypatch.setattr(velocity, "relaxation_apply",
+                            lambda *args: relaxation_apply(*args) + 1e-9 * np.abs(f).max())
+        with pytest.raises(ResidualError, match="^relaxation inverse residual "):
+            invert_relaxation(f, M, 2.0, g)
 
     @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
     def test_checks_are_relative_to_the_right_side(self, scale):

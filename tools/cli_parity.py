@@ -73,6 +73,11 @@ CONFIGS = [
      + "n_cells = 16\nn_nodes = 8\nt_final = 0.05\neps_list = 0.4 0.2 0.1\n"),
     ("converge_material", "converge", _COSINE + _HYPERBOLIC
      + "n_cells = 16\nn_nodes = 8\nt_final = 0.05\neps_list = 0.4 0.2 0.1\n"),
+    # a study on a file profile: its reference repeats each row onto the
+    # refined cells
+    ("converge_file", "converge", "chi0 = 0.5\nprofile = file\nprofile_file = cells.csv\n"
+                                  "n_cells = 16\nn_nodes = 8\nt_final = 0.05\n"
+                                  "eps_list = 0.4 0.2 0.1\n"),
     # small relaxation rates: large theta through the relaxation inverse
     ("coeffs_vmax1000", "coeffs", "vmax = 1000\nsigma1 = 1e-4\nsigma2 = 1e-4\n"
                                   "sigma3 = 1e-4\n"),
