@@ -74,6 +74,12 @@ def check_integer(names, values, low):
             raise ValidationError(f"{name} must be an integer >= {low}")
 
 
+def check_width(name, width):
+    """Reject a width whose square (a divisor or a moment in every tier) is subnormal or 0."""
+    if not width * width >= np.finfo(float).tiny:
+        raise ValidationError(f"{name} {width:.3e} squares below the smallest normal float")
+
+
 def shifted(row, k):
     """row[..., (i + k) % n] along the last axis, for k = 1 or -1: the
     periodic neighbour of both tiers, a roll by -k without the cost of
@@ -83,7 +89,7 @@ def shifted(row, k):
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform periodic finite-volume grid on [0, length)."""
+    """Uniform periodic finite-volume grid on [0, length), dx passing check_width."""
 
     length: float
     n_cells: int
@@ -94,8 +100,7 @@ class SpatialGrid:
         if self.n_cells > MAX_CELLS:
             raise ValidationError(f"n_cells = {self.n_cells:.3e} is more cells "
                                   "than a density array can hold")
-        if not self.dx * self.dx > 0:  # macro_step divides by it
-            raise ValidationError(f"the cell width {self.dx:.3e} squares to 0")
+        check_width("the cell width", self.dx)
 
     @property
     def dx(self):
@@ -174,10 +179,8 @@ class InitialProfile:
                     2.0 * np.pi * self.mode * grid.centers / grid.length
                 )
             rho = np.array([[self.c0], [self.s0], [self.u0]], dtype=float) * ripple
-        state = MacroState(rho, 0.0, grid)
-        if rho.min() < 0:
-            raise ValidationError("initial densities must be >= 0")
-        return state
+        check_bounded("initial densities", (rho.min(), rho.max()), 0)
+        return MacroState(rho, 0.0, grid)
 
 
 def snapshot_schedule(snapshot_times, start, t_final):

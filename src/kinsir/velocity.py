@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConsistencyError, OddNodeCountError, ResidualError, ValidationError
-from .grids import check_bounded
+from .grids import check_bounded, check_width
 
 # relative tolerance within which two routes to one coefficient must agree
 CONSISTENCY_RTOL = 1e-12
@@ -63,12 +63,13 @@ class VelocityGrid:
 def build_velocity_grid(vmax, n_nodes):
     """Gauss-Legendre rule with n_nodes points on [-vmax, vmax].
 
-    vmax*vmax and 0.5/vmax must be finite; n_nodes must be even (keeps the
+    vmax must pass check_width and square below inf; n_nodes must be even (keeps the
     +/-v pairing and excludes a v = 0 node) and at least 4. Nodes and weights
     are symmetrized so the pairing is exact in floating point.
     """
     check_bounded("vmax", (vmax,), 0, strict=True)
-    if not max(vmax * vmax, 0.5 / vmax) < math.inf:
+    check_width("vmax", vmax)
+    if not vmax * vmax < math.inf:
         raise ValidationError(f"vmax = {vmax:g} is outside the float range")
     if not isinstance(n_nodes, int) or n_nodes % 2 != 0:
         raise OddNodeCountError("n_nodes must be an even integer")

@@ -37,16 +37,7 @@ from kinsir.velocity import (
     transport_coefficients,
     uniform_equilibrium,
 )
-
-
-def random_params(rng, r0_range=None):
-    d1, d2, d3 = rng.uniform(0.4, 2.0, 3)
-    beta, k = rng.uniform(0.3, 2.0, 2)
-    if r0_range is None:
-        r = rng.uniform(0.2, 4.0)
-    else:
-        r = rng.uniform(*r0_range) * d1 * d2 * d3 / (beta * k)
-    return ModelParams(d1=d1, d2=d2, d3=d3, beta=beta, k=k, r=r)
+from helpers import random_params
 
 
 def report(line, start, budget):

@@ -35,6 +35,7 @@ from kinsir.errors import (
 )
 from kinsir.grids import InitialProfile, MacroState, SpatialGrid
 from kinsir.velocity import build_velocity_grid, species_equilibria
+from helpers import assert_no_child_is_left
 
 PARABOLIC = ModelParams(d1=1, d2=1, d3=1, beta=1, k=1, r=2, chi0=0.5)
 HYPERBOLIC = ModelParams(d1=0.5, d2=0.4, d3=0.6, beta=1.2, k=1.1, r=0.9,
@@ -406,12 +407,6 @@ def small_study(name, epsilons=(0.3, 0.4, 0.1, 0.25)):
     params, profile, t_final, n_cells = STUDIES[name]
     return run_convergence_study(params, profile, epsilons, t_final,
                                  n_cells=n_cells, n_nodes=8)
-
-
-def assert_no_child_is_left():
-    # waitpid(-1) finds no child, not even a finished one left unreaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def fail_at(monkeypatch, failures):

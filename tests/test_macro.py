@@ -25,6 +25,7 @@ from kinsir.grids import (
     MacroState,
     SpatialGrid,
     check_dt,
+    check_width,
     clamp_rows_nonnegative,
     march,
     shifted,
@@ -111,13 +112,27 @@ def test_grid_length_must_be_finite(value, rule):
         SpatialGrid(value, 8)
 
 
+WIDTH = "squares below the smallest normal float"
+
+
 @pytest.mark.parametrize("length, n_cells", [(1e-300, 8), (5e-324, 2), (1e-160, 10 ** 6)])
 def test_a_cell_width_that_squares_to_zero_is_refused(length, n_cells):
     # macro_step divides by dx*dx and stable_dt by dx: both used to raise
     # ZeroDivisionError
-    with pytest.raises(ValidationError, match="^the cell width .* squares to 0$"):
+    with pytest.raises(ValidationError, match=f"^the cell width .* {WIDTH}$"):
         SpatialGrid(length, n_cells)
     assert SpatialGrid(1e-150, 8).dx ** 2 > 0
+
+
+def test_check_width_refuses_a_square_below_the_smallest_normal_float():
+    # at length 1e-160 on 8 cells dx^2 = 1.6e-322 is subnormal, and the
+    # heat rates D*dt/dx^2 overflowed to inf, then to nan
+    with pytest.raises(ValidationError, match=f"^the cell width 1.250e-161 {WIDTH}$"):
+        SpatialGrid(1e-160, 8)
+    # 1.5e-154 squares to 2.25e-308, just above 2.2250738585072014e-308
+    check_width("w", 1.5e-154)
+    with pytest.raises(ValidationError, match=f"^w 1.490e-154 {WIDTH}$"):
+        check_width("w", 1.49e-154)
 
 
 @pytest.mark.parametrize("value, rule", [(math.nan, "finite"), (math.inf, "finite"),

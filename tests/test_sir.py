@@ -20,16 +20,7 @@ from kinsir import (
     sir_rhs,
 )
 from kinsir.grids import NEGATIVITY_TOL
-
-
-def random_params(rng, r0_range=None):
-    d1, d2, d3 = rng.uniform(0.4, 2.0, 3)
-    beta, k = rng.uniform(0.3, 2.0, 2)
-    if r0_range is None:
-        r = rng.uniform(0.2, 4.0)
-    else:
-        r = rng.uniform(*r0_range) * d1 * d2 * d3 / (beta * k)
-    return ModelParams(d1=d1, d2=d2, d3=d3, beta=beta, k=k, r=r)
+from helpers import random_params
 
 
 UNIT_RATES = dict(d1=1.0, d2=1.0, d3=1.0, beta=1.0, k=1.0, r=1.0)

@@ -78,7 +78,10 @@ class TestGrid:
 
     @pytest.mark.parametrize("vmax", [1e155, 1.7e308, 1e-310, 5e-324])
     def test_vmax_whose_square_or_inverse_overflows_is_refused(self, vmax):
-        message = re.escape(f"vmax = {vmax:g} is outside the float range")
+        # a vmax whose square is below the smallest normal float fails
+        # grids.check_width first, which keeps 0.5/vmax finite too
+        message = re.escape(f"vmax = {vmax:g} is outside the float range" if vmax > 1
+                            else f"vmax {vmax:.3e} squares below the smallest normal float")
         with pytest.raises(ValidationError, match=f"^{message}$"):
             build_velocity_grid(vmax, 8)
 

@@ -119,6 +119,11 @@ CONFIGS = [
     ("kinetic_flat", "kinetic", "chi0 = 0.5\nprofile = constant\nc0 = 1\ns0 = 0.5\n"
                                 "u0 = 0\nn_cells = 16\nn_nodes = 8\nepsilon = 0.2\n"
                                 "t_final = 0.1\n"),
+    # widths whose squares are just above the smallest normal float, the
+    # least that grids.check_width accepts: vmax^2 = 2.25e-308, dx^2 = 2.6e-308
+    ("coeffs_vmax_edge", "coeffs", "chi0 = 0\nvmax = 1.5e-154\n"),
+    ("macro_width_edge", "macro", _ENDEMIC + "length = 1.3e-153\nn_cells = 8\n"
+                                             "t_final = 0.02\n"),
 ]
 
 # per-cell (c, s, u) rows for the file profile: 16 distinct positive values
