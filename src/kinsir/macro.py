@@ -96,7 +96,7 @@ def stable_dt(state, coeff):
     w = coeff.chi / dx * (shifted(state.s, 1) - state.s)
     denom = np.abs(w).max() / dx + 16.0 * rate
     # a float divide: a subnormal denom overflows to inf without a numpy warning
-    dt0 = 0.9 / float(denom) if denom > 0 else math.inf
+    dt0 = math.inf if denom == 0 else 0.9 / float(denom)
     if not (p.beta and coeff.chi) or math.isinf(dt0):
         return dt0
     cu = state.c * state.u

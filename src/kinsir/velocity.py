@@ -123,14 +123,15 @@ def invert_relaxation(f, M, sigma, grid):
 
     Solvable only when <f> = 0 (the operator range); the solution is
     g = -f/sigma. Both checks are relative to max|f|: the mean against
-    RESIDUAL_RTOL*|V|*max|f|, the residual against RESIDUAL_RTOL*max|f|.
+    RESIDUAL_RTOL*|V|*max|f|, the residual against RESIDUAL_RTOL*max|f|;
+    a nan fails either.
     """
     size = np.abs(f).max()
-    if abs(grid.moment0(f)) > RESIDUAL_RTOL * grid.measure * size:
+    if not abs(grid.moment0(f)) <= RESIDUAL_RTOL * grid.measure * size:
         raise ValidationError("relaxation inverse needs a zero-mean right side")
     g = -f / sigma
     residual = np.abs(relaxation_apply(g, M, sigma, grid) - f).max()
-    if residual > RESIDUAL_RTOL * size:
+    if not residual <= RESIDUAL_RTOL * size:
         raise ResidualError(f"relaxation inverse residual {residual:.3e}")
     return g
 
@@ -245,23 +246,20 @@ class MacroCoefficients:
 def transport_coefficients(params, grid):
     """The diffusivities and the chemotactic sensitivity, as MacroCoefficients.
 
-    Each diffusivity is computed directly and again via theta, and chi is
-    checked against the drift velocity alpha of a unit gradient; a
-    ConsistencyError flags two routes that differ beyond the relative
-    tolerance CONSISTENCY_RTOL.
+    All three species relax toward the same M, so D_i = D/sigma_i for the
+    diffusivity D at unit rate. D is computed once directly and once via
+    theta, and chi is checked against the drift velocity alpha of a unit
+    gradient; a ConsistencyError flags two routes that differ beyond the
+    relative tolerance CONSISTENCY_RTOL.
     """
     eqs = species_equilibria(grid)
-    sigmas = (params.sigma1, params.sigma2, params.sigma3)
-    diffusivities = []
-    for species, (M, sigma) in enumerate(zip(eqs, sigmas), start=1):
-        direct = diffusion_tensor(M, sigma, grid)
-        via_theta = diffusion_tensor_from_theta(solve_theta(M, sigma, grid), grid)
-        if not math.isclose(direct, via_theta, rel_tol=CONSISTENCY_RTOL):
-            raise ConsistencyError(
-                f"diffusivity of species {species}: direct "
-                f"{direct:.17g} but via theta {via_theta:.17g}"
-            )
-        diffusivities.append(direct)
+    unit = diffusion_tensor(eqs[0], 1.0, grid)
+    via_theta = diffusion_tensor_from_theta(solve_theta(eqs[0], 1.0, grid), grid)
+    if not math.isclose(unit, via_theta, rel_tol=CONSISTENCY_RTOL):
+        raise ConsistencyError(
+            f"diffusivity at unit rate: direct {unit:.17g} but via theta {via_theta:.17g}"
+        )
     alpha_direct(1.0, grid, eqs, params)
-    return MacroCoefficients(*diffusivities, chemotactic_sensitivity(grid, params),
+    return MacroCoefficients(unit / params.sigma1, unit / params.sigma2,
+                             unit / params.sigma3, chemotactic_sensitivity(grid, params),
                              params)

@@ -754,6 +754,13 @@ REFUSALS = {
             ("macro", "k = 1e308\nprofile = cosine\ns0 = 0.5\nn_cells = 8\nt_final = 0.01\n"),
             ("kinetic", "epsilon = 5e-324\n" + SMALL_RUN + "t_final = 0.01\n")]
     ],
+    # chi/dx overflows at chi0 = 1.7e308, so the drift of flat data is inf * 0
+    # = nan; these runs used to exit 9 with a field of nan
+    "test_a_step_bound_of_nan_exits_three": [
+        (command, command, "chi0 = 1.7e308\n" + SMALL_RUN + "t_final = 0.01\n", 3,
+         "ValidationError: the step bound nan must be > 0")
+        for command in ("macro", "converge")
+    ],
     # widths whose square is below the smallest normal float (grids.check_width),
     # refused at parse time (a cell width) or with the velocity grid (a vmax)
     "test_a_cell_width_that_squares_to_zero_exits_three": [
@@ -1038,6 +1045,14 @@ _INTS = ([(key, n) for key in ("q1", "q2", "q3", "p") for n in (1, 2, 3)]
 # vmax^2 = 1e-320 is subnormal: the two routes to D disagreed by 0.1% (exit 7)
 @example(subcommand="coeffs", profile="constant", ints={},
          floats={"vmax": 1e-160, "sigma1": 1e-300})
+# theta at the rate sigma_i overflowed where D did not (exit 6 and 7), and
+# a subnormal D disagreed with its theta route (exit 7)
+@example(subcommand="coeffs", profile="constant", ints={},
+         floats={"chi0": 1.0, "vmax": 1e154, "sigma2": 1e-160})
+@example(subcommand="coeffs", profile="constant", ints={},
+         floats={"chi0": 1.0, "vmax": 1e-10, "sigma1": 1e-320})
+@example(subcommand="coeffs", profile="constant", ints={},
+         floats={"chi0": 1.0, "vmax": 1e-150, "sigma1": 1e12})
 def test_configs_at_the_float_range_edges_fail_only_as_an_input_may(subcommand, profile,
                                                                      ints, floats):
     values = {"n_cells": 8, "n_nodes": 4, "t_final": 0.01, "eps_list": "0.4 0.2 0.1",

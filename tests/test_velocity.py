@@ -1,5 +1,6 @@
 """Tests for velocity-space quadrature, turning operators and coefficients."""
 
+import itertools
 import math
 import re
 
@@ -27,6 +28,11 @@ from kinsir.velocity import (
     transport_coefficients,
     uniform_equilibrium,
 )
+
+
+# powers of ten from the subnormals to the largest float
+FLOAT_RANGE = [1e-320, 1e-310, 1e-300, 1e-200, 1e-160, 1e-150, 1e-100, 1e-10, 1e-3, 1.0,
+               1e3, 1e12, 1e100, 1e150, 1e154, 1e200, 1e300, 1.7e308]
 
 
 def params_with(**kw):
@@ -212,6 +218,18 @@ class TestRelaxation:
         np.testing.assert_array_equal(invert_relaxation(f, M, 2.0, g), -f / 2.0)
         with pytest.raises(ValidationError):
             invert_relaxation(f + 1e-6 * scale * M, M, 2.0, g)
+
+    def test_a_nan_fails_both_checks(self):
+        # a right side holding a nan is refused, and so is a solution that
+        # overflows to +/-inf, whose mean and residual are nan
+        g = build_velocity_grid(1.0, 8)
+        M = uniform_equilibrium(g)
+        f = g.nodes * M
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValidationError, match="zero-mean right side"):
+                invert_relaxation(np.where(f > 0, math.nan, f), M, 2.0, g)
+            with pytest.raises(ResidualError, match="residual nan"):
+                invert_relaxation(f, M, 1e-320, g)
 
 
 class TestTheta:
@@ -434,21 +452,36 @@ class TestTransportCoefficients:
         monkeypatch.setattr(velocity, "diffusion_tensor", lambda M, sigma, grid: direct)
         monkeypatch.setattr(velocity, "diffusion_tensor_from_theta",
                             lambda theta, grid: via_theta)
-        with pytest.raises(ConsistencyError, match="of species 1: direct"):
+        with pytest.raises(ConsistencyError, match="at unit rate: direct"):
             transport_coefficients(params_with(), build_velocity_grid(1.0, 8))
 
-    @pytest.mark.parametrize("species", [1, 2, 3])
-    def test_disagreement_names_the_species(self, monkeypatch, species):
-        import kinsir.velocity as velocity
+    def test_one_theta_solve_gives_every_diffusivity(self, monkeypatch):
+        calls = []
 
-        sigmas = (1.0, 2.0, 4.0)
-        original = velocity.diffusion_tensor
+        def counted(*args):
+            calls.append(args)
+            return solve_theta(*args)
 
-        def skewed(M, sigma, grid):
-            scale = 1.001 if sigma == sigmas[species - 1] else 1.0
-            return original(M, sigma, grid) * scale
+        monkeypatch.setattr(velocity, "solve_theta", counted)
+        g = build_velocity_grid(1.3, 8)
+        p = params_with(sigma1=0.3, sigma2=7.0, sigma3=1e-5)
+        tc = transport_coefficients(p, g)
+        assert len(calls) == 1
+        M = species_equilibria(g)[0]
+        for D, sigma in zip((tc.Dc, tc.Ds, tc.Du), (p.sigma1, p.sigma2, p.sigma3)):
+            assert D.hex() == diffusion_tensor(M, sigma, g).hex()
 
-        monkeypatch.setattr(velocity, "diffusion_tensor", skewed)
-        p = params_with(sigma1=sigmas[0], sigma2=sigmas[1], sigma3=sigmas[2])
-        with pytest.raises(ConsistencyError, match=f"of species {species}: direct"):
-            transport_coefficients(p, build_velocity_grid(1.0, 8))
+    def test_inputs_across_the_float_range_are_valid_or_refused(self):
+        # codes 6 and 7 guard internal invariants, so no vmax or rate may
+        # reach them: either the coefficients come out or an input is refused
+        failures = []
+        with np.errstate(all="ignore"):
+            for vmax, sigma2, n in itertools.product(FLOAT_RANGE, FLOAT_RANGE, (4, 16)):
+                try:
+                    transport_coefficients(params_with(chi0=1.0, sigma2=sigma2, vmax=vmax),
+                                           build_velocity_grid(vmax, n))
+                except ValidationError:
+                    pass
+                except (ResidualError, ConsistencyError) as error:
+                    failures.append((vmax, sigma2, n, repr(error)))
+        assert failures == []

@@ -82,6 +82,10 @@ CONFIGS = [
     ("coeffs_vmax1000", "coeffs", "vmax = 1000\nsigma1 = 1e-4\nsigma2 = 1e-4\n"
                                   "sigma3 = 1e-4\n"),
     ("coeffs_vmax37", "coeffs", "vmax = 37\nsigma1 = 1e-4\nn_nodes = 4\n"),
+    # relaxation rates 400 decades apart, each D_i = D/sigma_i of the one
+    # diffusivity D at unit rate
+    ("coeffs_rate_extremes", "coeffs", "chi0 = 1\nvmax = 1e-10\nsigma1 = 1e-300\n"
+                                       "sigma2 = 1e100\n"),
     # tables longer than one writer chunk (64 rows), each with a partial
     # last chunk: 1,001 trajectory rows, and three snapshots of 100 cells
     ("ode_long", "ode", "r = 2\nc0 = 1.2\ns0 = 0.4\nu0 = 0.9\nt_final = 1\n"
