@@ -258,6 +258,7 @@ def transport_coefficients(params, grid):
     if not math.isclose(unit, via_theta, rel_tol=CONSISTENCY_RTOL):
         raise ConsistencyError(
             f"diffusivity at unit rate: direct {unit:.17g} but via theta {via_theta:.17g}"
+            "; species 1, 2 and 3 each take it over their sigma_i"
         )
     alpha_direct(1.0, grid, eqs, params)
     return MacroCoefficients(unit / params.sigma1, unit / params.sigma2,

@@ -455,6 +455,19 @@ class TestTransportCoefficients:
         with pytest.raises(ConsistencyError, match="at unit rate: direct"):
             transport_coefficients(params_with(), build_velocity_grid(1.0, 8))
 
+    @pytest.mark.parametrize("species", [1, 2, 3])
+    def test_disagreement_names_the_species(self, monkeypatch, species):
+        # the one check at unit rate stands for all three species, so its
+        # error names each of them
+        original = velocity.diffusion_tensor
+        monkeypatch.setattr(velocity, "diffusion_tensor",
+                            lambda M, sigma, grid: original(M, sigma, grid) * 1.001)
+        p = params_with(sigma1=1.0, sigma2=2.0, sigma3=4.0)
+        with pytest.raises(ConsistencyError, match="at unit rate: direct") as info:
+            transport_coefficients(p, build_velocity_grid(1.0, 8))
+        named = re.search(r"species ([\d, and]+) each", str(info.value)).group(1)
+        assert str(species) in re.findall(r"\d", named)
+
     def test_one_theta_solve_gives_every_diffusivity(self, monkeypatch):
         calls = []
 
